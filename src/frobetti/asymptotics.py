@@ -14,6 +14,7 @@ from .errors import InfiniteLength, MissingMultiplicities, NotPrimary
 from .frobenius import frobenius_power
 from .groebner import SubmodulePresentation
 from .homology import ext_length, tor_length
+from .resolution import resolve
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,10 @@ def beta_sequence(module, i, e_range, coefficients="R", threads=1):
     es = _normalize_range(e_range)
     d = ring.dim
 
+    # Every level twists the same resolution; build it here so the levels
+    # only read the module's cached state, also from worker threads.
+    resolve(module, i + 1)
+
     def worker(e):
         return tor_length(module, i, e, coefficients)
 
@@ -133,6 +138,10 @@ def mu_sequence(module, i, e_range, coefficients="R", threads=1):
     ring = module.ring
     es = _normalize_range(e_range)
     d = ring.dim
+
+    # Every level twists the same resolution; build it here so the levels
+    # only read the module's cached state, also from worker threads.
+    resolve(module, i + 1)
 
     def worker(e):
         return ext_length(module, i, e, coefficients)

@@ -541,7 +541,6 @@ def main(argv=None):
         cmd.add_argument("--degree-bound", type=int, default=None, dest="degree_bound")
         cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--cache-dir", default=None, dest="cache_dir")
-        cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--json", default=None, dest="json_path")
         cmd.add_argument("--csv", default=None, dest="csv_path")
     args = parser.parse_args(argv)
@@ -558,7 +557,6 @@ def main(argv=None):
             "degree_bound": args.degree_bound,
             "threads": args.threads,
             "cache_dir": args.cache_dir,
-            "seed": args.seed,
         }
         envelope = run(args.command, problem, flags)
     except _PARSE_ERRORS as exc:

@@ -134,6 +134,25 @@ def _reduce_vec(vec, leads, basis, p, quotients=None):
     return rem
 
 
+def _echelon_reduce(vec, rows, p):
+    """Clear every row's pivot from ``vec``, rows taken in insertion order.
+
+    Each row is monic at its pivot and was itself reduced by the rows before
+    it, so a single pass leaves ``vec`` zero at every pivot.
+    """
+    for pivot, row in rows:
+        c = vec.get(pivot)
+        if not c:
+            continue
+        for t, v in row.items():
+            nc = (vec.get(t, 0) - c * v) % p
+            if nc:
+                vec[t] = nc
+            else:
+                vec.pop(t, None)
+    return vec
+
+
 class _Engine:
     """Buchberger with normal pair selection and tracked representations.
 
@@ -633,7 +652,18 @@ class SubmodulePresentation:
     # -- generators ---------------------------------------------------------------
 
     def minimal_generators(self):
-        """A minimal generating set of the span, lowest degree first."""
+        """A minimal generating set of the span, lowest degree first.
+
+        Candidates are visited greedily, lowest degree first and, within a
+        degree, larger leading term first; a candidate is kept unless it lies
+        in the R-span of the kept columns plus I * ambient.  By graded
+        Nakayama that span is, in degree d, the degree-d part of
+        (kept of degree < d) + I * ambient, plus the F_p-span of the kept
+        degree-d columns, because R_0 = F_p.  So one reduced basis G_d of
+        the former is built per degree; a degree-d candidate is kept iff its
+        normal form against G_d, which is F_p-linear, stays nonzero after row
+        reduction over F_p against the normal forms kept so far in degree d.
+        """
         if self._mingens is not None:
             return self._mingens
         ranked = []
@@ -642,22 +672,31 @@ class SubmodulePresentation:
             if not vec:
                 continue
             deg = column_degree(col, self.row_degrees)
-            ranked.append((deg, _vec_key(max(vec, key=_vec_key)), col))
+            ranked.append((deg, _vec_key(max(vec, key=_vec_key)), col, vec))
         # Lowest degree first; within a degree, larger leading term first, so
         # the irrelevant ideal of F_p[x,y] presents as [x y].
         ranked.sort(key=lambda t: t[1], reverse=True)
         ranked.sort(key=lambda t: t[0])
+        p = self.ring.p
         kept = []
-        for _, _, col in ranked:
-            if kept:
-                span = SubmodulePresentation(
-                    self.ring, kept, self.ambient_rank, self.row_degrees
+        degree = None
+        for deg, _, col, vec in ranked:
+            if deg != degree:
+                degree = deg
+                gb = groebner_basis(
+                    kept,
+                    self.ring,
+                    over_quotient=True,
+                    ambient_rank=self.ambient_rank,
+                    row_degrees=self.row_degrees,
                 )
-                if span.contains(col):
-                    continue
-            else:
-                if _quotient_span(self.ring, self.ambient_rank, self.row_degrees).contains(col):
-                    continue
+                rows = []
+            rem = _echelon_reduce(gb.normal_form_vec(vec), rows, p)
+            if not rem:
+                continue
+            pivot = max(rem, key=_vec_key)
+            inv = self.ring.inverse(rem[pivot])
+            rows.append((pivot, {t: (c * inv) % p for t, c in rem.items()}))
             kept.append(col)
         self._mingens = kept
         return kept

@@ -233,7 +233,7 @@ def resolve(module, steps, minimize_flag=True):
     if module.mode != "cokernel":
         raise ValueError("resolve expects a cokernel presentation")
     if not minimize_flag:
-        return _resolve_fresh(module, steps, False)
+        return _resolve_fresh(module, steps)
     state = module._resolution
     if state is None:
         state = _init_state(module)
@@ -294,7 +294,8 @@ def _truncate(module, state, steps):
     return MinimalResolution(module.ring, ranks, rowdegs, maps, module, True)
 
 
-def _resolve_fresh(module, steps, minimize_flag):
+def _resolve_fresh(module, steps):
+    """Resolution by raw syzygy generators, without pruning."""
     ring = module.ring
     cols = [c for c in module.columns if any(not p.is_zero() for p in c)]
     rank = module.ambient_rank
@@ -312,8 +313,6 @@ def _resolve_fresh(module, steps, minimize_flag):
         ker = syzygy_generators(
             maps[j - 1], ring, ambient_rank=ranks[j - 1], row_degrees=degs[j - 1], over_quotient=True
         )
-        if minimize_flag:
-            ker = SubmodulePresentation(ring, ker, ranks[j], degs[j]).minimal_generators()
         maps.append(ker)
         ranks.append(len(ker))
         degs.append([column_degree(c, degs[j]) for c in ker])
@@ -323,7 +322,7 @@ def _resolve_fresh(module, steps, minimize_flag):
         ranks.append(0)
         degs.append([])
         maps.append([])
-    return MinimalResolution(ring, ranks[: steps + 1], degs[: steps + 1], maps[:steps], module, minimize_flag)
+    return MinimalResolution(ring, ranks[: steps + 1], degs[: steps + 1], maps[:steps], module, False)
 
 
 class SyzygyPresentation:

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from frobetti import (
     make_ring,
     mu_sequence,
     quotient_module,
+    resolve,
     verify_laws,
 )
 from frobetti.errors import InfiniteLength, MissingMultiplicities, NotPrimary
@@ -173,3 +175,26 @@ def test_nzd_inequality():
     nzd_checks = [c for c in report.checks if c.name.startswith("nzd")]
     assert nzd_checks and all(c.passed for c in nzd_checks)
     assert report.passed
+
+
+def test_threaded_sequences_match_serial_and_keep_resolution():
+    # Levels run on worker threads share the module's cached resolution; it
+    # is built before the pool starts, so no two threads extend it at once.
+    ring = make_ring(5, ["x", "y", "z"], ["x*y", "x*z", "y*z"])
+    serial = residue_field(ring)
+    want_beta = beta_sequence(serial, 3, range(1, 4)).raw_values()
+    want_mu = mu_sequence(serial, 3, range(1, 4)).raw_values()
+    want_betti = resolve(serial, 4).betti
+    # Frequent thread switches make unguarded shared extension interleave.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            M = residue_field(ring)
+            assert beta_sequence(M, 3, range(1, 4), threads=3).raw_values() == want_beta
+            assert resolve(M, 4).betti == want_betti
+            N = residue_field(ring)
+            assert mu_sequence(N, 3, range(1, 4), threads=3).raw_values() == want_mu
+            assert resolve(N, 4).betti == want_betti
+    finally:
+        sys.setswitchinterval(interval)

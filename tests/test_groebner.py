@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobetti import (
     INFINITE,
@@ -10,12 +12,22 @@ from frobetti import (
     kernel_over_quotient,
     make_ring,
     quotient_module,
+    resolve,
     syzygy_generators,
 )
+from frobetti import groebner
 from frobetti.errors import AmbientMismatch, ResourceBound, ZeroDivisorQuery
-from frobetti.groebner import _vec_key, column_to_vec, vec_to_column
+from frobetti.groebner import (
+    _quotient_span,
+    _vec_key,
+    column_degree,
+    column_to_vec,
+    vec_to_column,
+)
 from frobetti.homology import _degree_basis, _degree_matrix
-from frobetti.ring import drl_key, monomial_divides
+from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
+
+from conftest import residue_field
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------
@@ -387,3 +399,138 @@ def test_vec_round_trip(R1):
     assert vec_to_column(column_to_vec(col), 2, R1) == col
     # position-over-term: lower position dominates
     assert _vec_key((0, (1, 0))) > _vec_key((1, (5, 5)))
+
+
+# -- minimal generators against the per-candidate greedy ------------------------
+
+
+def _greedy_minimal_generators(pres):
+    """The former rule: one Groebner basis per candidate column."""
+    ranked = []
+    for col in pres.columns:
+        vec = column_to_vec(col)
+        if not vec:
+            continue
+        deg = column_degree(col, pres.row_degrees)
+        ranked.append((deg, _vec_key(max(vec, key=_vec_key)), col))
+    ranked.sort(key=lambda t: t[1], reverse=True)
+    ranked.sort(key=lambda t: t[0])
+    kept = []
+    for _, _, col in ranked:
+        if kept:
+            span = SubmodulePresentation(pres.ring, kept, pres.ambient_rank, pres.row_degrees)
+            if span.contains(col):
+                continue
+        elif _quotient_span(pres.ring, pres.ambient_rank, pres.row_degrees).contains(col):
+            continue
+        kept.append(col)
+    return kept
+
+
+def _assert_same_mingens(ring, columns, rank, degrees):
+    new = SubmodulePresentation(ring, columns, rank, degrees).minimal_generators()
+    old = _greedy_minimal_generators(SubmodulePresentation(ring, columns, rank, degrees))
+    assert [[str(e) for e in col] for col in new] == [[str(e) for e in col] for col in old]
+    return new
+
+
+def _resolution_kernels(module, steps):
+    """(columns, rank, degrees) of the module and of the kernels of phi_1..phi_steps."""
+    res = resolve(module, steps)
+    out = [(module.columns, module.ambient_rank, module.row_degrees)]
+    for j in range(1, steps + 1):
+        ker = syzygy_generators(
+            res.matrix(j), res.ring, ambient_rank=res.rank(j - 1), row_degrees=res.degrees(j - 1)
+        )
+        out.append((ker, res.rank(j), res.degrees(j)))
+    return out
+
+
+@pytest.mark.parametrize("name, steps", [("R1", 6), ("R5", 2)])
+def test_minimal_generators_match_greedy_on_resolution_kernels(request, name, steps):
+    module = residue_field(request.getfixturevalue(name))
+    for columns, rank, degrees in _resolution_kernels(module, steps):
+        _assert_same_mingens(module.ring, columns, rank, degrees)
+
+
+@st.composite
+def _column_sets(draw):
+    """A quotient ring by binomials and trinomials, and homogeneous columns
+    with zero columns, duplicates and columns in I * ambient mixed in."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 3))
+    variables = "xyz"[:n]
+
+    def form(degree, ring, max_terms=3):
+        if degree < 0:
+            return ring.zero
+        monos = monomials_of_degree(n, degree)
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
+        return Polynomial(ring, {m: draw(st.integers(1, p - 1)) for m in chosen})
+
+    bare = make_ring(p, list(variables), [])
+    quadrics = [form(2, bare) for _ in range(draw(st.integers(1, 2)))]
+    ring = make_ring(p, list(variables), quadrics)
+    rank = draw(st.sampled_from([2, 1]))
+    degrees = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        d = draw(st.integers(1, 3))
+        lead = draw(st.integers(0, rank - 1))
+        col = [
+            form(d - degrees[k], ring) if k == lead or draw(st.booleans()) else ring.zero
+            for k in range(rank)
+        ]
+        columns.append(col)
+    gens = list(ring.ideal_groebner)
+    kinds = ["zero", "duplicate", "multiple", "times_form", "in_IF", "plus_IF"]
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(kinds))
+        base = columns[draw(st.integers(0, len(columns) - 1))]
+        if kind == "zero":
+            columns.append([ring.zero] * rank)
+        elif kind == "duplicate":
+            columns.append(list(base))
+        elif kind == "multiple":
+            columns.append([e * draw(st.integers(1, p - 1)) for e in base])
+        elif kind == "times_form":
+            f = form(1, ring)
+            columns.append([e * f for e in base])
+        else:
+            d = column_degree(base, degrees) or 2
+            k = draw(st.integers(0, rank - 1))
+            g = draw(st.sampled_from(gens))
+            extra = [ring.zero] * rank
+            extra[k] = g * form(d - degrees[k] - g.homogeneous_degree(), ring, 1)
+            if extra[k].is_zero():
+                extra[k] = g
+            if kind == "plus_IF" and column_degree(extra, degrees) == column_degree(base, degrees):
+                extra = [a + b for a, b in zip(base, extra)]
+            columns.append(extra)
+    order = draw(st.permutations(range(len(columns))))
+    return ring, [columns[i] for i in order], rank, degrees
+
+
+@settings(max_examples=50, deadline=None)
+@given(_column_sets())
+def test_minimal_generators_match_greedy_on_random_columns(case):
+    ring, columns, rank, degrees = case
+    _assert_same_mingens(ring, columns, rank, degrees)
+
+
+def test_minimal_generators_build_one_basis_per_degree(monkeypatch, R5):
+    runs = []
+    real = groebner._run_engine
+
+    def counting(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    kernels = _resolution_kernels(residue_field(R5), 2)
+    monkeypatch.setattr(groebner, "_run_engine", counting)
+    for columns, rank, degrees in kernels:
+        pres = SubmodulePresentation(R5, columns, rank, degrees)
+        runs.clear()
+        pres.minimal_generators()
+        nonzero = [col for col in pres.columns if column_to_vec(col)]
+        assert len(runs) == len({column_degree(col, degrees) for col in nonzero})
