@@ -23,16 +23,9 @@ from .groebner import (
     GroebnerBasis,
     SubmodulePresentation,
     cokernel_presentation,
-    dimension,
     groebner_basis,
     ideal,
-    ideal_quotient,
-    kernel_over_quotient,
-    length,
-    membership_lift,
-    normal_form,
     quotient_module,
-    saturate_at_irrelevant,
     syzygy_generators,
 )
 from .homology import (
@@ -84,7 +77,6 @@ __all__ = [
     "decide_finite_pd_1dim",
     "degreewise_homology_oracle",
     "diagnose_onedim",
-    "dimension",
     "ext_length",
     "finite_pd_certificate",
     "frobenius_power",
@@ -94,20 +86,14 @@ __all__ = [
     "homology_length",
     "homology_presentation",
     "ideal",
-    "ideal_quotient",
-    "kernel_over_quotient",
     "lemma_h0_check",
-    "length",
     "make_ring",
-    "membership_lift",
     "minimal_primes_monomial",
     "minimize",
     "mu_sequence",
-    "normal_form",
     "poly_parse",
     "quotient_module",
     "resolve",
-    "saturate_at_irrelevant",
     "syzygy",
     "syzygy_generators",
     "syzygy_length_survey",

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from .errors import InfiniteLength, MissingMultiplicities, NotPrimary
 from .frobenius import frobenius_power
-from .groebner import SubmodulePresentation
+from .groebner import quotient_module
 from .homology import ext_length, tor_length
-from .resolution import resolve
 
 
 @dataclass(frozen=True)
@@ -57,13 +56,26 @@ class AsymptoticEstimate:
         )
 
 
-def _finish(kind, index, d, levels):
+def _normalize_range(e_range):
+    es = sorted(set(int(e) for e in e_range))
+    if not es:
+        raise ValueError("empty level range")
+    return es
+
+
+def _sequence(kind, index, ring, e_range, raw_at):
+    """Levels raw_at(e) with their q^d normalization and the limit estimate."""
+    d = ring.dim
+    levels = []
+    for e in _normalize_range(e_range):
+        q = ring.p**e
+        raw = raw_at(e)
+        levels.append(Level(e, q, raw, Fraction(raw, q**d)))
     est = AsymptoticEstimate(kind, index, d, levels)
     if d == 0:
         # q^0 = 1: the sequence itself converges, no differencing.
-        if levels:
-            est.estimate = Fraction(levels[-1].raw)
-            est.stabilized = len(levels) >= 2 and levels[-1].raw == levels[-2].raw
+        est.estimate = Fraction(levels[-1].raw)
+        est.stabilized = len(levels) >= 2 and levels[-1].raw == levels[-2].raw
         return est
     diffs = est.differences()
     if diffs:
@@ -72,83 +84,32 @@ def _finish(kind, index, d, levels):
     return est
 
 
-def _normalize_range(e_range):
-    es = sorted(set(int(e) for e in e_range))
-    if not es:
-        raise ValueError("empty level range")
-    return es
-
-
-def _run_levels(es, worker, threads=1):
-    if threads and threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(worker, es))
-    else:
-        values = [worker(e) for e in es]
-    return values
-
-
-def hk_sequence(ring, ideal_gens, e_range, threads=1):
+def hk_sequence(ring, ideal_gens, e_range):
     """Levels lambda(R/J^[q]) with the first-difference multiplicity estimate."""
     gens = [ring.poly(g) for g in ideal_gens]
-    base = SubmodulePresentation(ring, [[g] for g in gens], 1, None, "cokernel")
-    if base.dimension() > 0:
+    if quotient_module(ring, gens).dimension() > 0:
         raise NotPrimary("the ideal is not irrelevant-primary; lengths would be infinite")
-    es = _normalize_range(e_range)
-    d = ring.dim
 
-    def worker(e):
-        powered = [[frobenius_power(g, e)] for g in gens]
-        raw = SubmodulePresentation(ring, powered, 1, None, "cokernel").length()
-        return raw
+    def raw_at(e):
+        return quotient_module(ring, [frobenius_power(g, e) for g in gens]).length()
 
-    raws = _run_levels(es, worker, threads)
-    levels = [
-        Level(e, ring.p**e, raw, Fraction(raw, (ring.p**e) ** d)) for e, raw in zip(es, raws)
-    ]
-    return _finish("hk", 0, d, levels)
+    return _sequence("hk", 0, ring, e_range, raw_at)
 
 
-def beta_sequence(module, i, e_range, coefficients="R", threads=1):
+def _homology_sequence(kind, length_fn, module, i, e_range, coefficients):
+    if module.dimension() > 0:
+        raise InfiniteLength("%s sequences need a finite-length module" % kind)
+    return _sequence(kind, i, module.ring, e_range, lambda e: length_fn(module, i, e, coefficients))
+
+
+def beta_sequence(module, i, e_range, coefficients="R"):
     """Levels lambda(Tor_i(M, eN)) / q^d; the Frobenius Betti estimator."""
-    if module.dimension() > 0:
-        raise InfiniteLength("beta sequences need a finite-length module")
-    ring = module.ring
-    es = _normalize_range(e_range)
-    d = ring.dim
-
-    # Every level twists the same resolution; build it here so the levels
-    # only read the module's cached state, also from worker threads.
-    resolve(module, i + 1)
-
-    def worker(e):
-        return tor_length(module, i, e, coefficients)
-
-    raws = _run_levels(es, worker, threads)
-    levels = [Level(e, ring.p**e, raw, Fraction(raw, (ring.p**e) ** d)) for e, raw in zip(es, raws)]
-    return _finish("beta", i, d, levels)
+    return _homology_sequence("beta", tor_length, module, i, e_range, coefficients)
 
 
-def mu_sequence(module, i, e_range, coefficients="R", threads=1):
+def mu_sequence(module, i, e_range, coefficients="R"):
     """Levels lambda(Ext^i(M, eN)) / q^d; the dual estimator."""
-    if module.dimension() > 0:
-        raise InfiniteLength("mu sequences need a finite-length module")
-    ring = module.ring
-    es = _normalize_range(e_range)
-    d = ring.dim
-
-    # Every level twists the same resolution; build it here so the levels
-    # only read the module's cached state, also from worker threads.
-    resolve(module, i + 1)
-
-    def worker(e):
-        return ext_length(module, i, e, coefficients)
-
-    raws = _run_levels(es, worker, threads)
-    levels = [Level(e, ring.p**e, raw, Fraction(raw, (ring.p**e) ** d)) for e, raw in zip(es, raws)]
-    return _finish("mu", i, d, levels)
+    return _homology_sequence("mu", ext_length, module, i, e_range, coefficients)
 
 
 @dataclass
@@ -188,7 +149,6 @@ def verify_laws(
     indices=(0, 1),
     nzd=None,
     tolerance=DEFAULT_TOLERANCE,
-    threads=1,
 ):
     """Check the limit laws on a finite-length module.
 
@@ -203,12 +163,12 @@ def verify_laws(
     ring = module.ring
     d = ring.dim
     report = LawReport()
-    betas = {i: beta_sequence(module, i, e_range, threads=threads) for i in indices}
+    betas = {i: beta_sequence(module, i, e_range) for i in indices}
     mus = {}
 
     # (a) mu vanishing below the dimension.
     for i in range(d):
-        seq = mu_sequence(module, i, e_range, threads=threads)
+        seq = mu_sequence(module, i, e_range)
         mus[i] = seq
         ok = seq.estimate is not None and abs(seq.estimate) <= tolerance
         report.add(
@@ -219,7 +179,7 @@ def verify_laws(
 
     # (b) duality: beta_i against mu_{d+i}.
     for i in indices:
-        seq = mu_sequence(module, d + i, e_range, threads=threads)
+        seq = mu_sequence(module, d + i, e_range)
         mus[d + i] = seq
         b = betas[i]
         ok = (
@@ -246,7 +206,7 @@ def verify_laws(
             lhs = betas[i]
             parts = []
             for gens, mult in primes_with_multiplicities:
-                seq = beta_sequence(module, i, e_range, coefficients=list(gens), threads=threads)
+                seq = beta_sequence(module, i, e_range, coefficients=list(gens))
                 parts.append((seq, mult))
             rhs_estimate = sum((mult * s.estimate for s, mult in parts), Fraction(0))
             est_ok = lhs.estimate is not None and abs(lhs.estimate - rhs_estimate) <= tolerance
@@ -271,7 +231,7 @@ def verify_laws(
     if nzd is not None:
         (quotient_module_,) = nzd if isinstance(nzd, tuple) else (nzd,)
         for i in indices:
-            over = beta_sequence(quotient_module_, i, e_range, threads=threads)
+            over = beta_sequence(quotient_module_, i, e_range)
             b = betas[i]
             ok = (
                 b.estimate is not None

@@ -368,7 +368,6 @@ def run(command, problem, flags=None):
     ring = build_ring(problem, cache_dir, warnings)
     module = build_module(problem, ring)
     digest = problem_digest(problem, ring)
-    threads = flags.get("threads") or 1
 
     if command == "resolve":
         steps = flags.get("steps") or 3
@@ -392,7 +391,7 @@ def run(command, problem, flags=None):
         if problem.module_kind not in (None, "quotient"):
             raise NotPrimary("hk needs a quotient module block (the ideal J)")
         gens = list(ring.variables) if problem.module_kind is None else problem.module_data
-        seq = hk_sequence(ring, gens, _e_range(flags), threads=threads)
+        seq = hk_sequence(ring, gens, _e_range(flags))
         payload = _sequence_payload(seq)
     elif command == "beta":
         idx = flags.get("idx") or 0
@@ -402,11 +401,11 @@ def run(command, problem, flags=None):
             vanishes = decide_beta_vanishing(module, idx)
             payload = {"index": idx, "vanishes": vanishes, "rule": "image-in-h0"}
         else:
-            seq = beta_sequence(module, idx, _e_range(flags), threads=threads)
+            seq = beta_sequence(module, idx, _e_range(flags))
             payload = _sequence_payload(seq)
     elif command == "mu":
         idx = flags.get("idx") or 0
-        seq = mu_sequence(module, idx, _e_range(flags), threads=threads)
+        seq = mu_sequence(module, idx, _e_range(flags))
         payload = _sequence_payload(seq)
     elif command == "diagnose1":
         idx = flags.get("idx") or 0
@@ -461,7 +460,7 @@ def run(command, problem, flags=None):
             if problem.localmult is None:
                 raise MissingMultiplicities("verify needs localmult alongside minprimes")
             primes = list(zip(problem.minprimes, problem.localmult))
-        report = verify_laws(module, primes, _e_range(flags), threads=threads)
+        report = verify_laws(module, primes, _e_range(flags))
         payload = {
             "passed": report.passed,
             "laws": [
@@ -538,8 +537,6 @@ def main(argv=None):
         cmd.add_argument("--emax", type=int, default=None)
         cmd.add_argument("--steps", type=int, default=None)
         cmd.add_argument("--exact", action="store_true")
-        cmd.add_argument("--degree-bound", type=int, default=None, dest="degree_bound")
-        cmd.add_argument("--threads", type=int, default=1)
         cmd.add_argument("--cache-dir", default=None, dest="cache_dir")
         cmd.add_argument("--json", default=None, dest="json_path")
         cmd.add_argument("--csv", default=None, dest="csv_path")
@@ -554,8 +551,6 @@ def main(argv=None):
             "emax": args.emax,
             "steps": args.steps,
             "exact": args.exact,
-            "degree_bound": args.degree_bound,
-            "threads": args.threads,
             "cache_dir": args.cache_dir,
         }
         envelope = run(args.command, problem, flags)

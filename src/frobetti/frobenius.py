@@ -7,7 +7,7 @@ the grading twists by q.
 """
 
 from .errors import Overflow
-from .resolution import FreeComplex, matrix_multiply
+from .resolution import FreeComplex
 from .ring import MAX_EXPONENT, Polynomial
 
 
@@ -78,10 +78,6 @@ def twist_complex(complex_, level):
     maps = [bracket_matrix(complex_.maps[j], lv) for j in range(1, len(complex_.maps))]
     degrees = [[q * d for d in degs] for degs in complex_.row_degrees]
     twisted = FreeComplex(ring, complex_.ranks, degrees, maps)
-    for j in range(1, twisted.length):
-        prod = matrix_multiply(twisted.maps[j], twisted.maps[j + 1], twisted.rank(j - 1), ring)
-        for col in prod:
-            for entry in col:
-                if not ring.is_zero_mod(entry):
-                    raise AssertionError("bracket power destroyed the complex property")
+    if not twisted.check_complex():
+        raise AssertionError("bracket power destroyed the complex property")
     return twisted

@@ -161,11 +161,10 @@ class _Engine:
     and silently projected away from every representation.
     """
 
-    def __init__(self, ring, n_tracked=0, limit=None):
+    def __init__(self, ring, n_tracked=0):
         self.ring = ring
         self.p = ring.p
         self.n_tracked = n_tracked
-        self.limit = MAX_BASIS_SIZE if limit is None else limit
         self.basis = []
         self.leads = []
         self.reps = []
@@ -178,8 +177,8 @@ class _Engine:
         self._insert(vec, rep)
 
     def _insert(self, vec, rep):
-        if len(self.basis) >= self.limit:
-            raise ResourceBound("Groebner basis exceeded %d elements" % self.limit)
+        if len(self.basis) >= MAX_BASIS_SIZE:
+            raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         lead = max(vec, key=_vec_key)
         c = vec[lead]
         if c != 1:
@@ -381,8 +380,8 @@ def _quotient_columns(ring, ambient_rank):
     return out
 
 
-def _run_engine(columns, ring, ambient_rank, over_quotient, n_tracked=0, limit=None):
-    engine = _Engine(ring, n_tracked=n_tracked, limit=limit)
+def _run_engine(columns, ring, ambient_rank, over_quotient, n_tracked=0):
+    engine = _Engine(ring, n_tracked=n_tracked)
     index = 0
     zero_indices = []
     for col in columns:
@@ -435,11 +434,6 @@ def _infer_rank(gens):
             return 1
         return len(col)
     return 1
-
-
-def normal_form(column, gb):
-    """Normal form of a column against a Groebner basis; idempotent."""
-    return gb.normal_form(column)
 
 
 def reduced_ideal_groebner(gens, ring):
@@ -544,13 +538,6 @@ def _dedupe_vecs(vecs):
             seen.add(key)
             out.append(v)
     return out
-
-
-def kernel_over_quotient(matrix_columns, ring, ambient_rank=None, row_degrees=None):
-    """Columns generating the kernel of the matrix as a map of free R-modules."""
-    return syzygy_generators(
-        matrix_columns, ring, ambient_rank=ambient_rank, row_degrees=row_degrees, over_quotient=True
-    )
 
 
 class SubmodulePresentation:
@@ -841,27 +828,6 @@ def quotient_module(ring, gens):
 
 def cokernel_presentation(ring, columns, ambient_rank=None, row_degrees=None):
     return SubmodulePresentation(ring, columns, ambient_rank, row_degrees, "cokernel")
-
-
-def ideal_quotient(N, f):
-    """(N : f); contains N and equals N when f is a unit."""
-    return N.colon(f)
-
-
-def saturate_at_irrelevant(N):
-    return N.saturate()
-
-
-def membership_lift(column, N):
-    return N.lift(column)
-
-
-def length(N):
-    return N.length()
-
-
-def dimension(N):
-    return N.dimension()
 
 
 # -- monomial combinatorics ---------------------------------------------------------

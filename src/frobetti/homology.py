@@ -12,24 +12,17 @@ from .frobenius import twist_complex
 from .groebner import SubmodulePresentation, column_degree, syzygy_generators
 from .resolution import resolve
 
-_coeff_ring_cache = {}
-
 
 def coefficient_ring(ring, extra_gens):
-    """R/(extra) as a fresh quotient ring S/(I + extra); cached by content."""
+    """R/(extra) as a fresh quotient ring S/(I + extra); memoized on R."""
     from .ring import make_ring
 
-    key = (
-        ring.p,
-        ring.variables,
-        tuple(str(g) for g in ring.ideal_gens),
-        tuple(sorted(str(ring.poly(g)) for g in extra_gens)),
-    )
-    got = _coeff_ring_cache.get(key)
+    extra = [str(ring.poly(g)) for g in extra_gens]
+    key = ("coefficient_ring", tuple(sorted(extra)))
+    got = ring._memo.get(key)
     if got is None:
-        gens = [str(g) for g in ring.ideal_gens] + [str(ring.poly(g)) for g in extra_gens]
-        got = make_ring(ring.p, ring.variables, gens)
-        _coeff_ring_cache[key] = got
+        got = make_ring(ring.p, ring.variables, [str(g) for g in ring.ideal_gens] + extra)
+        ring._memo[key] = got
     return got
 
 

@@ -16,19 +16,16 @@ from .groebner import INFINITE, SubmodulePresentation, quotient_module
 from .homology import coefficient_ring, homology_presentation, tor_length
 from .resolution import resolve
 
-_h0_cache = {}
-
 
 def h0_ring(ring):
     """H^0_m(R) = (I : m^infinity)/I as a rank-one submodule with generators in S."""
-    key = (ring.p, ring.variables, tuple(str(g) for g in ring.ideal_gens))
-    got = _h0_cache.get(key)
-    if got is None or got.ring is not ring:
+    got = ring._memo.get("h0")
+    if got is None:
         zero = SubmodulePresentation(ring, [], 1)
         sat = zero.saturate()
         gens = SubmodulePresentation(ring, sat.columns, 1).minimal_generators()
         got = SubmodulePresentation(ring, gens, 1)
-        _h0_cache[key] = got
+        ring._memo["h0"] = got
     return got
 
 

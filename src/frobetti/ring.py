@@ -241,6 +241,7 @@ class QuotientRing:
         "_gb_leads",
         "_std_cache",
         "_inv_cache",
+        "_memo",
         "zero",
         "one",
     )
@@ -256,6 +257,7 @@ class QuotientRing:
         self._gb_leads = tuple((g.leading()[0], g.terms) for g in self.ideal_groebner)
         self._std_cache = {}
         self._inv_cache = {}
+        self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
 

@@ -109,13 +109,6 @@ def test_determinism_bytes():
     assert first == second
 
 
-def test_threads_do_not_change_results():
-    prob = _problem()
-    serial = cli.result_bytes(cli.run("hk", prob, {"emax": 3, "threads": 1}))
-    threaded = cli.result_bytes(cli.run("hk", prob, {"emax": 3, "threads": 4}))
-    assert serial == threaded
-
-
 def test_cache_hit_and_corruption(tmp_path):
     prob = _problem()
     cache = str(tmp_path / "cache")
@@ -238,3 +231,14 @@ def test_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.fbr"
     assert cli.main(["hk", "-i", str(missing)]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag", [["--threads", "2"], ["--degree-bound", "3"]], ids=["threads", "degree-bound"]
+)
+def test_removed_flags_are_rejected(tmp_path, flag):
+    path = tmp_path / "r1.fbr"
+    path.write_text(R1_PROBLEM)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hk", "-i", str(path)] + flag)
+    assert exc.value.code == 2

@@ -19,6 +19,7 @@ from frobetti import (
     xi_alternating_sum_check,
 )
 from frobetti.errors import InfiniteLength, NotMonomial, WrongDimension
+from frobetti.homology import coefficient_ring
 from frobetti.onedim import random_instances
 
 from conftest import fixture_rings, residue_field
@@ -28,6 +29,16 @@ def test_h0_ring(R1, R2, R3):
     assert h0_ring(R1).same_span(ideal(R1, ["x"]))
     assert h0_ring(R3).is_zero_submodule()
     assert h0_ring(R2).is_zero_submodule()
+
+
+def test_ring_memo_holds_h0_and_coefficient_rings(R1):
+    assert coefficient_ring(R1, ["x"]) is coefficient_ring(R1, ["x"])
+    assert h0_ring(R1) is h0_ring(R1)
+    # The memo lives on the ring object: an equal ring starts cold.
+    twin = make_ring(5, ["x", "y"], ["x^2", "x*y"])
+    assert coefficient_ring(twin, ["x"]) is not coefficient_ring(R1, ["x"])
+    assert h0_ring(twin) is not h0_ring(R1)
+    assert h0_ring(twin).same_span(ideal(twin, ["x"]))
 
 
 def test_decide_beta_vanishing_examples(R1, R2, R3, K1, K2):

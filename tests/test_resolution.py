@@ -6,11 +6,11 @@ from frobetti import (
     SubmodulePresentation,
     cokernel_presentation,
     homology_length,
-    kernel_over_quotient,
     minimize,
     quotient_module,
     resolve,
     syzygy,
+    syzygy_generators,
     twist_complex,
 )
 
@@ -46,7 +46,7 @@ def test_exactness_certificate(R1, K1, R5):
         res = resolve(module, 3)
         ring = module.ring
         for j in range(1, 3):
-            ker = kernel_over_quotient(
+            ker = syzygy_generators(
                 res.matrix(j), ring, ambient_rank=res.rank(j - 1), row_degrees=res.degrees(j - 1)
             )
             span_ker = SubmodulePresentation(ring, ker, res.rank(j), res.degrees(j))
