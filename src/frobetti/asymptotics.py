@@ -164,12 +164,10 @@ def verify_laws(
     d = ring.dim
     report = LawReport()
     betas = {i: beta_sequence(module, i, e_range) for i in indices}
-    mus = {}
 
     # (a) mu vanishing below the dimension.
     for i in range(d):
         seq = mu_sequence(module, i, e_range)
-        mus[i] = seq
         ok = seq.estimate is not None and abs(seq.estimate) <= tolerance
         report.add(
             "mu_%d vanishes (below dim)" % i,
@@ -180,7 +178,6 @@ def verify_laws(
     # (b) duality: beta_i against mu_{d+i}.
     for i in indices:
         seq = mu_sequence(module, d + i, e_range)
-        mus[d + i] = seq
         b = betas[i]
         ok = (
             b.estimate is not None

@@ -40,7 +40,12 @@ from .errors import (
     ZeroModule,
 )
 from .groebner import INFINITE, cokernel_presentation, quotient_module
-from .onedim import diagnose_onedim, minimal_primes_monomial, syzygy_length_survey
+from .onedim import (
+    decide_beta_vanishing,
+    diagnose_onedim,
+    minimal_primes_monomial,
+    syzygy_length_survey,
+)
 from .resolution import resolve
 from .ring import QuotientRing, make_ring
 
@@ -228,10 +233,7 @@ def build_ring(problem, cache_dir=None, warnings=None):
         if entry is not None:
             gens = [plain.poly(g) for g in problem.ideal_gens]
             gb = [plain.poly(g) for g in entry["basis"]]
-            ring = QuotientRing(problem.p, tuple(problem.variables), gens, (), entry["dim"])
-            ring.ideal_groebner = tuple(ring.convert(g) for g in gb)
-            ring._gb_leads = tuple((g.leading()[0], g.terms) for g in ring.ideal_groebner)
-            return ring
+            return QuotientRing(problem.p, tuple(problem.variables), gens, gb, entry["dim"])
         ring = make_ring(problem.p, problem.variables, problem.ideal_gens)
         cache_put(
             cache_dir,
@@ -396,8 +398,6 @@ def run(command, problem, flags=None):
     elif command == "beta":
         idx = flags.get("idx") or 0
         if flags.get("exact"):
-            from .onedim import decide_beta_vanishing
-
             vanishes = decide_beta_vanishing(module, idx)
             payload = {"index": idx, "vanishes": vanishes, "rule": "image-in-h0"}
         else:

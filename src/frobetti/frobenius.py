@@ -7,6 +7,7 @@ the grading twists by q.
 """
 
 from .errors import Overflow
+from .groebner import SubmodulePresentation
 from .resolution import FreeComplex
 from .ring import MAX_EXPONENT, Polynomial
 
@@ -53,8 +54,6 @@ def frobenius_power(f, level):
 
 def bracket_ideal(gens, level, ring=None):
     """Generator-wise bracket power of an ideal (a list of ring elements)."""
-    from .groebner import SubmodulePresentation
-
     if isinstance(gens, SubmodulePresentation):
         cols = [[frobenius_power(p, level) for p in col] for col in gens.columns]
         return SubmodulePresentation(

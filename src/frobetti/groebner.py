@@ -1,11 +1,18 @@
 """Buchberger engine for submodules of graded free modules over F_p[x]/I.
 
-Module elements are flattened to dictionaries keyed by ``(position, exponents)``
-with the position-over-term order (lower position wins, ties broken by
-degrevlex).  Computations over a quotient ring reduce to the polynomial ring
-by adjoining ``g * e_k`` for every Groebner generator g of the defining ideal
-and every ambient position k; syzygies and lifts are then projected back to
-the original generator coordinates.
+Every module element inside the engine has one form: a dictionary keyed by
+``(position, exponents)`` in the position-over-term order (lower position
+wins, ties broken by degrevlex).  A tracked representation, which expresses
+a basis element in the input generators, is a vector of the same form keyed
+by ``(generator index, exponents)``, so one multiply-subtract (``_axpy``) and
+one division loop (``_reduce_vec``, from :mod:`frobetti.ring`) serve basis
+elements, representations and the quotient ring's normal forms alike.
+Columns of ``Polynomial`` appear only at the API boundary.
+
+Computations over a quotient ring reduce to the polynomial ring by adjoining
+``g * e_k`` for every Groebner generator g of the defining ideal and every
+ambient position k; these adjoined generators are untracked, so syzygies and
+lifts come out in the original generator coordinates.
 """
 
 import heapq
@@ -16,16 +23,18 @@ from .errors import (
     ResourceBound,
     ZeroDivisorQuery,
 )
-from .ring import Polynomial, monomial_divides
+from .ring import (
+    Polynomial,
+    _axpy,
+    _reduce_vec,
+    _vec_key,
+    monomial_divides,
+    monomials_of_degree,
+)
 
 INFINITE = float("inf")
 
 MAX_BASIS_SIZE = 20000
-
-
-def _vec_key(t):
-    pos, e = t
-    return (-pos, sum(e), tuple(-x for x in reversed(e)))
 
 
 def column_to_vec(col):
@@ -56,82 +65,18 @@ def column_degree(col, row_degrees):
     return degs.pop()
 
 
-def _scalar_mul(a, b, p):
-    out = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            m = tuple(x + y for x, y in zip(ma, mb))
-            nc = (out.get(m, 0) + ca * cb) % p
-            if nc:
-                out[m] = nc
-            elif m in out:
-                del out[m]
-    return out
+def _spair(leads, vecs, i, j, p):
+    """x^si * vecs[i] - x^sj * vecs[j], with x^si * lead_i = x^sj * lead_j.
 
-
-def _rep_submul(target, q, rep, p):
-    """target -= q * rep, where q is a scalar term dict and rep a tracked rep."""
-    for idx, poly in rep.items():
-        prod = _scalar_mul(q, poly, p)
-        cur = target.get(idx)
-        if cur is None:
-            cur = {}
-            target[idx] = cur
-        for m, c in prod.items():
-            nc = (cur.get(m, 0) - c) % p
-            if nc:
-                cur[m] = nc
-            elif m in cur:
-                del cur[m]
-        if not cur:
-            del target[idx]
-
-
-def _rep_shift(rep, coeff, shift, p):
-    out = {}
-    for idx, poly in rep.items():
-        out[idx] = {
-            tuple(x + y for x, y in zip(m, shift)): (c * coeff) % p for m, c in poly.items()
-        }
-    return out
-
-
-def _reduce_vec(vec, leads, basis, p, quotients=None):
-    """Full normal form of ``vec`` against a list of monic basis vectors.
-
-    When ``quotients`` is a list it receives the division quotients as scalar
-    term dicts aligned with the basis.  Terms introduced by a reduction step
-    are strictly smaller than the term being cleared, so a single descending
-    sweep terminates.
+    Applied to basis vectors this is the S-vector of the pair; applied to
+    their tracked representations it is the S-vector's representation.
     """
-    work = dict(vec)
-    rem = {}
-    while work:
-        t = max(work, key=_vec_key)
-        c = work.pop(t)
-        tpos, te = t
-        hit = -1
-        for i, lead in enumerate(leads):
-            if lead[0] == tpos and all(a <= b for a, b in zip(lead[1], te)):
-                hit = i
-                break
-        if hit < 0:
-            rem[t] = c
-            continue
-        shift = tuple(b - a for a, b in zip(leads[hit][1], te))
-        for (gpos, ge), gc in basis[hit].items():
-            key = (gpos, tuple(x + y for x, y in zip(ge, shift)))
-            if key == t:
-                continue
-            nc = (work.get(key, 0) - c * gc) % p
-            if nc:
-                work[key] = nc
-            elif key in work:
-                del work[key]
-        if quotients is not None:
-            q = quotients[hit]
-            q[shift] = (q.get(shift, 0) + c) % p
-    return rem
+    li, lj = leads[i][1], leads[j][1]
+    lcm = tuple(max(a, b) for a, b in zip(li, lj))
+    out = {}
+    _axpy(out, vecs[i], -1, tuple(a - b for a, b in zip(lcm, li)), p)
+    _axpy(out, vecs[j], 1, tuple(a - b for a, b in zip(lcm, lj)), p)
+    return out
 
 
 def _echelon_reduce(vec, rows, p):
@@ -142,14 +87,8 @@ def _echelon_reduce(vec, rows, p):
     """
     for pivot, row in rows:
         c = vec.get(pivot)
-        if not c:
-            continue
-        for t, v in row.items():
-            nc = (vec.get(t, 0) - c * v) % p
-            if nc:
-                vec[t] = nc
-            else:
-                vec.pop(t, None)
+        if c:
+            _axpy(vec, row, c, (0,) * len(pivot[1]), p)
     return vec
 
 
@@ -173,7 +112,7 @@ class _Engine:
         self.pending = set()
 
     def seed(self, vec, index):
-        rep = {index: {self.ring._zero_exps: 1}} if index < self.n_tracked else {}
+        rep = {(index, self.ring._zero_exps): 1} if index < self.n_tracked else {}
         self._insert(vec, rep)
 
     def _insert(self, vec, rep):
@@ -184,7 +123,7 @@ class _Engine:
         if c != 1:
             inv = self.ring.inverse(c)
             vec = {t: (v * inv) % self.p for t, v in vec.items()}
-            rep = {i: {m: (v * inv) % self.p for m, v in pol.items()} for i, pol in rep.items()}
+            rep = {t: (v * inv) % self.p for t, v in rep.items()}
         new = len(self.basis)
         pos = lead[0]
         self.basis.append(vec)
@@ -198,31 +137,6 @@ class _Engine:
             lcm = tuple(max(a, b) for a, b in zip(li[1], lead[1]))
             heapq.heappush(self.pairs, (sum(lcm), i, new))
             self.pending.add((i, new))
-
-    def _spair_parts(self, i, j):
-        li, lj = self.leads[i], self.leads[j]
-        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
-        si = tuple(a - b for a, b in zip(lcm, li[1]))
-        sj = tuple(a - b for a, b in zip(lcm, lj[1]))
-        return si, sj
-
-    def _shifted(self, i, shift):
-        out = {}
-        for (pos, m), c in self.basis[i].items():
-            out[(pos, tuple(x + y for x, y in zip(m, shift)))] = c
-        return out
-
-    def _spoly(self, i, j):
-        si, sj = self._spair_parts(i, j)
-        p = self.p
-        vec = self._shifted(i, si)
-        for t, c in self._shifted(j, sj).items():
-            nc = (vec.get(t, 0) - c) % p
-            if nc:
-                vec[t] = nc
-            elif t in vec:
-                del vec[t]
-        return vec, si, sj
 
     def _skip_by_criteria(self, i, j):
         li, lj = self.leads[i], self.leads[j]
@@ -249,6 +163,7 @@ class _Engine:
 
     def run(self):
         track = self.n_tracked > 0
+        p = self.p
         while self.pairs:
             _, i, j = heapq.heappop(self.pairs)
             if (i, j) not in self.pending:
@@ -256,21 +171,13 @@ class _Engine:
             self.pending.discard((i, j))
             if self._skip_by_criteria(i, j):
                 continue
-            vec, si, sj = self._spoly(i, j)
+            vec = _spair(self.leads, self.basis, i, j, p)
             if not vec:
                 continue
-            quotients = [{} for _ in self.basis] if track else None
-            rem = _reduce_vec(vec, self.leads, self.basis, self.p, quotients)
-            if not rem:
-                continue
-            rep = {}
-            if track:
-                rep = _rep_shift(self.reps[i], 1, si, self.p)
-                _rep_submul(rep, {sj: 1}, self.reps[j], self.p)
-                for k, q in enumerate(quotients):
-                    if q:
-                        _rep_submul(rep, q, self.reps[k], self.p)
-            self._insert(rem, rep)
+            rep = _spair(self.leads, self.reps, i, j, p) if track else None
+            rem = _reduce_vec(vec, self.leads, self.basis, p, rep, self.reps)
+            if rem:
+                self._insert(rem, rep or {})
 
     def reduced(self):
         """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
@@ -284,24 +191,19 @@ class _Engine:
             ):
                 continue
             kept.append(i)
-        vecs = [dict(self.basis[i]) for i in kept]
+        vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
-        reps = [
-            {idx: dict(pol) for idx, pol in self.reps[i].items()} for i in kept
-        ]
+        reps = [dict(self.reps[i]) for i in kept]
         track = self.n_tracked > 0
         for a in range(len(vecs)):
-            others_leads = leads[:a] + leads[a + 1 :]
-            others_vecs = vecs[:a] + vecs[a + 1 :]
-            quotients = [{} for _ in others_vecs] if track else None
-            rem = _reduce_vec(vecs[a], others_leads, others_vecs, self.p, quotients)
-            vecs[a] = rem
-            if track:
-                rep = reps[a]
-                for k, q in enumerate(quotients):
-                    if q:
-                        src = reps[k] if k < a else reps[k + 1]
-                        _rep_submul(rep, q, src, self.p)
+            vecs[a] = _reduce_vec(
+                vecs[a],
+                leads[:a] + leads[a + 1 :],
+                vecs[:a] + vecs[a + 1 :],
+                self.p,
+                reps[a] if track else None,
+                reps[:a] + reps[a + 1 :],
+            )
         return vecs, leads, reps
 
 
@@ -327,8 +229,10 @@ class GroebnerBasis:
     def columns(self):
         return [vec_to_column(v, self.ambient_rank, self.ring) for v in self.vecs]
 
-    def normal_form_vec(self, vec, quotients=None):
-        return _reduce_vec(vec, self.leads, self.vecs, self.ring.p, quotients)
+    def normal_form_vec(self, vec, rep=None):
+        """Normal form of ``vec``; a given ``rep`` receives every division
+        step applied to the tracked representations (see ``_reduce_vec``)."""
+        return _reduce_vec(vec, self.leads, self.vecs, self.ring.p, rep, self.reps)
 
     def normal_form(self, column):
         if len(column) != self.ambient_rank:
@@ -463,19 +367,9 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     engine, zero_indices = _run_engine(cols, ring, ambient_rank, over_quotient, n_tracked=n)
     vecs, leads, reps = engine.reduced()
     p = ring.p
-    syz_vecs = []
-
-    def push(rep):
-        vec = {}
-        for idx, poly in rep.items():
-            for m, c in poly.items():
-                vec[(idx, m)] = c
-        if vec:
-            syz_vecs.append(vec)
-
+    one = ring._zero_exps
     # Zero input columns are syzygies outright.
-    for idx in zero_indices:
-        push({idx: {ring._zero_exps: 1}})
+    syz_vecs = [{(idx, one): 1} for idx in zero_indices]
 
     # Columns of (Id - T U): each original generator minus its expression in
     # the reduced basis.  Untracked (ideal) columns contribute relations too.
@@ -484,46 +378,23 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
         vec = column_to_vec(col)
         if not vec:
             continue
-        quotients = [{} for _ in vecs]
-        rem = _reduce_vec(vec, leads, vecs, p, quotients)
-        if rem:
+        rep = {(idx, one): 1} if idx < n else {}
+        if _reduce_vec(vec, leads, vecs, p, rep, reps):
             raise AssertionError("span generator failed to reduce to zero against its own basis")
-        rep = {idx: {ring._zero_exps: 1}} if idx < n else {}
-        for k, q in enumerate(quotients):
-            if q:
-                _rep_submul(rep, q, reps[k], p)
-        push(rep)
+        if rep:
+            syz_vecs.append(rep)
 
     # Schreyer pass: every same-position S-pair of the reduced basis yields a
     # syzygy; no pair criteria here, completeness needs them all.
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            li, lj = leads[i], leads[j]
-            if li[0] != lj[0]:
+            if leads[i][0] != leads[j][0]:
                 continue
-            lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
-            si = tuple(a - b for a, b in zip(lcm, li[1]))
-            sj = tuple(a - b for a, b in zip(lcm, lj[1]))
-            vec = {}
-            for (pos, m), c in vecs[i].items():
-                vec[(pos, tuple(x + y for x, y in zip(m, si)))] = c
-            for (pos, m), c in vecs[j].items():
-                t = (pos, tuple(x + y for x, y in zip(m, sj)))
-                nc = (vec.get(t, 0) - c) % p
-                if nc:
-                    vec[t] = nc
-                elif t in vec:
-                    del vec[t]
-            quotients = [{} for _ in vecs]
-            rem = _reduce_vec(vec, leads, vecs, p, quotients)
-            if rem:
+            rep = _spair(leads, reps, i, j, p)
+            if _reduce_vec(_spair(leads, vecs, i, j, p), leads, vecs, p, rep, reps):
                 raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
-            rep = _rep_shift(reps[i], 1, si, p)
-            _rep_submul(rep, {sj: 1}, reps[j], p)
-            for k, q in enumerate(quotients):
-                if q:
-                    _rep_submul(rep, q, reps[k], p)
-            push(rep)
+            if rep:
+                syz_vecs.append(rep)
 
     columns_out = [vec_to_column(v, n, ring) for v in _dedupe_vecs(syz_vecs)]
     return columns_out
@@ -620,21 +491,12 @@ class SubmodulePresentation:
             column = [column]
         if len(column) != self.ambient_rank:
             raise AmbientMismatch("lift target has wrong ambient rank")
-        gb = self._tracked_gb()
-        quotients = [{} for _ in gb.vecs]
-        rem = gb.normal_form_vec(column_to_vec(column), quotients)
-        if rem:
+        # The division steps leave rep = -c, the negated coefficients.
+        rep = {}
+        if self._tracked_gb().normal_form_vec(column_to_vec(column), rep):
             return None
         p = self.ring.p
-        rep = {}
-        for k, q in enumerate(quotients):
-            if q:
-                _rep_submul(rep, q, gb.reps[k], p)
-        out = []
-        for idx in range(len(self.columns)):
-            poly = rep.get(idx)
-            out.append(Polynomial(self.ring, {m: (p - c) % p for m, c in poly.items()}) if poly else self.ring.zero)
-        return out
+        return vec_to_column({t: p - c for t, c in rep.items()}, len(self.columns), self.ring)
 
     # -- generators ---------------------------------------------------------------
 
@@ -793,8 +655,6 @@ class SubmodulePresentation:
             d = degree - self.row_degrees[pos]
             if d < 0:
                 continue
-            from .ring import monomials_of_degree
-
             for m in monomials_of_degree(self.ring.n, d):
                 if not any(monomial_divides(g, m) for g in gens):
                     count += 1

@@ -9,14 +9,13 @@ time and is kept fully independent of the Groebner route.
 
 from .errors import InfiniteLength, LiftFailure
 from .frobenius import twist_complex
-from .groebner import SubmodulePresentation, column_degree, syzygy_generators
+from .groebner import SubmodulePresentation, _quotient_span, column_degree, syzygy_generators
 from .resolution import resolve
+from .ring import make_ring
 
 
 def coefficient_ring(ring, extra_gens):
     """R/(extra) as a fresh quotient ring S/(I + extra); memoized on R."""
-    from .ring import make_ring
-
     extra = [str(ring.poly(g)) for g in extra_gens]
     key = ("coefficient_ring", tuple(sorted(extra)))
     got = ring._memo.get(key)
@@ -55,8 +54,6 @@ def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_tar
         )
         kernel = SubmodulePresentation(ring, kernel, ambient_rank, ambient_degs).minimal_generators()
     if not kernel:
-        from .groebner import _quotient_span
-
         zero_span = _quotient_span(ring, ambient_rank, ambient_degs)
         for col in in_cols:
             if not zero_span.contains(col):

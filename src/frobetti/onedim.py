@@ -11,10 +11,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .errors import InfiniteLength, NoParameterFound, NotMonomial, WrongDimension
+from .asymptotics import beta_sequence
+from .errors import InfiniteLength, NoParameterFound, NotMonomial, UnitIdeal, WrongDimension
 from .groebner import INFINITE, SubmodulePresentation, quotient_module
 from .homology import coefficient_ring, homology_presentation, tor_length
 from .resolution import resolve
+from .ring import make_ring
 
 
 def h0_ring(ring):
@@ -490,8 +492,6 @@ class DiagnosisReport:
 
 def diagnose_onedim(module, i, primes=None, e_range=range(0, 3), estimate_range=range(1, 4)):
     """Run the equivalent vanishing conditions side by side and compare them."""
-    from .asymptotics import beta_sequence
-
     exact = decide_beta_vanishing(module, i)
     prime_reports = tor_vanishing_vs_minimal_primes(module, i, primes, e_range)
     est = beta_sequence(module, i, estimate_range)
@@ -509,9 +509,6 @@ def random_instances(seed, count, p=3, max_vars=3):
     irrelevant-primary monomial ideals with pure powers of exponent at most
     3, so every instance has finite length.
     """
-    from .ring import make_ring
-    from .errors import UnitIdeal
-
     rng = random.Random(seed)
     names = ["x", "y", "z", "w"]
     out = []

@@ -5,6 +5,12 @@ coefficients in [1, p).  Every polynomial is tagged with the ring it lives
 over; arithmetic never reduces modulo the defining ideal (elements of the
 quotient ring are represented by their normal forms against the reduced
 Groebner basis of the ideal, computed on demand via :meth:`QuotientRing.nf`).
+
+Module elements are vectors: dictionaries keyed by ``(position, exponents)``
+in the position-over-term order.  ``_axpy`` and ``_reduce_vec`` are the one
+multiply-subtract and the one division loop for vectors; the Buchberger
+engine in :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial
+is a vector at position 0) both run on them.
 """
 
 from .errors import (
@@ -54,6 +60,50 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _vec_key(t):
+    """Sort key of a vector term: lower position wins, then degrevlex."""
+    pos, e = t
+    return (-pos, sum(e), tuple(-x for x in reversed(e)))
+
+
+def _axpy(target, vec, c, shift, p):
+    """target -= c * x^shift * vec, in place."""
+    for (pos, e), v in vec.items():
+        key = (pos, tuple(x + y for x, y in zip(e, shift)))
+        nc = (target.get(key, 0) - c * v) % p
+        if nc:
+            target[key] = nc
+        else:
+            target.pop(key, None)
+
+
+def _reduce_vec(vec, leads, basis, p, rep=None, reps=None):
+    """Full normal form of ``vec`` against a list of monic basis vectors.
+
+    Each division step ``vec -= c * x^shift * basis[i]`` is applied to ``rep``
+    as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
+    representation of ``vec`` ends as that of the remainder.  Terms introduced
+    by a step are strictly smaller than the term being cleared, so a single
+    descending sweep terminates.
+    """
+    work = dict(vec)
+    rem = {}
+    while work:
+        t = max(work, key=_vec_key)
+        c = work[t]
+        tpos, te = t
+        for i, (lpos, le) in enumerate(leads):
+            if lpos == tpos and all(a <= b for a, b in zip(le, te)):
+                shift = tuple(b - a for a, b in zip(le, te))
+                _axpy(work, basis[i], c, shift, p)
+                if rep is not None:
+                    _axpy(rep, reps[i], c, shift, p)
+                break
+        else:
+            rem[t] = work.pop(t)
+    return rem
 
 
 class Polynomial:
@@ -225,9 +275,10 @@ class Polynomial:
 class QuotientRing:
     """A standard-graded quotient R = F_p[x_1..x_n] / I.
 
-    ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I;
-    ``dim`` is the Krull dimension read off the leading-term ideal.  An empty
-    ideal gives the polynomial ring itself.
+    ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
+    ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
+    their leading terms; ``dim`` is the Krull dimension read off the
+    leading-term ideal.  An empty ideal gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -238,6 +289,7 @@ class QuotientRing:
         "ideal_groebner",
         "dim",
         "_zero_exps",
+        "_gb_vecs",
         "_gb_leads",
         "_std_cache",
         "_inv_cache",
@@ -252,11 +304,16 @@ class QuotientRing:
         self.n = len(self.variables)
         self._zero_exps = (0,) * self.n
         self.ideal_gens = tuple(ideal_gens)
-        self.ideal_groebner = tuple(ideal_groebner)
+        self.ideal_groebner = tuple(self.convert(g) for g in ideal_groebner)
         self.dim = dim
-        self._gb_leads = tuple((g.leading()[0], g.terms) for g in self.ideal_groebner)
         self._std_cache = {}
         self._inv_cache = {}
+        # _reduce_vec needs monic vectors; a basis read from a cache may not be.
+        self._gb_vecs = []
+        for g in self.ideal_groebner:
+            inv = self.inverse(g.leading()[1])
+            self._gb_vecs.append({(0, m): (c * inv) % p for m, c in g.terms.items()})
+        self._gb_leads = [(0, g.leading()[0]) for g in self.ideal_groebner]
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
@@ -320,31 +377,11 @@ class QuotientRing:
 
     def nf(self, poly):
         """Normal form of ``poly`` against the reduced Groebner basis of I."""
-        if not poly.terms or not self._gb_leads:
+        if not poly.terms or not self._gb_vecs:
             return self.convert(poly)
-        p = self.p
-        work = dict(poly.terms)
-        rem = {}
-        leads = self._gb_leads
-        while work:
-            m = max(work, key=drl_key)
-            c = work.pop(m)
-            for lead, gterms in leads:
-                if all(a <= b for a, b in zip(lead, m)):
-                    shift = tuple(b - a for a, b in zip(lead, m))
-                    for gm, gc in gterms.items():
-                        key = tuple(x + y for x, y in zip(gm, shift))
-                        if key == m:
-                            continue
-                        nc = (work.get(key, 0) - c * gc) % p
-                        if nc:
-                            work[key] = nc
-                        elif key in work:
-                            del work[key]
-                    break
-            else:
-                rem[m] = c
-        return Polynomial(self, rem)
+        vec = {(0, m): c for m, c in poly.terms.items()}
+        rem = _reduce_vec(vec, self._gb_leads, self._gb_vecs, self.p)
+        return Polynomial(self, {m: c for (_, m), c in rem.items()})
 
     def is_zero_mod(self, poly):
         return not self.nf(poly).terms
@@ -354,7 +391,7 @@ class QuotientRing:
         got = self._std_cache.get(degree)
         if got is not None:
             return got
-        leads = [lead for lead, _ in self._gb_leads]
+        leads = [lead for _, lead in self._gb_leads]
         out = []
         for m in monomials_of_degree(self.n, degree):
             if not any(monomial_divides(l, m) for l in leads):
@@ -425,10 +462,7 @@ def make_ring(p, variables, ideal_gens):
         raise UnitIdeal("1 lies in the ideal; the quotient ring is zero")
     leads = [g.leading()[0] for g in gb]
     dim = monomial_quotient_dimension(leads, len(variables))
-    ring = QuotientRing(p, variables, gens, (), dim)
-    ring.ideal_groebner = tuple(ring.convert(g) for g in gb)
-    ring._gb_leads = tuple((g.leading()[0], g.terms) for g in ring.ideal_groebner)
-    return ring
+    return QuotientRing(p, variables, gens, gb, dim)
 
 
 # -- expression parsing --------------------------------------------------------

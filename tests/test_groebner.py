@@ -23,7 +23,7 @@ from frobetti.groebner import (
     column_to_vec,
     vec_to_column,
 )
-from frobetti.homology import _degree_basis, _degree_matrix
+from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
 
 from conftest import residue_field
@@ -452,8 +452,17 @@ def test_minimal_generators_match_greedy_on_resolution_kernels(request, name, st
         _assert_same_mingens(module.ring, columns, rank, degrees)
 
 
+def _form(draw, ring, degree, max_terms=3):
+    """A random form of the given degree with at most ``max_terms`` terms."""
+    if degree < 0:
+        return ring.zero
+    monos = monomials_of_degree(ring.n, degree)
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
+    return Polynomial(ring, {m: draw(st.integers(1, ring.p - 1)) for m in chosen})
+
+
 @st.composite
-def _column_sets(draw):
+def _column_sets(draw, ranks=(2, 1)):
     """A quotient ring by binomials and trinomials, and homogeneous columns
     with zero columns, duplicates and columns in I * ambient mixed in."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
@@ -461,16 +470,12 @@ def _column_sets(draw):
     variables = "xyz"[:n]
 
     def form(degree, ring, max_terms=3):
-        if degree < 0:
-            return ring.zero
-        monos = monomials_of_degree(n, degree)
-        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
-        return Polynomial(ring, {m: draw(st.integers(1, p - 1)) for m in chosen})
+        return _form(draw, ring, degree, max_terms)
 
     bare = make_ring(p, list(variables), [])
     quadrics = [form(2, bare) for _ in range(draw(st.integers(1, 2)))]
     ring = make_ring(p, list(variables), quadrics)
-    rank = draw(st.sampled_from([2, 1]))
+    rank = draw(st.sampled_from(ranks))
     degrees = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
@@ -533,3 +538,57 @@ def test_minimal_generators_build_one_basis_per_degree(monkeypatch, R5):
         pres.minimal_generators()
         nonzero = [col for col in pres.columns if column_to_vec(col)]
         assert len(runs) == len({column_degree(col, degrees) for col in nonzero})
+
+
+# -- lifts over a quotient ring ----------------------------------------------------
+
+
+@st.composite
+def _lift_cases(draw):
+    """Rank-2 columns over a quotient ring, with two targets of one degree:
+    an R-combination of the columns and a random column."""
+    ring, columns, rank, degrees = draw(_column_sets(ranks=(2,)))
+    col_degs = [column_degree(col, degrees) for col in columns]
+    degree = max(d for d in col_degs if d is not None) + draw(st.integers(0, 1))
+    combination = [ring.zero] * rank
+    for col, d in zip(columns, col_degs):
+        if d is not None and draw(st.booleans()):
+            f = _form(draw, ring, degree - d)
+            combination = [a + f * b for a, b in zip(combination, col)]
+    other = [_form(draw, ring, degree - degrees[k]) for k in range(rank)]
+    return ring, columns, degrees, degree, combination, other
+
+
+def _in_span_oracle(ring, columns, degrees, t, target):
+    """Whether a degree-t column lies in the R-span, by F_p linear algebra
+    on the degree-t slices."""
+    col_degs = [column_degree(col, degrees) or 0 for col in columns]
+    src = _degree_basis(ring, len(columns), col_degs, t)
+    tgt = _degree_basis(ring, len(degrees), list(degrees), t)
+    index = {b: r for r, b in enumerate(tgt)}
+    rows = _degree_matrix(ring, columns, src, index, len(tgt))
+    extra = [0] * len(tgt)
+    for k, entry in enumerate(target):
+        for m, c in ring.nf(entry).terms.items():
+            extra[index[(k, m)]] = c
+    widened = [row + [c] for row, c in zip(rows, extra)]
+    return _rank_mod_p(widened, ring.p) == _rank_mod_p(rows, ring.p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_lift_cases())
+def test_lift_over_quotient_ring_rank_two(case):
+    ring, columns, degrees, t, combination, other = case
+    N = SubmodulePresentation(ring, columns, 2, degrees)
+    assert _in_span_oracle(ring, columns, degrees, t, combination)
+    for target in (combination, other):
+        coeffs = N.lift(target)
+        if not _in_span_oracle(ring, columns, degrees, t, target):
+            assert coeffs is None
+            continue
+        assert coeffs is not None and len(coeffs) == len(columns)
+        for k in range(2):
+            image = ring.zero
+            for c, col in zip(coeffs, columns):
+                image = image + c * col[k]
+            assert ring.is_zero_mod(image - target[k])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from frobetti import make_ring, poly_parse
+from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
 from frobetti.errors import NotHomogeneous, NotPrime, ParseError, UnitIdeal, UnknownVariable
 from frobetti.ring import drl_key
 
@@ -130,3 +130,24 @@ def test_normal_form_mod_ideal(R1):
     nf = R1.nf(poly_parse("x^2 + y^2 + x", R1))
     assert nf == poly_parse("y^2 + x", R1)
     assert R1.nf(nf) == nf
+
+
+def test_nf_matches_rank_one_normal_form(R1, R5):
+    # R.nf and GroebnerBasis.normal_form share one division loop; check
+    # that the two wrappers around it agree on random polynomials.  A ring
+    # given a non-monic basis (say, from an edited cache entry) must agree too.
+    rng = random.Random(41)
+    for ring in (R1, R5):
+        S = make_ring(ring.p, list(ring.variables), [])
+        gb = groebner_basis([[g] for g in ring.ideal_gens], S, over_quotient=False)
+        gens = [ring.convert(g) for g in ring.ideal_gens]
+        scaled = QuotientRing(
+            ring.p, ring.variables, ring.ideal_gens, [g * 2 for g in ring.ideal_groebner], ring.dim
+        )
+        for _ in range(40):
+            f = _random_poly(ring, rng)
+            expected = gb.normal_form([f])[0].terms
+            assert ring.nf(f).terms == expected
+            assert scaled.nf(f).terms == expected
+            g = f + _random_poly(ring, rng, max_terms=3, max_deg=2) * rng.choice(gens)
+            assert ring.nf(g).terms == expected
