@@ -226,6 +226,8 @@ def build_ring(problem, cache_dir=None, warnings=None):
         ).hexdigest()
         try:
             entry = cache_get(cache_dir, key, "gb")
+            if entry is not None and not (isinstance(entry, dict) and isinstance(entry.get("basis"), list)):
+                raise CacheCorrupt("gb payload without a basis list in %s" % _cache_path(cache_dir, key, "gb"))
         except CacheCorrupt as exc:
             if warnings is not None:
                 warnings.append("cache: %s; recomputing" % exc)
@@ -233,14 +235,9 @@ def build_ring(problem, cache_dir=None, warnings=None):
         if entry is not None:
             gens = [plain.poly(g) for g in problem.ideal_gens]
             gb = [plain.poly(g) for g in entry["basis"]]
-            return QuotientRing(problem.p, tuple(problem.variables), gens, gb, entry["dim"])
+            return QuotientRing(problem.p, tuple(problem.variables), gens, gb)
         ring = make_ring(problem.p, problem.variables, problem.ideal_gens)
-        cache_put(
-            cache_dir,
-            key,
-            "gb",
-            {"basis": [str(g) for g in ring.ideal_groebner], "dim": ring.dim},
-        )
+        cache_put(cache_dir, key, "gb", {"basis": [str(g) for g in ring.ideal_groebner]})
         return ring
     return make_ring(problem.p, problem.variables, problem.ideal_gens)
 

@@ -16,6 +16,7 @@ lifts come out in the original generator coordinates.
 """
 
 import heapq
+from math import comb
 
 from .errors import (
     AmbientMismatch,
@@ -26,10 +27,12 @@ from .errors import (
 from .ring import (
     Polynomial,
     _axpy,
+    _order_at_one,
     _reduce_vec,
     _vec_key,
+    hilbert_numerator,
     monomial_divides,
-    monomials_of_degree,
+    numerator_dimension,
 )
 
 INFINITE = float("inf")
@@ -243,13 +246,6 @@ class GroebnerBasis:
 
     def contains(self, column):
         return not self.normal_form_vec(column_to_vec(column))
-
-    def lead_exponents(self):
-        """Per-position lists of leading exponent tuples."""
-        out = [[] for _ in range(self.ambient_rank)]
-        for pos, e in self.leads:
-            out[pos].append(e)
-        return out
 
     def same_basis(self, other):
         return (
@@ -624,41 +620,36 @@ class SubmodulePresentation:
 
     # -- numerical invariants -----------------------------------------------------------
 
-    def _cokernel_lead_ideals(self):
-        """Minimal monomial generators of the leading-term module, per position."""
+    def _numerator(self):
+        """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n.
+
+        The sum of the numerators of the positions' leading-term ideals, each
+        shifted by its row degree (negative row degrees give negative powers).
+        """
         per_pos = [[] for _ in range(self.ambient_rank)]
         for pos, e in self.gb().leads:
             per_pos[pos].append(e)
-        return [minimalize_monomials(gens) for gens in per_pos]
+        num = {}
+        for shift, gens in zip(self.row_degrees, per_pos):
+            for d, c in hilbert_numerator(gens, self.ring.n).items():
+                num[d + shift] = num.get(d + shift, 0) + c
+        return {d: c for d, c in num.items() if c}
 
     def length(self):
         """Length of the cokernel; Infinite exactly when its dimension is positive."""
-        total = 0
-        for gens in self._cokernel_lead_ideals():
-            val = monomial_quotient_length(gens, self.ring.n)
-            if val is INFINITE:
-                return INFINITE
-            total += val
-        return total
+        k, value = _order_at_one(self._numerator(), self.ring.n)
+        return value if k == self.ring.n else INFINITE
 
     def dimension(self):
         """Krull dimension of the cokernel; -1 for the zero module."""
-        best = -1
-        for gens in self._cokernel_lead_ideals():
-            best = max(best, monomial_quotient_dimension(gens, self.ring.n))
-        return best
+        return numerator_dimension(self._numerator(), self.ring.n)
 
     def hilbert_function(self, degree):
         """K-dimension of the cokernel in the given internal degree."""
-        count = 0
-        for pos, gens in enumerate(self._cokernel_lead_ideals()):
-            d = degree - self.row_degrees[pos]
-            if d < 0:
-                continue
-            for m in monomials_of_degree(self.ring.n, d):
-                if not any(monomial_divides(g, m) for g in gens):
-                    count += 1
-        return count
+        n = self.ring.n
+        return sum(
+            c * comb(degree - j + n - 1, n - 1) for j, c in self._numerator().items() if j <= degree
+        )
 
     def __repr__(self):
         return "<%s presentation: ambient R^%d, %d generators over %r>" % (
@@ -688,93 +679,3 @@ def quotient_module(ring, gens):
 
 def cokernel_presentation(ring, columns, ambient_rank=None, row_degrees=None):
     return SubmodulePresentation(ring, columns, ambient_rank, row_degrees, "cokernel")
-
-
-# -- monomial combinatorics ---------------------------------------------------------
-
-
-def minimalize_monomials(gens):
-    """Inclusion-minimal exponent tuples."""
-    out = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(h, g) for h in out):
-            out.append(g)
-    return out
-
-
-def monomial_quotient_dimension(gens, n):
-    """dim of S/(monomial ideal); -1 when the ideal is the unit ideal."""
-    gens = minimalize_monomials(gens)
-    if any(not any(g) for g in gens):
-        return -1
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    best = 0
-    for mask in range(2**n):
-        t = frozenset(i for i in range(n) if mask >> i & 1)
-        if len(t) <= best:
-            continue
-        if all(not s <= t for s in supports):
-            best = len(t)
-    return best
-
-
-def monomial_quotient_length(gens, n):
-    """Number of standard monomials of S/(monomial ideal); Infinite if dim > 0."""
-    gens = minimalize_monomials(gens)
-    if any(not any(g) for g in gens):
-        return 0
-    for var in range(n):
-        if not any(g[var] and all(e == 0 for i, e in enumerate(g) if i != var) for g in gens):
-            return INFINITE
-    if n == 1:
-        return min(g[0] for g in gens)
-    if n == 2:
-        return _staircase_count(gens)
-    return _recursive_count(frozenset(gens), n, {})
-
-
-def _staircase_count(gens):
-    pairs = sorted(gens)
-    total = 0
-    prev_a = 0
-    height = None
-    for a, b in pairs:
-        if height is not None:
-            total += (a - prev_a) * height
-        height = b if height is None else min(height, b)
-        prev_a = a
-    return total
-
-
-def _recursive_count(gens, n, memo):
-    got = memo.get(gens)
-    if got is not None:
-        return got
-    glist = list(gens)
-    pivot = None
-    for g in glist:
-        nz = [i for i, e in enumerate(g) if e]
-        if len(nz) > 1:
-            pivot = nz[0]
-            break
-    if pivot is None:
-        # All generators are pure powers: the quotient is a box.
-        result = 1
-        for var in range(n):
-            result *= min(g[var] for g in glist if g[var])
-        memo[gens] = result
-        return result
-    # Split along x_pivot: lam(S/L) = lam(S/(L : x)) + lam(S/(L + (x))).
-    colon = []
-    for g in glist:
-        e = list(g)
-        if e[pivot]:
-            e[pivot] -= 1
-        colon.append(tuple(e))
-    var_gen = tuple(1 if i == pivot else 0 for i in range(n))
-    plus = [g for g in glist if not g[pivot]] + [var_gen]
-    result = _recursive_count(
-        frozenset(minimalize_monomials(colon)), n, memo
-    ) + _recursive_count(frozenset(minimalize_monomials(plus)), n, memo)
-    memo[gens] = result
-    return result

@@ -13,6 +13,8 @@ engine in :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial
 is a vector at position 0) both run on them.
 """
 
+from math import comb
+
 from .errors import (
     NotHomogeneous,
     NotPrime,
@@ -60,6 +62,72 @@ def monomial_div(a, b):
 
 def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def minimalize_monomials(gens):
+    """Inclusion-minimal exponent tuples."""
+    out = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not any(monomial_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def hilbert_numerator(gens, n):
+    """N(t) with HS(S/L) = N(t) / (1 - t)^n for L = (gens) in n variables.
+
+    N is returned as ``{degree: coeff}`` without zero coefficients.  This is
+    the Bayer-Stillman pivot recursion N(L) = N(L + (x_i^k)) + t^k N(L : x_i^k),
+    down to pairwise coprime generators, where N = prod (1 - t^deg g).  The
+    pivot variable x_i occurs in the most generators and k is the median
+    exponent of x_i among those that are not pure powers, so the depth grows
+    with the logarithm of the exponents.
+    """
+    gens = minimalize_monomials(gens)
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if max(counts, default=0) <= 1:
+        num = {0: 1}
+        for g in gens:
+            d = sum(g)
+            out = dict(num)
+            for j, c in num.items():
+                out[j + d] = out.get(j + d, 0) - c
+            num = {j: c for j, c in out.items() if c}
+        return num
+    i = counts.index(max(counts))
+    exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    k = exps[len(exps) // 2]
+    pivot = tuple(k if j == i else 0 for j in range(n))
+    num = hilbert_numerator(gens + [pivot], n)
+    colon = [g[:i] + (max(g[i] - k, 0),) + g[i + 1 :] for g in gens]
+    for d, c in hilbert_numerator(colon, n).items():
+        num[d + k] = num.get(d + k, 0) + c
+    return {d: c for d, c in num.items() if c}
+
+
+def _order_at_one(num, n):
+    """(k, Q(1)) with num = (1 - t)^k * Q, k the order of the root t = 1 capped at n.
+
+    ``num`` is a sparse Laurent polynomial ``{degree: coeff}``.  After the
+    lowest degree is shifted to 0, its Taylor coefficients at t = 1 are
+    a_k = sum_j c_j * C(j, k); they vanish below the order, and the first
+    nonzero one (or a_n) is (-1)^k * Q(1).  Nothing is expanded densely, so
+    degrees like 5^11 from bracket powers cost no more than small ones.  The
+    zero numerator gives (n, 0).
+    """
+    low = min(num, default=0)
+    for k in range(n + 1):
+        a = sum(c * comb(d - low, k) for d, c in num.items())
+        if a or k == n:
+            return k, (-1) ** k * a
+
+
+def numerator_dimension(num, n):
+    """Krull dimension of a module with Hilbert numerator ``num``; -1 if num = 0.
+
+    It is n minus the order of the root t = 1 of num.
+    """
+    return n - _order_at_one(num, n)[0] if num else -1
 
 
 def _vec_key(t):
@@ -277,8 +345,9 @@ class QuotientRing:
 
     ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
     ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
-    their leading terms; ``dim`` is the Krull dimension read off the
-    leading-term ideal.  An empty ideal gives the polynomial ring itself.
+    their leading terms.  ``dim`` is the Krull dimension, read off the Hilbert
+    numerator of the leading-term ideal on first use, so it always matches
+    the basis given.  An empty ideal gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -287,7 +356,6 @@ class QuotientRing:
         "n",
         "ideal_gens",
         "ideal_groebner",
-        "dim",
         "_zero_exps",
         "_gb_vecs",
         "_gb_leads",
@@ -298,14 +366,13 @@ class QuotientRing:
         "one",
     )
 
-    def __init__(self, p, variables, ideal_gens, ideal_groebner, dim):
+    def __init__(self, p, variables, ideal_gens, ideal_groebner):
         self.p = p
         self.variables = tuple(variables)
         self.n = len(self.variables)
         self._zero_exps = (0,) * self.n
         self.ideal_gens = tuple(ideal_gens)
         self.ideal_groebner = tuple(self.convert(g) for g in ideal_groebner)
-        self.dim = dim
         self._std_cache = {}
         self._inv_cache = {}
         # _reduce_vec needs monic vectors; a basis read from a cache may not be.
@@ -317,6 +384,13 @@ class QuotientRing:
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
+
+    @property
+    def dim(self):
+        if "dim" not in self._memo:
+            leads = [lead for _, lead in self._gb_leads]
+            self._memo["dim"] = numerator_dimension(hilbert_numerator(leads, self.n), self.n)
+        return self._memo["dim"]
 
     # -- element construction ---------------------------------------------------
 
@@ -429,9 +503,10 @@ def make_ring(p, variables, ideal_gens):
     """Build a validated quotient ring F_p[variables]/(ideal_gens).
 
     Generators may be text in the expression grammar or Polynomial values.
-    The reduced Groebner basis of the ideal and the Krull dimension are
-    computed eagerly, so the returned ring is ready for normal forms,
-    standard-monomial counts, and length queries.
+    The reduced Groebner basis of the ideal is computed eagerly, so the
+    returned ring is ready for normal forms, standard-monomial counts, and
+    length queries; ``dim`` is read off the basis's leading terms by
+    :class:`QuotientRing` itself.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime("characteristic %r is not a prime" % (p,))
@@ -446,7 +521,7 @@ def make_ring(p, variables, ideal_gens):
         if not v.isidentifier():
             raise ParseError("invalid variable name %r" % (v,))
 
-    bare = QuotientRing(p, variables, (), (), len(variables))
+    bare = QuotientRing(p, variables, (), ())
     gens = []
     for g in ideal_gens:
         poly = bare.poly(g) if not isinstance(g, Polynomial) else bare.convert(g)
@@ -455,14 +530,12 @@ def make_ring(p, variables, ideal_gens):
         if poly:
             gens.append(poly)
 
-    from .groebner import monomial_quotient_dimension, reduced_ideal_groebner
+    from .groebner import reduced_ideal_groebner
 
     gb = reduced_ideal_groebner(gens, bare)
     if any(not any(g.leading()[0]) for g in gb):
         raise UnitIdeal("1 lies in the ideal; the quotient ring is zero")
-    leads = [g.leading()[0] for g in gb]
-    dim = monomial_quotient_dimension(leads, len(variables))
-    return QuotientRing(p, variables, gens, gb, dim)
+    return QuotientRing(p, variables, gens, gb)
 
 
 # -- expression parsing --------------------------------------------------------

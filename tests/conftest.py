@@ -1,6 +1,7 @@
 import pytest
 
 from frobetti import make_ring, quotient_module
+from frobetti.ring import monomial_divides, monomials_of_degree
 
 R5_QUADRICS = [
     "x^2",
@@ -30,6 +31,24 @@ def fixture_rings(p):
 
 def residue_field(ring):
     return quotient_module(ring, list(ring.variables))
+
+
+def brute_force_monomial_count(gens_exps, n, degree_cap):
+    """Standard monomials of degree <= degree_cap of a monomial ideal, by raw enumeration.
+
+    The count stops early at the first empty degree above every generator's
+    degree, since no standard monomial lies beyond it.
+    """
+    total = 0
+    for d in range(degree_cap + 1):
+        alive = 0
+        for m in monomials_of_degree(n, d):
+            if not any(monomial_divides(g, m) for g in gens_exps):
+                alive += 1
+        if alive == 0 and d > max((sum(g) for g in gens_exps), default=0):
+            break
+        total += alive
+    return total
 
 
 @pytest.fixture(scope="session")

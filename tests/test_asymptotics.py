@@ -13,23 +13,8 @@ from frobetti import (
 )
 from frobetti.errors import InfiniteLength, MissingMultiplicities, NotPrimary
 from frobetti.onedim import decide_beta_vanishing
-from frobetti.ring import monomial_divides, monomials_of_degree
 
-from conftest import fixture_rings, residue_field
-
-
-def _brute_force_monomial_count(gens_exps, n, degree_cap):
-    """Standard monomials of a monomial ideal, by raw enumeration."""
-    total = 0
-    for d in range(degree_cap + 1):
-        alive = 0
-        for m in monomials_of_degree(n, d):
-            if not any(monomial_divides(g, m) for g in gens_exps):
-                alive += 1
-        if alive == 0 and d > max((sum(g) for g in gens_exps), default=0):
-            break
-        total += alive
-    return total
+from conftest import brute_force_monomial_count, fixture_rings, residue_field
 
 
 def test_hk_r1(R1):
@@ -44,7 +29,7 @@ def test_hk_r1(R1):
     # independent oracle: enumerate standard monomials of (x^2, xy, x^q, y^q)
     for lv in seq.levels:
         gens = [(2, 0), (1, 1), (lv.q, 0), (0, lv.q)]
-        assert lv.raw == _brute_force_monomial_count(gens, 2, 2 * lv.q)
+        assert lv.raw == brute_force_monomial_count(gens, 2, 2 * lv.q)
 
 
 def test_hk_r2_r4(R2, R4):
@@ -58,7 +43,7 @@ def test_hk_r2_r4(R2, R4):
     assert seq4.estimate == 2
     for lv in seq4.levels:
         gens = [(2, 0), (lv.q, 0), (0, lv.q)]
-        assert lv.raw == _brute_force_monomial_count(gens, 2, 2 * lv.q)
+        assert lv.raw == brute_force_monomial_count(gens, 2, 2 * lv.q)
 
 
 def test_levels_are_exact_rationals(R1, K1):

@@ -1,3 +1,4 @@
+import glob
 import json
 import os
 
@@ -128,6 +129,40 @@ def test_cache_hit_and_corruption(tmp_path):
     third = cli.run("resolve", prob, {"steps": 2, "cache_dir": cache})
     assert cli.result_bytes(third) == cli.result_bytes(first)
     assert any("cache" in w for w in third["warnings"])
+
+
+def _rewrite_gb_entry(cache, edit):
+    """Apply ``edit`` to the JSON payload of the one cached ``gb`` entry."""
+    (path,) = glob.glob(os.path.join(cache, "*", "gb.dat"))
+    with open(path) as handle:
+        header, _, body = handle.read().partition("\n")
+    with open(path, "w") as handle:
+        handle.write(header + "\n" + json.dumps(edit(json.loads(body))) + "\n")
+
+
+def test_cached_basis_decides_dimension(tmp_path):
+    # The dimension is recomputed from the cached basis, so a stale or edited
+    # dimension in the entry cannot change the estimate's normalisation.
+    prob = _problem()
+    cache = str(tmp_path / "cache")
+    uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
+    cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
+    _rewrite_gb_entry(cache, lambda payload: dict(payload, dim=0))
+    edited = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
+    assert cli.result_bytes(edited) == uncached
+    assert edited["result"]["d"] == 1 and edited["result"]["estimate_exact"] == "1"
+    assert not edited["warnings"]
+
+
+def test_gb_entry_without_basis_warns_and_recomputes(tmp_path):
+    prob = _problem()
+    cache = str(tmp_path / "cache")
+    uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
+    cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
+    _rewrite_gb_entry(cache, lambda payload: {})
+    again = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
+    assert cli.result_bytes(again) == uncached
+    assert any("cache" in w and "basis" in w for w in again["warnings"])
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

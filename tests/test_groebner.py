@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from frobetti import (
     INFINITE,
     SubmodulePresentation,
+    cokernel_presentation,
     groebner_basis,
     ideal,
     make_ring,
@@ -26,7 +28,7 @@ from frobetti.groebner import (
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
 
-from conftest import residue_field
+from conftest import brute_force_monomial_count, residue_field
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------
@@ -368,6 +370,15 @@ def test_length_and_dimension_examples(R1, R5):
     assert quotient_module(R1, ["1"]).length() == 0
 
 
+def test_length_with_large_pivot_exponents():
+    # A pivot that lowers the x-exponent by one per step would recurse about
+    # 1200 levels deep here; the median pivot x^1200 leaves two coprime ideals.
+    S = make_ring(5, ["x", "y", "z"], [])
+    M = quotient_module(S, ["x^1200*y", "x^1500", "y^3", "z^2"])
+    assert M.length() == 1200 * 3 * 2 + 300 * 2 == 7800
+    assert M.dimension() == 0
+
+
 def test_length_dimension_consistency(R1):
     rng = random.Random(31)
     rings = [R1, make_ring(3, ["x", "y", "z"], ["x*y", "z^2"])]
@@ -391,6 +402,71 @@ def test_length_dimension_consistency(R1):
                     break
                 t += 1
             assert total == lam
+
+
+def _subset_scan_dimension(gens, n):
+    """dim S/(gens) for monomial gens: the most variables whose span holds no
+    generator's support; -1 for the unit ideal."""
+    if any(not any(g) for g in gens):
+        return -1
+    supports = [{i for i, e in enumerate(g) if e} for g in gens]
+    return max(
+        size
+        for size in range(n + 1)
+        for t in combinations(range(n), size)
+        if not any(s <= set(t) for s in supports)
+    )
+
+
+@st.composite
+def _monomial_cokernels(draw):
+    """F_5[x0..x(n-1)]/(monomials), n <= 5, and a rank 1-3 cokernel of
+    one-entry monomial columns with row degrees in -2..2.  Each position is
+    the unit ideal, an ideal of finite colength, or arbitrary monomials (so
+    often of positive dimension); all-unit positions give the zero module."""
+    n = draw(st.integers(1, 5))
+    top = 3 if n <= 3 else 2
+    exps = st.tuples(*[st.integers(0, top)] * n)
+    bare = make_ring(5, ["x%d" % i for i in range(n)], [])
+    ring_gens = draw(st.lists(exps.filter(any), max_size=2))
+    ring = make_ring(5, list(bare.variables), [bare.monomial(e) for e in ring_gens])
+    rank = draw(st.integers(1, 3))
+    degrees = tuple(draw(st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)))
+    per_pos = []
+    columns = []
+    for pos in range(rank):
+        gens = draw(st.lists(exps, max_size=4))
+        kind = draw(st.sampled_from(["unit", "finite", "any"]))
+        if kind == "unit":
+            gens.append((0,) * n)
+        elif kind == "finite":
+            gens += [tuple(draw(st.integers(1, top)) if j == i else 0 for j in range(n)) for i in range(n)]
+        for e in gens:
+            col = [ring.zero] * rank
+            col[pos] = ring.monomial(e)
+            columns.append(col)
+        per_pos.append(ring_gens + gens)
+    return ring, ring_gens, cokernel_presentation(ring, columns, rank, degrees), per_pos
+
+
+@settings(max_examples=80, deadline=None)
+@given(_monomial_cokernels())
+def test_length_dimension_hilbert_function_against_enumeration(case):
+    ring, ring_gens, M, per_pos = case
+    n = ring.n
+    assert ring.dim == _subset_scan_dimension(ring_gens, n)
+    dim = max(_subset_scan_dimension(gens, n) for gens in per_pos)
+    assert M.dimension() == dim
+    if dim > 0:
+        assert M.length() is INFINITE
+    else:
+        assert M.length() == sum(brute_force_monomial_count(gens, n, 3 * n) for gens in per_pos)
+    for d in range(min(M.row_degrees) - 1, max(M.row_degrees) + 6):
+        expected = sum(
+            brute_force_monomial_count(gens, n, d - r) - brute_force_monomial_count(gens, n, d - r - 1)
+            for r, gens in zip(M.row_degrees, per_pos)
+        )
+        assert M.hilbert_function(d) == expected
 
 
 def test_vec_round_trip(R1):

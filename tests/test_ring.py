@@ -142,7 +142,7 @@ def test_nf_matches_rank_one_normal_form(R1, R5):
         gb = groebner_basis([[g] for g in ring.ideal_gens], S, over_quotient=False)
         gens = [ring.convert(g) for g in ring.ideal_gens]
         scaled = QuotientRing(
-            ring.p, ring.variables, ring.ideal_gens, [g * 2 for g in ring.ideal_groebner], ring.dim
+            ring.p, ring.variables, ring.ideal_gens, [g * 2 for g in ring.ideal_groebner]
         )
         for _ in range(40):
             f = _random_poly(ring, rng)
