@@ -226,8 +226,6 @@ def build_ring(problem, cache_dir=None, warnings=None):
         ).hexdigest()
         try:
             entry = cache_get(cache_dir, key, "gb")
-            if entry is not None and not (isinstance(entry, dict) and isinstance(entry.get("basis"), list)):
-                raise CacheCorrupt("gb payload without a basis list in %s" % _cache_path(cache_dir, key, "gb"))
         except CacheCorrupt as exc:
             if warnings is not None:
                 warnings.append("cache: %s; recomputing" % exc)
@@ -280,8 +278,19 @@ def cache_put(cache_dir, digest, kind, payload):
         raise
 
 
+# The fields every payload of a cache kind must carry, with their types.
+CACHE_FIELDS = {
+    "gb": {"basis": list},
+    "resolution": {"steps": int, "ranks": list, "row_degrees": list, "matrices": list},
+}
+
+
 def cache_get(cache_dir, digest, kind):
-    """Payload dict, or None when absent; raises CacheCorrupt on bad entries."""
+    """Payload dict, or None when absent; raises CacheCorrupt on bad entries.
+
+    A payload that decodes but is not a dict with the fields of CACHE_FIELDS
+    is corrupt too.
+    """
     path = _cache_path(cache_dir, digest, kind)
     if not os.path.exists(path):
         return None
@@ -294,9 +303,14 @@ def cache_get(cache_dir, digest, kind):
     if header != CACHE_HEADER:
         raise CacheCorrupt("bad cache header in %s" % path)
     try:
-        return json.loads(body)
+        payload = json.loads(body)
     except ValueError as exc:
         raise CacheCorrupt("undecodable cache payload in %s: %s" % (path, exc))
+    fields = CACHE_FIELDS[kind]
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(k), t) for k, t in fields.items())):
+        wanted = ", ".join("%s %s" % (t.__name__, k) for k, t in fields.items())
+        raise CacheCorrupt("%s payload is not a dict with %s in %s" % (kind, wanted, path))
+    return payload
 
 
 # -- payload helpers -----------------------------------------------------------
@@ -377,7 +391,7 @@ def run(command, problem, flags=None):
             except CacheCorrupt as exc:
                 warnings.append("cache: %s; recomputing" % exc)
                 entry = None
-            if entry is not None and entry.get("steps", -1) >= steps:
+            if entry is not None and entry["steps"] >= steps:
                 data = entry
                 cache_state = "hit"
         if data is None:

@@ -620,7 +620,7 @@ class SubmodulePresentation:
 
     # -- numerical invariants -----------------------------------------------------------
 
-    def _numerator(self):
+    def numerator(self):
         """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n.
 
         The sum of the numerators of the positions' leading-term ideals, each
@@ -637,18 +637,17 @@ class SubmodulePresentation:
 
     def length(self):
         """Length of the cokernel; Infinite exactly when its dimension is positive."""
-        k, value = _order_at_one(self._numerator(), self.ring.n)
-        return value if k == self.ring.n else INFINITE
+        return numerator_length(self.numerator(), self.ring.n)
 
     def dimension(self):
         """Krull dimension of the cokernel; -1 for the zero module."""
-        return numerator_dimension(self._numerator(), self.ring.n)
+        return numerator_dimension(self.numerator(), self.ring.n)
 
     def hilbert_function(self, degree):
         """K-dimension of the cokernel in the given internal degree."""
         n = self.ring.n
         return sum(
-            c * comb(degree - j + n - 1, n - 1) for j, c in self._numerator().items() if j <= degree
+            c * comb(degree - j + n - 1, n - 1) for j, c in self.numerator().items() if j <= degree
         )
 
     def __repr__(self):
@@ -658,6 +657,12 @@ class SubmodulePresentation:
             len(self.columns),
             self.ring,
         )
+
+
+def numerator_length(num, n):
+    """Q(1) for a Hilbert numerator num = (1 - t)^n * Q; INFINITE if there is no such Q."""
+    k, value = _order_at_one(num, n)
+    return value if k == n else INFINITE
 
 
 def _quotient_span(ring, ambient_rank, row_degrees):

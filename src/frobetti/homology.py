@@ -1,15 +1,29 @@
 """Homology lengths of complexes over R; Tor and Ext against Frobenius twists.
 
-The subquotient H = ker(out)/im(in) is presented on the kernel generators K:
-columns of the incoming map are lifted through K, and H becomes the cokernel
-of those lift coefficients together with the syzygies of K.  A degreewise
-linear-algebra oracle recomputes the same lengths one internal degree at a
-time and is kept fully independent of the Groebner route.
+Lengths come from Hilbert series.  At a spot G' -a-> G -b-> G'' of a graded
+complex, HS(ker b / im a) = HS(coker a) + HS(coker b) - HS(G''), as every
+term is additive on short exact sequences.  Each term is a Hilbert numerator
+read off one Groebner basis, so a Tor or Ext length needs the bases of two
+twisted cokernels and no syzygies, minimal generators or lifts.
+
+The subquotient route is kept as the presentation of H and as the reference
+route of the tests: H = ker(out)/im(in) is presented on the kernel
+generators K, columns of the incoming map are lifted through K, and H
+becomes the cokernel of those lift coefficients together with the syzygies
+of K.  A degreewise linear-algebra oracle recomputes the same lengths one
+internal degree at a time and is kept fully independent of both.
 """
 
 from .errors import InfiniteLength, LiftFailure
 from .frobenius import twist_complex
-from .groebner import SubmodulePresentation, _quotient_span, column_degree, syzygy_generators
+from .groebner import (
+    SubmodulePresentation,
+    _quotient_span,
+    cokernel_presentation,
+    column_degree,
+    numerator_length,
+    syzygy_generators,
+)
 from .resolution import resolve
 from .ring import make_ring
 
@@ -27,6 +41,27 @@ def coefficient_ring(ring, extra_gens):
 
 def _convert_columns(cols, ring):
     return [[ring.convert(entry) for entry in col] for col in cols]
+
+
+def _spot_length(ring, degs, in_cols, out_cols, out_degs):
+    """Length of ker(out)/im(in) at the free module with twists ``degs``.
+
+    ``in_cols`` are the images of the incoming map, ``out_cols`` the columns
+    of the outgoing map into the free module with twists ``out_degs``.  The
+    maps must compose to zero; the length is the Hilbert-series identity
+    N(coker in) + N(coker out) - N(target of out), read at t = 1.
+    """
+    if not degs:
+        return 0
+    num = cokernel_presentation(ring, in_cols, len(degs), degs).numerator()
+    if out_degs:
+        for d, c in cokernel_presentation(ring, out_cols, len(out_degs), out_degs).numerator().items():
+            num[d] = num.get(d, 0) + c
+        free = ring.numerator()
+        for shift in out_degs:
+            for d, c in free.items():
+                num[d + shift] = num.get(d + shift, 0) - c
+    return numerator_length({d: c for d, c in num.items() if c}, ring.n)
 
 
 def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_target_degs, in_cols):
@@ -91,9 +126,26 @@ def homology_presentation(C, i, ring=None):
     )
 
 
+def _complex_length(C, i, ring):
+    """Length of H_i(C) over ``ring`` for a complex C, by Hilbert series."""
+
+    def cols(j):
+        return _convert_columns(C.matrix(j), ring)
+
+    return _spot_length(ring, C.degrees(i), cols(i + 1), cols(i), C.degrees(i - 1))
+
+
 def homology_length(C, i, ring=None):
-    """Length of H_i(C); Infinite when the homology has positive dimension."""
-    return homology_presentation(C, i, ring).length()
+    """Length of H_i(C) over C's ring or a quotient of it; Infinite when the
+    homology has positive dimension.
+
+    It is read off the Hilbert series of coker phi_{i+1} and coker phi_i,
+    which fix it only for a complex, so a non-complex raises LiftFailure.
+    ``homology_presentation`` presents the same module as a subquotient.
+    """
+    if not C.check_complex():
+        raise LiftFailure("consecutive maps do not compose to zero; not a complex")
+    return _complex_length(C, i, ring or C.ring)
 
 
 def _twisted_resolution(module, steps, e):
@@ -106,16 +158,15 @@ def tor_length(module, i, e, coefficients="R"):
 
     ``coefficients`` is "R" or a list of generators of a homogeneous prime
     containing the defining ideal (primality is the caller's responsibility).
-    The length is computed from the bracket-powered minimal resolution, so
-    no twist module is ever materialized.
+    The length is the homology of the bracket-powered minimal resolution,
+    read off the Hilbert series of two twisted cokernels (see the module
+    docstring), so no twist module and no subquotient is ever materialized.
     """
     if module.dimension() > 0:
         raise InfiniteLength("tor_length requires a finite-length module")
     twisted = _twisted_resolution(module, i + 1, e)
-    if coefficients == "R":
-        return homology_length(twisted, i)
-    ring = coefficient_ring(module.ring, coefficients)
-    return homology_length(twisted, i, ring)
+    ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
+    return _complex_length(twisted, i, ring)
 
 
 def _transpose(cols, source_rank):
@@ -127,24 +178,24 @@ def _transpose(cols, source_rank):
 
 
 def ext_length(module, i, e, coefficients="R"):
-    """lambda(Ext^i(M, e-th twist of N)) via the transposed bracket complex."""
+    """lambda(Ext^i(M, e-th twist of N)) via the transposed bracket complex.
+
+    H^i of G_{i-1}^* -> G_i^* -> G_{i+1}^* (twists negated) is read off the
+    Hilbert series of coker phi_i^T and coker phi_{i+1}^T, as for Tor.
+    """
     if module.dimension() > 0:
         raise InfiniteLength("ext_length requires a finite-length module")
     twisted = _twisted_resolution(module, i + 1, e)
-    base = module.ring
-    ring = base if coefficients == "R" else coefficient_ring(base, coefficients)
-    amb_rank = twisted.rank(i)
-    amb_degs = [-d for d in twisted.degrees(i)]
-    # out = transpose(phi_{i+1}) from Hom(G_i); in = transpose(phi_i) into Hom(G_i).
-    nxt = twisted.matrix(i + 1)
-    out_cols = _transpose(_convert_columns(nxt, ring), amb_rank) if nxt else None
-    out_degs = [-d for d in twisted.degrees(i + 1)]
-    if i == 0:
-        in_cols = []
-    else:
-        in_cols = _transpose(_convert_columns(twisted.matrix(i), ring), twisted.rank(i - 1))
-    pres = subquotient_presentation(ring, amb_rank, amb_degs, out_cols, out_degs, in_cols)
-    return pres.length()
+    ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
+
+    def dual(j):
+        # columns of phi_j^T: G_{j-1}^* -> G_j^*
+        return _transpose(_convert_columns(twisted.matrix(j), ring), twisted.rank(j - 1))
+
+    def twists(j):
+        return [-d for d in twisted.degrees(j)]
+
+    return _spot_length(ring, twists(i), dual(i), dual(i + 1), twists(i + 1))
 
 
 # -- degreewise linear-algebra oracle ------------------------------------------

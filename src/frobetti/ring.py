@@ -385,12 +385,16 @@ class QuotientRing:
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
 
+    def numerator(self):
+        """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
+        if "numerator" not in self._memo:
+            leads = [lead for _, lead in self._gb_leads]
+            self._memo["numerator"] = hilbert_numerator(leads, self.n)
+        return self._memo["numerator"]
+
     @property
     def dim(self):
-        if "dim" not in self._memo:
-            leads = [lead for _, lead in self._gb_leads]
-            self._memo["dim"] = numerator_dimension(hilbert_numerator(leads, self.n), self.n)
-        return self._memo["dim"]
+        return numerator_dimension(self.numerator(), self.n)
 
     # -- element construction ---------------------------------------------------
 

@@ -1,7 +1,8 @@
 import pytest
+from hypothesis import strategies as st
 
 from frobetti import make_ring, quotient_module
-from frobetti.ring import monomial_divides, monomials_of_degree
+from frobetti.ring import Polynomial, monomial_divides, monomials_of_degree
 
 R5_QUADRICS = [
     "x^2",
@@ -49,6 +50,16 @@ def brute_force_monomial_count(gens_exps, n, degree_cap):
             break
         total += alive
     return total
+
+
+def random_form(draw, ring, degree, max_terms=3):
+    """A random form of the given degree with at most ``max_terms`` terms,
+    drawn inside a hypothesis composite strategy."""
+    if degree < 0:
+        return ring.zero
+    monos = monomials_of_degree(ring.n, degree)
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
+    return Polynomial(ring, {m: draw(st.integers(1, ring.p - 1)) for m in chosen})
 
 
 @pytest.fixture(scope="session")

@@ -131,9 +131,9 @@ def test_cache_hit_and_corruption(tmp_path):
     assert any("cache" in w for w in third["warnings"])
 
 
-def _rewrite_gb_entry(cache, edit):
-    """Apply ``edit`` to the JSON payload of the one cached ``gb`` entry."""
-    (path,) = glob.glob(os.path.join(cache, "*", "gb.dat"))
+def _rewrite_entry(cache, kind, edit):
+    """Apply ``edit`` to the JSON payload of the one cached entry of ``kind``."""
+    (path,) = glob.glob(os.path.join(cache, "*", "%s.dat" % kind))
     with open(path) as handle:
         header, _, body = handle.read().partition("\n")
     with open(path, "w") as handle:
@@ -147,7 +147,7 @@ def test_cached_basis_decides_dimension(tmp_path):
     cache = str(tmp_path / "cache")
     uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
     cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    _rewrite_gb_entry(cache, lambda payload: dict(payload, dim=0))
+    _rewrite_entry(cache, "gb", lambda payload: dict(payload, dim=0))
     edited = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
     assert cli.result_bytes(edited) == uncached
     assert edited["result"]["d"] == 1 and edited["result"]["estimate_exact"] == "1"
@@ -159,10 +159,22 @@ def test_gb_entry_without_basis_warns_and_recomputes(tmp_path):
     cache = str(tmp_path / "cache")
     uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
     cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    _rewrite_gb_entry(cache, lambda payload: {})
+    _rewrite_entry(cache, "gb", lambda payload: {})
     again = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
     assert cli.result_bytes(again) == uncached
     assert any("cache" in w and "basis" in w for w in again["warnings"])
+
+
+@pytest.mark.parametrize("payload", [[1, 2], {"steps": 5}], ids=["list", "steps-only"])
+def test_resolution_entry_of_wrong_shape_warns_and_recomputes(tmp_path, payload):
+    prob = _problem()
+    cache = str(tmp_path / "cache")
+    uncached = cli.result_bytes(cli.run("resolve", prob, {"steps": 2}))
+    cli.run("resolve", prob, {"steps": 2, "cache_dir": cache})
+    _rewrite_entry(cache, "resolution", lambda _: payload)
+    again = cli.run("resolve", prob, {"steps": 2, "cache_dir": cache})
+    assert cli.result_bytes(again) == uncached
+    assert any("cache" in w and "resolution" in w for w in again["warnings"])
 
 
 def test_cache_env_var(tmp_path, monkeypatch):

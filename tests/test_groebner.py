@@ -26,9 +26,9 @@ from frobetti.groebner import (
     vec_to_column,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
-from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
+from frobetti.ring import drl_key, monomial_divides
 
-from conftest import brute_force_monomial_count, residue_field
+from conftest import brute_force_monomial_count, random_form, residue_field
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------
@@ -528,15 +528,6 @@ def test_minimal_generators_match_greedy_on_resolution_kernels(request, name, st
         _assert_same_mingens(module.ring, columns, rank, degrees)
 
 
-def _form(draw, ring, degree, max_terms=3):
-    """A random form of the given degree with at most ``max_terms`` terms."""
-    if degree < 0:
-        return ring.zero
-    monos = monomials_of_degree(ring.n, degree)
-    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=max_terms, unique=True))
-    return Polynomial(ring, {m: draw(st.integers(1, ring.p - 1)) for m in chosen})
-
-
 @st.composite
 def _column_sets(draw, ranks=(2, 1)):
     """A quotient ring by binomials and trinomials, and homogeneous columns
@@ -546,7 +537,7 @@ def _column_sets(draw, ranks=(2, 1)):
     variables = "xyz"[:n]
 
     def form(degree, ring, max_terms=3):
-        return _form(draw, ring, degree, max_terms)
+        return random_form(draw, ring, degree, max_terms)
 
     bare = make_ring(p, list(variables), [])
     quadrics = [form(2, bare) for _ in range(draw(st.integers(1, 2)))]
@@ -629,9 +620,9 @@ def _lift_cases(draw):
     combination = [ring.zero] * rank
     for col, d in zip(columns, col_degs):
         if d is not None and draw(st.booleans()):
-            f = _form(draw, ring, degree - d)
+            f = random_form(draw, ring, degree - d)
             combination = [a + f * b for a, b in zip(combination, col)]
-    other = [_form(draw, ring, degree - degrees[k]) for k in range(rank)]
+    other = [random_form(draw, ring, degree - degrees[k]) for k in range(rank)]
     return ring, columns, degrees, degree, combination, other
 
 

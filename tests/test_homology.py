@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobetti import (
     FreeComplex,
@@ -17,7 +19,10 @@ from frobetti import (
     twist_complex,
 )
 from frobetti.errors import InfiniteLength, LiftFailure
+from frobetti.homology import homology_presentation, subquotient_presentation
 from frobetti.onedim import random_instances
+
+from conftest import random_form, residue_field
 
 
 def test_homology_examples(R1, R2, K1, K2):
@@ -85,6 +90,7 @@ def test_oracle_equivalence_random():
             oracle = degreewise_homology_oracle(tw, spot)
             assert oracle.stabilized
             assert oracle.value == homology_length(tw, spot)
+            assert oracle.value == homology_presentation(tw, spot).length()
         count += 1
     assert count >= 20
 
@@ -93,15 +99,18 @@ def test_lift_failure_on_non_complex(R3):
     # x * x = x^2 is nonzero in R3, so [x], [x] is not a complex; the kernel
     # of the outer map is (y) and the incoming column cannot lift through it.
     bad = FreeComplex(R3, [1, 1, 1], [[0], [1], [2]], [[[R3.poly("x")]], [[R3.poly("x")]]])
-    from frobetti.homology import homology_presentation
-
     with pytest.raises(LiftFailure):
         homology_presentation(bad, 1)
+    # the Hilbert-series route cannot tell a non-complex apart, so it checks
+    with pytest.raises(LiftFailure):
+        homology_length(bad, 1)
     # over a domain the kernel is zero and the empty-kernel guard fires
     S = make_ring(5, ["x", "y"], [])
     bad2 = FreeComplex(S, [1, 1, 1], [[0], [1], [2]], [[[S.poly("y")]], [[S.poly("y")]]])
     with pytest.raises(LiftFailure):
         homology_presentation(bad2, 1)
+    with pytest.raises(LiftFailure):
+        homology_length(bad2, 1)
 
 
 def test_peskine_szpiro_vanishing(R2, R3, R4, K2):
@@ -138,9 +147,60 @@ def test_koh_lee_certificates(R1, R2, R3, K1, K2):
 
 def test_tor_betti_cross_check(R1, K1):
     # Tor_j(M, K) has dimension beta_j
-    from frobetti.homology import coefficient_ring, homology_presentation
+    from frobetti.homology import coefficient_ring
 
     res = resolve(K1, 3)
     kring = coefficient_ring(R1, ["x", "y"])
     for j in range(4):
         assert homology_presentation(res, j, kring).length() == res.rank(j)
+
+
+def test_tor_of_f7_cubic_at_level_two():
+    # out of reach for the subquotient route in a test budget (seconds per call)
+    ring = make_ring(7, ["x", "y", "z"], ["x^3 + y^3 + z^3"])
+    assert tor_length(residue_field(ring), 1, 2) == 5400
+
+
+def _dual(cols, source_rank):
+    """Columns of the transposed map, written out independently of the library."""
+    return [[col[r] for col in cols] for r in range(source_rank)] if cols else [[]] * source_rank
+
+
+def _ext_by_subquotient(tw, i):
+    """H^i of the dual of ``tw``, presented as a subquotient (the reference route)."""
+    out_cols = _dual(tw.matrix(i + 1), tw.rank(i)) if tw.matrix(i + 1) else None
+    return subquotient_presentation(
+        tw.ring,
+        tw.rank(i),
+        [-d for d in tw.degrees(i)],
+        out_cols,
+        [-d for d in tw.degrees(i + 1)],
+        _dual(tw.matrix(i), tw.rank(i - 1)) if i else [],
+    ).length()
+
+
+@st.composite
+def _quadric_quotients(draw):
+    """F_2 or F_3 in two or three variables modulo one or two random quadrics."""
+    p = draw(st.sampled_from([2, 3]))
+    variables = list("xyz"[: draw(st.integers(2, 3))])
+    bare = make_ring(p, variables, [])
+    quadrics = [random_form(draw, bare, 2) for _ in range(draw(st.integers(1, 2)))]
+    return make_ring(p, variables, quadrics)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_quadric_quotients(), st.sampled_from([0, 1]))
+def test_tor_and_ext_lengths_agree_across_routes(ring, e):
+    # Hilbert series vs subquotient vs degreewise oracle, and Tor_i(K, K) = beta_i
+    K = residue_field(ring)
+    res = resolve(K, 3)
+    tw = twist_complex(res, e)
+    for i in (0, 1, 2):
+        tor = tor_length(K, i, e)
+        assert tor == homology_presentation(tw, i).length()
+        oracle = degreewise_homology_oracle(tw, i)
+        if oracle.stabilized:
+            assert oracle.value == tor
+        assert ext_length(K, i, e) == _ext_by_subquotient(tw, i)
+        assert tor_length(K, i, 0, list(ring.variables)) == res.betti[i]
