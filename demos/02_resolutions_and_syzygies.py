@@ -3,7 +3,7 @@
 Run as: python demos/02_resolutions_and_syzygies.py
 """
 
-from frobetti import INFINITE, make_ring, minimize, quotient_module, resolve
+from frobetti import INFINITE, FreeComplex, make_ring, minimize, quotient_module, resolve
 
 R = make_ring(5, ["x", "y"], ["x^2", "x*y"])
 K = quotient_module(R, ["x", "y"])
@@ -28,17 +28,8 @@ for i in range(4):
     print("  Omega_%d: dimension %2d, length %s" % (i, s.dimension, lam))
 print("the first syzygy (x) is a one-dimensional vector space: length 1")
 
-# Dropping the pruning step gives a valid but possibly non-minimal resolution;
-# minimize() splits off the unit entries and recovers the minimal ranks.
-raw = resolve(K, 3, minimize_flag=False)
-print("\nraw syzygy resolution ranks:", tuple(raw.ranks))
-reduced = minimize(raw)
-print("after minimization:        ", tuple(reduced.ranks))
-
 # A complex padded with a split summand R --1--> R is visibly non-minimal;
 # minimization strips the unit block and leaves the homology untouched.
-from frobetti import FreeComplex
-
 base = resolve(K, 2)
 phi1 = [col + [R.zero] for col in base.matrix(1)]
 phi1.append([R.zero] * base.rank(0) + [R.one])

@@ -310,7 +310,24 @@ def cache_get(cache_dir, digest, kind):
     if not (isinstance(payload, dict) and all(isinstance(payload.get(k), t) for k, t in fields.items())):
         wanted = ", ".join("%s %s" % (t.__name__, k) for k, t in fields.items())
         raise CacheCorrupt("%s payload is not a dict with %s in %s" % (kind, wanted, path))
+    if kind == "resolution" and not _resolution_shape_ok(payload):
+        raise CacheCorrupt("resolution payload has lengths that disagree with its ranks in %s" % path)
     return payload
+
+
+def _resolution_shape_ok(entry):
+    """Lengths agree: steps + 1 ranks and twist lists, steps matrices, and
+    matrix j has ranks[j + 1] columns of ranks[j] entries."""
+    steps, ranks, degs, mats = (entry[k] for k in ("steps", "ranks", "row_degrees", "matrices"))
+    try:
+        return (
+            len(ranks) == steps + 1
+            and list(map(len, degs)) == ranks
+            and list(map(len, mats)) == ranks[1:]
+            and all(set(map(len, mat)) <= {rows} for mat, rows in zip(mats, ranks))
+        )
+    except TypeError:
+        return False
 
 
 # -- payload helpers -----------------------------------------------------------

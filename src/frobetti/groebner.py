@@ -217,16 +217,15 @@ class GroebnerBasis:
     internal vector form drives normal forms and membership tests.
     """
 
-    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "reps", "n_tracked")
+    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "reps")
 
-    def __init__(self, ring, ambient_rank, row_degrees, vecs, leads, reps=None, n_tracked=0):
+    def __init__(self, ring, ambient_rank, row_degrees, vecs, leads, reps=None):
         self.ring = ring
         self.ambient_rank = ambient_rank
         self.row_degrees = tuple(row_degrees)
         self.vecs = vecs
         self.leads = leads
         self.reps = reps
-        self.n_tracked = n_tracked
 
     @property
     def columns(self):
@@ -320,12 +319,9 @@ def groebner_basis(gens, ring, over_quotient=True, ambient_rank=None, row_degree
 
 
 def _tracked_groebner(columns, ring, ambient_rank, row_degrees, over_quotient=True):
-    engine, zero_indices = _run_engine(
-        columns, ring, ambient_rank, over_quotient, n_tracked=len(columns)
-    )
+    engine, _ = _run_engine(columns, ring, ambient_rank, over_quotient, n_tracked=len(columns))
     vecs, leads, reps = engine.reduced()
-    gb = GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads, reps, len(columns))
-    return gb, zero_indices
+    return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads, reps)
 
 
 def _infer_rank(gens):
@@ -459,7 +455,7 @@ class SubmodulePresentation:
 
     def _tracked_gb(self):
         if self._tracked is None:
-            self._tracked, _ = _tracked_groebner(
+            self._tracked = _tracked_groebner(
                 self.columns, self.ring, self.ambient_rank, self.row_degrees
             )
         return self._tracked
@@ -476,8 +472,7 @@ class SubmodulePresentation:
 
     def is_zero_submodule(self):
         """True when the span is contained in I * ambient."""
-        amb = _quotient_span(self.ring, self.ambient_rank, self.row_degrees)
-        return all(amb.contains(col) for col in self.columns)
+        return all(self.ring.is_zero_mod(entry) for col in self.columns for entry in col)
 
     # -- lifts ------------------------------------------------------------------
 
@@ -663,13 +658,6 @@ def numerator_length(num, n):
     """Q(1) for a Hilbert numerator num = (1 - t)^n * Q; INFINITE if there is no such Q."""
     k, value = _order_at_one(num, n)
     return value if k == n else INFINITE
-
-
-def _quotient_span(ring, ambient_rank, row_degrees):
-    """The submodule I * R^rank, used for zero tests modulo the ideal."""
-    return SubmodulePresentation(
-        ring, _quotient_columns(ring, ambient_rank), ambient_rank, row_degrees
-    )
 
 
 def ideal(ring, gens):

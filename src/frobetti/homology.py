@@ -18,7 +18,6 @@ from .errors import InfiniteLength, LiftFailure
 from .frobenius import twist_complex
 from .groebner import (
     SubmodulePresentation,
-    _quotient_span,
     cokernel_presentation,
     column_degree,
     numerator_length,
@@ -89,10 +88,8 @@ def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_tar
         )
         kernel = SubmodulePresentation(ring, kernel, ambient_rank, ambient_degs).minimal_generators()
     if not kernel:
-        zero_span = _quotient_span(ring, ambient_rank, ambient_degs)
-        for col in in_cols:
-            if not zero_span.contains(col):
-                raise LiftFailure("incoming column does not lie in the kernel; not a complex")
+        if not all(ring.is_zero_mod(entry) for col in in_cols for entry in col):
+            raise LiftFailure("incoming column does not lie in the kernel; not a complex")
         return SubmodulePresentation(ring, [], 0, (), "cokernel")
     kspan = SubmodulePresentation(ring, kernel, ambient_rank, ambient_degs)
     lifted = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .asymptotics import beta_sequence
 from .errors import InfiniteLength, NoParameterFound, NotMonomial, UnitIdeal, WrongDimension
 from .groebner import INFINITE, SubmodulePresentation, quotient_module
-from .homology import coefficient_ring, homology_presentation, tor_length
+from .homology import coefficient_ring, homology_length, tor_length
 from .resolution import resolve
 from .ring import make_ring
 
@@ -286,8 +286,7 @@ def lemma_h0_check(module, i):
         target = ring
     else:
         target = coefficient_ring(ring, [col[0] for col in h0.columns])
-    pres = homology_presentation(res, i, target)
-    value = pres.length()
+    value = homology_length(res, i, target)
     return GateReport(True, "", {"tor_length": value}, passed=(value == 0))
 
 

@@ -178,12 +178,11 @@ class MinimalResolution(FreeComplex):
     kernel to a minimal generating set.
     """
 
-    __slots__ = ("module", "minimal")
+    __slots__ = ("module",)
 
-    def __init__(self, ring, ranks, row_degrees, maps, module, minimal):
+    def __init__(self, ring, ranks, row_degrees, maps, module):
         super().__init__(ring, ranks, row_degrees, maps)
         self.module = module
-        self.minimal = minimal
 
     @property
     def betti(self):
@@ -193,19 +192,7 @@ class MinimalResolution(FreeComplex):
         return _syzygy_from_resolution(self, i)
 
     def __repr__(self):
-        return "<%sresolution, betti %s>" % ("minimal " if self.minimal else "", self.betti)
-
-
-class _ResolutionState:
-    """Growing resolution data cached on a module presentation."""
-
-    __slots__ = ("ranks", "row_degrees", "maps", "terminated")
-
-    def __init__(self):
-        self.ranks = []
-        self.row_degrees = []
-        self.maps = [None]
-        self.terminated = False
+        return "<minimal resolution, betti %s>" % (self.betti,)
 
 
 def _minimize_presentation(ring, rank, row_degrees, columns):
@@ -220,109 +207,44 @@ def _minimize_presentation(ring, rank, row_degrees, columns):
     return reduced.ranks[0], reduced.row_degrees[0], reduced.maps[1]
 
 
-def resolve(module, steps, minimize_flag=True):
+def resolve(module, steps):
     """Minimal free resolution of a cokernel presentation through ``steps``.
 
     The returned complex has ranks G_0..G_steps and matrices phi_1..phi_steps;
     exactness ker(phi_j) = im(phi_{j+1}) holds for j < steps by construction.
-    With ``minimize_flag`` off, raw syzygy generators are kept, which yields a
-    generally non-minimal resolution (useful as input to :func:`minimize`).
+    phi_1 is the module's minimal generators with unit entries split off, and
+    each later map is a minimal generating set of the syzygies of the one
+    before.  The ranks, twists and maps are kept on the module and extended
+    on later calls; past a zero rank the resolution is padded with zeros.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if module.mode != "cokernel":
         raise ValueError("resolve expects a cokernel presentation")
-    if not minimize_flag:
-        return _resolve_fresh(module, steps)
-    state = module._resolution
-    if state is None:
-        state = _init_state(module)
-        module._resolution = state
-    _extend_state(module.ring, state, steps)
-    return _truncate(module, state, steps)
-
-
-def _init_state(module):
     ring = module.ring
-    state = _ResolutionState()
-    mingens = SubmodulePresentation(
-        ring, module.columns, module.ambient_rank, module.row_degrees
-    ).minimal_generators()
-    rank, rowdegs, cols = _minimize_presentation(
-        ring, module.ambient_rank, module.row_degrees, mingens
-    )
-    state.ranks = [rank]
-    state.row_degrees = [list(rowdegs)]
-    if rank == 0:
-        state.terminated = True
-        return state
-    state.maps.append(cols)
-    state.ranks.append(len(cols))
-    state.row_degrees.append([column_degree(c, rowdegs) for c in cols])
-    if not cols:
-        state.terminated = True
-    return state
-
-
-def _extend_state(ring, state, steps):
-    while len(state.ranks) - 1 < steps and not state.terminated:
-        j = len(state.ranks) - 1
-        ker = syzygy_generators(
-            state.maps[j],
-            ring,
-            ambient_rank=state.ranks[j - 1],
-            row_degrees=state.row_degrees[j - 1],
-            over_quotient=True,
+    if module._resolution is None:
+        rank, rowdegs, cols = _minimize_presentation(
+            ring, module.ambient_rank, module.row_degrees, module.minimal_generators()
         )
-        span = SubmodulePresentation(ring, ker, state.ranks[j], state.row_degrees[j])
-        cols = span.minimal_generators()
-        state.maps.append(cols)
-        state.ranks.append(len(cols))
-        state.row_degrees.append([column_degree(c, state.row_degrees[j]) for c in cols])
-        if not cols:
-            state.terminated = True
-
-
-def _truncate(module, state, steps):
-    ranks = list(state.ranks[: steps + 1])
-    rowdegs = [list(d) for d in state.row_degrees[: steps + 1]]
-    maps = [state.maps[j] for j in range(1, min(len(state.maps), steps + 1))]
-    while len(ranks) < steps + 1:
-        ranks.append(0)
-        rowdegs.append([])
-        maps.append([])
-    return MinimalResolution(module.ring, ranks, rowdegs, maps, module, True)
-
-
-def _resolve_fresh(module, steps):
-    """Resolution by raw syzygy generators, without pruning."""
-    ring = module.ring
-    cols = [c for c in module.columns if any(not p.is_zero() for p in c)]
-    rank = module.ambient_rank
-    rowdegs = list(module.row_degrees)
-    ranks = [rank]
-    degs = [rowdegs]
-    maps = []
-    if cols or rank:
+        degs = [column_degree(c, rowdegs) for c in cols]
+        module._resolution = ([rank, len(cols)], [rowdegs, degs], [cols])
+    ranks, row_degrees, maps = module._resolution
+    while len(maps) < steps and ranks[-1]:
+        ker = syzygy_generators(
+            maps[-1], ring, ambient_rank=ranks[-2], row_degrees=row_degrees[-2], over_quotient=True
+        )
+        cols = SubmodulePresentation(ring, ker, ranks[-1], row_degrees[-1]).minimal_generators()
         maps.append(cols)
         ranks.append(len(cols))
-        degs.append([column_degree(c, rowdegs) for c in cols])
-    terminated = not cols
-    while len(ranks) - 1 < steps and not terminated:
-        j = len(ranks) - 1
-        ker = syzygy_generators(
-            maps[j - 1], ring, ambient_rank=ranks[j - 1], row_degrees=degs[j - 1], over_quotient=True
-        )
-        maps.append(ker)
-        ranks.append(len(ker))
-        degs.append([column_degree(c, degs[j]) for c in ker])
-        if not ker:
-            terminated = True
-    while len(ranks) < steps + 1:
-        ranks.append(0)
-        degs.append([])
-        maps.append([])
-    return MinimalResolution(ring, ranks[: steps + 1], degs[: steps + 1], maps[:steps], module, False)
+        row_degrees.append([column_degree(c, row_degrees[-1]) for c in cols])
+    pad = steps + 1 - len(ranks)
+    return MinimalResolution(
+        ring,
+        ranks[: steps + 1] + [0] * pad,
+        row_degrees[: steps + 1] + [[]] * pad,
+        maps[:steps] + [[]] * pad,
+        module,
+    )
 
 
 class SyzygyPresentation:

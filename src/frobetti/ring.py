@@ -48,20 +48,8 @@ def drl_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 def minimalize_monomials(gens):
@@ -188,10 +176,6 @@ class Polynomial:
         self.terms = terms
 
     # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def _make(cls, ring, terms):
-        return cls(ring, {m: c for m, c in terms.items() if c})
 
     def is_zero(self):
         return not self.terms

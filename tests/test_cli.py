@@ -165,7 +165,11 @@ def test_gb_entry_without_basis_warns_and_recomputes(tmp_path):
     assert any("cache" in w and "basis" in w for w in again["warnings"])
 
 
-@pytest.mark.parametrize("payload", [[1, 2], {"steps": 5}], ids=["list", "steps-only"])
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], {"steps": 5}, {"steps": 5, "ranks": [], "row_degrees": [], "matrices": []}],
+    ids=["list", "steps-only", "empty-lists"],
+)
 def test_resolution_entry_of_wrong_shape_warns_and_recomputes(tmp_path, payload):
     prob = _problem()
     cache = str(tmp_path / "cache")

@@ -4,10 +4,14 @@ Every name a module imports must be used in that module or re-exported
 through its ``__all__``, and every entry of ``frobetti.__all__`` must
 resolve.  This catches the imports a deletion leaves behind.  Imports from
 the package sit at module level, except where one breaks an import cycle.
+Every function, class and method of the package is named somewhere outside
+its own definition, which catches code nothing calls.
 """
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
@@ -72,3 +76,37 @@ def test_package_imports_are_module_level(path):
         if (path.name, module) not in LOCAL_IMPORTS_ALLOWED
     )
     assert not local, "function-level imports in %s: %s" % (path.name, ", ".join(local))
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CORPUS = MODULES + [
+    path for folder in ("tests", "demos", "perfbench") for path in sorted((ROOT / folder).glob("*.py"))
+]
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the non-dunder methods of classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield "%s.%s" % (node.name, item.name), item
+
+
+def test_every_definition_is_referenced():
+    # A word match: a definition counts as used when its name occurs in the
+    # sources, tests, demos or benchmark anywhere outside its own body.
+    texts = {path: path.read_text() for path in CORPUS}
+    words = collections.Counter(w for text in texts.values() for w in re.findall(r"\w+", text))
+    unused = []
+    for path in MODULES:
+        lines = texts[path].splitlines()
+        for label, node in _definitions(ast.parse(texts[path], filename=str(path))):
+            own = re.findall(r"\w+", "\n".join(lines[node.lineno - 1 : node.end_lineno]))
+            if words[node.name] == own.count(node.name):
+                unused.append("%s:%s" % (path.name, label))
+    assert not unused, "never referenced: %s" % ", ".join(unused)

@@ -18,7 +18,7 @@ from frobetti import (
 def test_resolve_koszul(R2, K2):
     res = resolve(K2, 2)
     assert res.betti == (1, 1, 0)
-    assert res.minimal and not res.has_unit_entry()
+    assert not res.has_unit_entry()
     assert str(res.matrix(1)[0][0]) == "x"
 
 
@@ -106,13 +106,6 @@ def test_minimize_keeps_minimal_complex(R1, K1):
     ] == [[[str(e) for e in col] for col in res.matrix(j)] for j in (1, 2)]
 
 
-def test_non_minimal_resolution_minimizes_to_betti(R1, K1):
-    raw = resolve(K1, 2, minimize_flag=False)
-    assert raw.check_complex()
-    reduced = minimize(raw)
-    assert tuple(reduced.ranks) == (1, 2, 3)
-
-
 def test_syzygy_presentations(R1, R3):
     M = quotient_module(R1, ["x"])
     s0 = syzygy(M, 0)
@@ -144,12 +137,31 @@ def test_resolve_zero_module(R1):
     assert res.betti == (0, 0, 0, 0)
 
 
-def test_resolve_extends_cache(R1, K1):
-    res3 = resolve(K1, 3)
-    res5 = resolve(K1, 5)
-    assert res5.betti[:4] == res3.betti
-    res2 = resolve(K1, 2)
-    assert res2.betti == res3.betti[:3]
+def _resolution_data(res):
+    return (
+        res.betti,
+        [list(res.degrees(j)) for j in range(res.length + 1)],
+        [[[str(e) for e in col] for col in res.matrix(j)] for j in range(1, res.length + 1)],
+    )
+
+
+def test_resolve_extends_cache(R1, R2):
+    # A resolution extended on the module's cache, or padded past its end,
+    # matches one computed in a single call on a fresh module.
+    cases = [
+        (R1, list(R1.variables), 3, 5, (1, 2, 3, 5, 8, 13)),
+        (R2, list(R2.variables), 1, 4, (1, 1, 0, 0, 0)),
+        (R1, ["1"], 1, 3, (0, 0, 0, 0)),
+    ]
+    for ring, gens, first, second, betti in cases:
+        module = quotient_module(ring, gens)
+        short = resolve(module, first)
+        extended = resolve(module, second)
+        fresh = resolve(quotient_module(ring, gens), second)
+        assert extended.betti == betti
+        assert _resolution_data(extended) == _resolution_data(fresh)
+        assert extended.betti[: first + 1] == short.betti
+        assert _resolution_data(resolve(module, first)) == _resolution_data(short)
 
 
 def test_resolve_rejects_bad_input(R1, K1):
