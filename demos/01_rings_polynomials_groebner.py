@@ -43,7 +43,8 @@ for col in syz:
     print("   ", tuple(str(p) for p in col))
 
 # Colon ideals and saturation: the torsion part of R is the saturation of
-# zero, here the one-dimensional socle direction (x).
+# zero, here the one-dimensional socle direction (x).  The saturation carries
+# its reduced Groebner basis, so its generator prints monic: x, not 4*x.
 zero = SubmodulePresentation(R, [], 1)
 print("\n(0 : x) =", [str(c[0]) for c in zero.colon(R.poly("x")).minimal_generators()])
 print("(0 : m^infinity) =", [str(c[0]) for c in zero.saturate().minimal_generators()])

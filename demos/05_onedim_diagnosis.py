@@ -22,6 +22,8 @@ R = make_ring(5, ["x", "y"], ["x^2", "x*y"])
 K = quotient_module(R, ["x", "y"])
 
 # H^0_m(R) is the finite-length torsion part of the ring; here it is (x).
+# It is printed by the minimal generators of its reduced Groebner basis,
+# which are monic.
 print("H^0 of", R, "=", [str(c[0]) for c in h0_ring(R).columns])
 print("necessary Buchsbaum condition:", buchsbaum_flag(R))
 

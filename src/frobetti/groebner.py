@@ -564,7 +564,7 @@ class SubmodulePresentation:
 
     def colon_by_elements(self, elements):
         elements = [self.ring.poly(f) for f in elements]
-        if any(f.is_zero() for f in elements):
+        if not elements or any(f.is_zero() for f in elements):
             raise ZeroDivisorQuery("colon by zero is rejected")
         for f in elements:
             if not f.is_homogeneous():
@@ -605,13 +605,22 @@ class SubmodulePresentation:
         return result
 
     def saturate(self):
-        """(N : m^infinity), computed by iterating colon with the variables."""
+        """(N : m^infinity), computed by iterating colon with the variables.
+
+        Each round carries only the reduced Groebner basis of the new span,
+        without its elements of I * ambient (which ``gb()`` adjoins anyway),
+        so the next colon problem is as small as the span allows.  Unless N
+        is already saturated, the columns returned are that reduced basis.
+        """
         current = self
         while True:
             step = current.colon_by_elements(self.ring.gens())
             if step.same_span(current):
                 return current
-            current = step
+            basis = [col for col in step.gb().columns if not all(map(self.ring.is_zero_mod, col))]
+            current = SubmodulePresentation(
+                self.ring, basis, self.ambient_rank, self.row_degrees, self.mode
+            )
 
     # -- numerical invariants -----------------------------------------------------------
 

@@ -20,13 +20,14 @@ from .ring import make_ring
 
 
 def h0_ring(ring):
-    """H^0_m(R) = (I : m^infinity)/I as a rank-one submodule with generators in S."""
+    """H^0_m(R) = (I : m^infinity)/I as a rank-one submodule with generators in S.
+
+    They are minimal generators of the saturation's reduced basis, so monic.
+    """
     got = ring._memo.get("h0")
     if got is None:
-        zero = SubmodulePresentation(ring, [], 1)
-        sat = zero.saturate()
-        gens = SubmodulePresentation(ring, sat.columns, 1).minimal_generators()
-        got = SubmodulePresentation(ring, gens, 1)
+        sat = SubmodulePresentation(ring, [], 1).saturate()
+        got = SubmodulePresentation(ring, sat.minimal_generators(), 1)
         ring._memo["h0"] = got
     return got
 

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobetti import (
@@ -25,7 +25,7 @@ from frobetti.groebner import (
     vec_to_column,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
-from frobetti.ring import drl_key, monomial_divides
+from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
 
 from conftest import brute_force_monomial_count, random_form, residue_field
 
@@ -308,6 +308,9 @@ def test_ideal_quotient_examples(R1):
     assert J.colon(S.one).same_span(J)
     with pytest.raises(ZeroDivisorQuery):
         J.colon(S.zero)
+    # The empty list generates the zero ideal too.
+    with pytest.raises(ZeroDivisorQuery):
+        J.colon_by_elements([])
 
 
 def test_saturation_examples(R1, R3):
@@ -656,3 +659,95 @@ def test_lift_over_quotient_ring_rank_two(case):
             for c, col in zip(coeffs, columns):
                 image = image + c * col[k]
             assert ring.is_zero_mod(image - target[k])
+
+
+# -- saturation against the accumulating loop, and canonical reduced bases ------
+
+
+def _accumulating_saturate(pres):
+    """The former loop: each round's colon result keeps every column so far."""
+    current = pres
+    while True:
+        step = current.colon_by_elements(pres.ring.gens())
+        if step.same_span(current):
+            return current
+        current = step
+
+
+@st.composite
+def _quadric_ideals(draw):
+    """1 to 3 binomial or trinomial quadrics of F_5[x,y,z], as strings."""
+    bare = make_ring(5, list("xyz"), [])
+    monos = monomials_of_degree(3, 2)
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=2, max_size=3, unique=True))
+        out.append(str(Polynomial(bare, {m: draw(st.integers(1, 4)) for m in chosen})))
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(_quadric_ideals(), st.just([]), st.sampled_from([1, 2])))
+@example((["x^2 + y*z", "y^2 + x*z", "z^2 + 2*x*y"], [], 1))  # dimension 0
+@example(
+    (["y^2 + 4*y*z + 2*z^2", "4*x*y + y*z + z^2", "x^2 + 2*x*y + z^2"], [["4*x"], ["3*x + y"]], 1)
+)
+@example((["x^2", "x*y - x*z", "y*z"], [], 1))  # dimension 1, H^0 = (x)
+@example((["2*x*y + x*z + 2*z^2", "2*y^2 + 3*z^2"], [["x*y + 4*y^2"]], 1))
+@example((["x^2 + x*y", "x*y + x*z", "x*z + 2*x^2"], [], 1))  # x * m, dimension 2
+@example((["x^2", "x*y - x*z", "y*z"], [["y", "z"]], 2))  # a rank-2 submodule
+def test_saturate_matches_accumulating_reference(case):
+    """Random zero submodules of rank 1 or 2 (H^0 and two copies of it) and
+    the examples' submodules.  Over an Artinian ring m^k = 0, so every
+    submodule saturates to the ambient module; the reference, whose colon
+    problems grow round by round, is kept to positive dimension."""
+    gens, columns, rank = case
+    ring = make_ring(5, list("xyz"), gens)
+    pres = SubmodulePresentation(ring, [[ring.poly(e) for e in col] for col in columns], rank)
+    sat = pres.saturate()
+    if ring.dim == 0:
+        identity = [[ring.one if k == j else ring.zero for k in range(rank)] for j in range(rank)]
+        assert sat.same_span(SubmodulePresentation(ring, identity, rank))
+    else:
+        assert sat.same_span(_accumulating_saturate(pres))
+    assert sat.saturate().same_span(sat)
+
+
+def test_saturate_carries_reduced_basis():
+    ring = make_ring(5, list("xyz"), ["x^2", "x*y - x*z", "y*z"])
+    sat = SubmodulePresentation(ring, [], 1).saturate()
+    assert sat.same_span(ideal(ring, ["x"]))
+    assert not any(all(map(ring.is_zero_mod, col)) for col in sat.columns)
+    assert len(sat.columns) <= len(sat.gb())
+
+
+def _shuffled_and_scaled(draw, columns, p):
+    out = []
+    for i in draw(st.permutations(range(len(columns)))):
+        c = draw(st.integers(1, p - 1))
+        out.append([e * c for e in columns[i]])
+    return out
+
+
+def _assert_same_reduced_basis(ring, columns, other, rank, degrees):
+    a = groebner_basis(columns, ring, ambient_rank=rank, row_degrees=degrees)
+    b = groebner_basis(other, ring, ambient_rank=rank, row_degrees=degrees)
+    assert a.leads == b.leads
+    assert a.vecs == b.vecs
+
+
+@settings(max_examples=30, deadline=None)
+@given(_quadric_ideals(), st.data())
+def test_reduced_basis_ignores_order_and_scaling_of_ideal_generators(gens, data):
+    bare = make_ring(5, list("xyz"), [])
+    columns = [[bare.poly(g)] for g in gens]
+    other = _shuffled_and_scaled(data.draw, columns, 5)
+    _assert_same_reduced_basis(bare, columns, other, 1, (0,))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_column_sets(ranks=(2,)), st.data())
+def test_reduced_basis_ignores_order_and_scaling_of_columns(case, data):
+    ring, columns, rank, degrees = case
+    other = _shuffled_and_scaled(data.draw, columns, ring.p)
+    _assert_same_reduced_basis(ring, columns, other, rank, degrees)
