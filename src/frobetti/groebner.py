@@ -7,7 +7,9 @@ a basis element in the input generators, is a vector of the same form keyed
 by ``(generator index, exponents)``, so one multiply-subtract (``_axpy``) and
 one division loop (``_reduce_vec``, from :mod:`frobetti.ring`) serve basis
 elements, representations and the quotient ring's normal forms alike.
-Columns of ``Polynomial`` appear only at the API boundary.
+Columns of ``Polynomial`` appear only at the API boundary.  The engine and
+``GroebnerBasis`` pack each lead into one int (``ring._pack``) when it is made;
+division, the chain criterion and minimalisation test divisibility on those.
 
 Computations over a quotient ring reduce to the polynomial ring by adjoining
 ``g * e_k`` for every Groebner generator g of the defining ideal and every
@@ -28,10 +30,10 @@ from .ring import (
     Polynomial,
     _axpy,
     _order_at_one,
+    _pack,
     _reduce_vec,
     _vec_key,
     hilbert_numerator,
-    monomial_divides,
     numerator_dimension,
 )
 
@@ -107,8 +109,10 @@ class _Engine:
         self.ring = ring
         self.p = ring.p
         self.n_tracked = n_tracked
+        self.guard = _pack((1,) * ring.n) << 63
         self.basis = []
         self.leads = []
+        self.packed = []
         self.reps = []
         self.single_pos = []
         self.pairs = []
@@ -131,6 +135,7 @@ class _Engine:
         pos = lead[0]
         self.basis.append(vec)
         self.leads.append(lead)
+        self.packed.append((pos, _pack(lead[1])))
         self.reps.append(rep)
         self.single_pos.append(all(t[0] == pos for t in vec))
         for i in range(new):
@@ -154,10 +159,10 @@ class _Engine:
             return True
         pos = li[0]
         pending = self.pending
-        for k, lk in enumerate(self.leads):
-            if k == i or k == j or lk[0] != pos:
-                continue
-            if all(a <= b for a, b in zip(lk[1], lcm)):
+        guard = self.guard
+        m = _pack(lcm) | guard
+        for k, (pk, ak) in enumerate(self.packed):
+            if pk == pos and (m - ak) & guard == guard and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
@@ -178,22 +183,21 @@ class _Engine:
             if not vec:
                 continue
             rep = _spair(self.leads, self.reps, i, j, p) if track else None
-            rem = _reduce_vec(vec, self.leads, self.basis, p, rep, self.reps)
+            rem = _reduce_vec(vec, self.packed, self.basis, p, rep, self.reps)
             if rem:
                 self._insert(rem, rep or {})
 
     def reduced(self):
         """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
         order = sorted(range(len(self.basis)), key=lambda i: _vec_key(self.leads[i]))
-        kept = []
+        guard = self.guard
+        kept, packed = [], []
         for i in order:
-            li = self.leads[i]
-            if any(
-                self.leads[k][0] == li[0] and monomial_divides(self.leads[k][1], li[1])
-                for k in kept
-            ):
+            pos, b = self.packed[i]
+            if any(pk == pos and ((b | guard) - ak) & guard == guard for pk, ak in packed):
                 continue
             kept.append(i)
+            packed.append(self.packed[i])
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
         reps = [dict(self.reps[i]) for i in kept]
@@ -201,7 +205,7 @@ class _Engine:
         for a in range(len(vecs)):
             vecs[a] = _reduce_vec(
                 vecs[a],
-                leads[:a] + leads[a + 1 :],
+                packed[:a] + packed[a + 1 :],
                 vecs[:a] + vecs[a + 1 :],
                 self.p,
                 reps[a] if track else None,
@@ -214,10 +218,11 @@ class GroebnerBasis:
     """A reduced Groebner basis of a submodule span (plus I per position).
 
     ``columns`` lists the basis elements as columns of polynomials; the
-    internal vector form drives normal forms and membership tests.
+    internal vector form, with leads ``packed`` for ``_reduce_vec``, drives
+    normal forms and membership tests.
     """
 
-    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "reps")
+    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "packed", "reps")
 
     def __init__(self, ring, ambient_rank, row_degrees, vecs, leads, reps=None):
         self.ring = ring
@@ -225,6 +230,7 @@ class GroebnerBasis:
         self.row_degrees = tuple(row_degrees)
         self.vecs = vecs
         self.leads = leads
+        self.packed = [(pos, _pack(e)) for pos, e in leads]
         self.reps = reps
 
     @property
@@ -234,7 +240,7 @@ class GroebnerBasis:
     def normal_form_vec(self, vec, rep=None):
         """Normal form of ``vec``; a given ``rep`` receives every division
         step applied to the tracked representations (see ``_reduce_vec``)."""
-        return _reduce_vec(vec, self.leads, self.vecs, self.ring.p, rep, self.reps)
+        return _reduce_vec(vec, self.packed, self.vecs, self.ring.p, rep, self.reps)
 
     def normal_form(self, column):
         if len(column) != self.ambient_rank:
@@ -357,7 +363,8 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
         return []
 
     engine, zero_indices = _run_engine(cols, ring, ambient_rank, over_quotient, n_tracked=n)
-    vecs, leads, reps = engine.reduced()
+    gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
+    leads, vecs, reps = gb.leads, gb.vecs, gb.reps
     p = ring.p
     one = ring._zero_exps
     # Zero input columns are syzygies outright.
@@ -371,7 +378,7 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
         if not vec:
             continue
         rep = {(idx, one): 1} if idx < n else {}
-        if _reduce_vec(vec, leads, vecs, p, rep, reps):
+        if gb.normal_form_vec(vec, rep):
             raise AssertionError("span generator failed to reduce to zero against its own basis")
         if rep:
             syz_vecs.append(rep)
@@ -383,7 +390,7 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
             if leads[i][0] != leads[j][0]:
                 continue
             rep = _spair(leads, reps, i, j, p)
-            if _reduce_vec(_spair(leads, vecs, i, j, p), leads, vecs, p, rep, reps):
+            if gb.normal_form_vec(_spair(leads, vecs, i, j, p), rep):
                 raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
             if rep:
                 syz_vecs.append(rep)
@@ -499,10 +506,11 @@ class SubmodulePresentation:
         in the R-span of the kept columns plus I * ambient.  By graded
         Nakayama that span is, in degree d, the degree-d part of
         (kept of degree < d) + I * ambient, plus the F_p-span of the kept
-        degree-d columns, because R_0 = F_p.  So one reduced basis G_d of
-        the former is built per degree; a degree-d candidate is kept iff its
-        normal form against G_d, which is F_p-linear, stays nonzero after row
-        reduction over F_p against the normal forms kept so far in degree d.
+        degree-d columns, because R_0 = F_p.  A reduced basis G_d of the
+        former is built for the first degree and again whenever a column was
+        kept since; a degree-d candidate is kept iff its normal form against
+        G_d, which is F_p-linear, stays nonzero after row reduction over F_p
+        against the normal forms kept so far in degree d.
         """
         if self._mingens is not None:
             return self._mingens
@@ -519,18 +527,20 @@ class SubmodulePresentation:
         ranked.sort(key=lambda t: t[0])
         p = self.ring.p
         kept = []
-        degree = None
+        degree = built = None
         for deg, _, col, vec in ranked:
             if deg != degree:
                 degree = deg
-                gb = groebner_basis(
-                    kept,
-                    self.ring,
-                    over_quotient=True,
-                    ambient_rank=self.ambient_rank,
-                    row_degrees=self.row_degrees,
-                )
                 rows = []
+                if built != len(kept):
+                    built = len(kept)
+                    gb = groebner_basis(
+                        kept,
+                        self.ring,
+                        over_quotient=True,
+                        ambient_rank=self.ambient_rank,
+                        row_degrees=self.row_degrees,
+                    )
             rem = _echelon_reduce(gb.normal_form_vec(vec), rows, p)
             if not rem:
                 continue

@@ -10,9 +10,13 @@ Module elements are vectors: dictionaries keyed by ``(position, exponents)``
 in the position-over-term order.  ``_axpy`` and ``_reduce_vec`` are the one
 multiply-subtract and the one division loop for vectors; the Buchberger
 engine in :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial
-is a vector at position 0) both run on them.
+is a vector at position 0) both run on them.  ``_reduce_vec`` takes terms
+from a heap and tests divisibility by leads packed into one int (``_pack``).
 """
 
+import sys
+from array import array
+from heapq import heapify, heappop, heappush
 from math import comb
 
 from .errors import (
@@ -135,25 +139,66 @@ def _axpy(target, vec, c, shift, p):
             target.pop(key, None)
 
 
-def _reduce_vec(vec, leads, basis, p, rep=None, reps=None):
+def _pack(exps):
+    """Exponents as one int of 64-bit fields, each exponent below 2^63.
+
+    With G = ``_pack((1,) * n) << 63`` the top bit of every field, a divides b
+    iff ``((_pack(b) | G) - _pack(a)) & G == G``: no field borrows from the
+    next, and each keeps its top bit iff a_i <= b_i.  Wider exponents raise.
+    """
+    try:
+        return int.from_bytes(array("q", exps), sys.byteorder)
+    except OverflowError:
+        raise Overflow(
+            "exponent %d does not fit the 63-bit field of a packed monomial" % max(exps)
+        ) from None
+
+
+def _unpack(packed, n):
+    return tuple(array("q", packed.to_bytes(8 * n, sys.byteorder)))
+
+
+def _reduce_vec(vec, packed, basis, p, rep=None, reps=None):
     """Full normal form of ``vec`` against a list of monic basis vectors.
 
-    Each division step ``vec -= c * x^shift * basis[i]`` is applied to ``rep``
-    as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
+    ``packed[i]`` is the lead of ``basis[i]`` as ``(position, _pack(exponents))``;
+    each step clears the largest term by the first basis vector whose lead
+    divides it.  A term is keyed onto a heap when it enters the working
+    vector, and popped keys of cancelled terms are skipped.  Each division
+    step ``vec -= c * x^shift * basis[i]`` is applied to ``rep`` as
+    ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
     representation of ``vec`` ends as that of the remainder.  Terms introduced
     by a step are strictly smaller than the term being cleared, so a single
     descending sweep terminates.
     """
     work = dict(vec)
+    # The smallest key is the largest term: lowest position, highest degree,
+    # then degrevlex, which is the lexicographically smallest reversed tuple.
+    heap = [(pos, -sum(e), e[::-1], e) for pos, e in work]
+    heapify(heap)
+    guard = _pack((1,) * len(heap[0][3])) << 63 if heap else 0
     rem = {}
-    while work:
-        t = max(work, key=_vec_key)
-        c = work[t]
-        tpos, te = t
-        for i, (lpos, le) in enumerate(leads):
-            if lpos == tpos and all(a <= b for a, b in zip(le, te)):
-                shift = tuple(b - a for a, b in zip(le, te))
-                _axpy(work, basis[i], c, shift, p)
+    while heap:
+        tpos, _, _, te = heappop(heap)
+        t = (tpos, te)
+        c = work.get(t)
+        if c is None:
+            continue
+        b = _pack(te) | guard
+        for i, (lpos, a) in enumerate(packed):
+            if lpos == tpos and (b - a) & guard == guard:
+                shift = _unpack((b - a) ^ guard, len(te))
+                for (pos, e), v in basis[i].items():
+                    e = tuple(x + y for x, y in zip(e, shift))
+                    key = (pos, e)
+                    old = work.get(key)
+                    nc = ((old or 0) - c * v) % p
+                    if nc:
+                        work[key] = nc
+                        if old is None:
+                            heappush(heap, (pos, -sum(e), e[::-1], e))
+                    elif old is not None:
+                        del work[key]
                 if rep is not None:
                     _axpy(rep, reps[i], c, shift, p)
                 break
@@ -329,9 +374,9 @@ class QuotientRing:
 
     ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
     ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
-    their leading terms.  ``dim`` is the Krull dimension, read off the Hilbert
-    numerator of the leading-term ideal on first use, so it always matches
-    the basis given.  An empty ideal gives the polynomial ring itself.
+    their packed leading terms.  ``dim`` is the Krull dimension, read off the
+    Hilbert numerator of the leading-term ideal on first use, so it always
+    matches the basis given.  An empty ideal gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -364,7 +409,7 @@ class QuotientRing:
         for g in self.ideal_groebner:
             inv = self.inverse(g.leading()[1])
             self._gb_vecs.append({(0, m): (c * inv) % p for m, c in g.terms.items()})
-        self._gb_leads = [(0, g.leading()[0]) for g in self.ideal_groebner]
+        self._gb_leads = [(0, _pack(g.leading()[0])) for g in self.ideal_groebner]
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
@@ -372,7 +417,7 @@ class QuotientRing:
     def numerator(self):
         """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
         if "numerator" not in self._memo:
-            leads = [lead for _, lead in self._gb_leads]
+            leads = [g.leading()[0] for g in self.ideal_groebner]
             self._memo["numerator"] = hilbert_numerator(leads, self.n)
         return self._memo["numerator"]
 
@@ -453,7 +498,7 @@ class QuotientRing:
         got = self._std_cache.get(degree)
         if got is not None:
             return got
-        leads = [lead for _, lead in self._gb_leads]
+        leads = [g.leading()[0] for g in self.ideal_groebner]
         out = []
         for m in monomials_of_degree(self.n, degree):
             if not any(monomial_divides(l, m) for l in leads):

@@ -18,6 +18,7 @@ from frobetti import (
 )
 from frobetti import groebner
 from frobetti.errors import AmbientMismatch, ResourceBound, ZeroDivisorQuery
+from frobetti.frobenius import frobenius_power, twist_complex
 from frobetti.groebner import (
     _vec_key,
     column_degree,
@@ -25,7 +26,15 @@ from frobetti.groebner import (
     vec_to_column,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
-from frobetti.ring import Polynomial, drl_key, monomial_divides, monomials_of_degree
+from frobetti.ring import (
+    Polynomial,
+    _axpy,
+    _pack,
+    _reduce_vec,
+    drl_key,
+    monomial_divides,
+    monomials_of_degree,
+)
 
 from conftest import brute_force_monomial_count, random_form, residue_field
 
@@ -597,14 +606,25 @@ def test_minimal_generators_build_one_basis_per_degree(monkeypatch, R5):
         runs.append(1)
         return real(*args, **kwargs)
 
-    kernels = _resolution_kernels(residue_field(R5), 2)
+    cases = [(R5,) + kernel for kernel in _resolution_kernels(residue_field(R5), 2)]
+    # The kernel of phi_1^[25] over the F_5 cubic has many candidate degrees
+    # and keeps columns in few of them.
+    cubic = make_ring(5, list("xyz"), ["x^3 + y^3 + z^3"])
+    twisted = twist_complex(resolve(residue_field(cubic), 2), 2)
+    kernel = syzygy_generators(
+        twisted.matrix(1), cubic, ambient_rank=twisted.rank(0), row_degrees=twisted.degrees(0)
+    )
+    cases.append((cubic, kernel, twisted.rank(1), twisted.degrees(1)))
     monkeypatch.setattr(groebner, "_run_engine", counting)
-    for columns, rank, degrees in kernels:
-        pres = SubmodulePresentation(R5, columns, rank, degrees)
+    for ring, columns, rank, degrees in cases:
+        pres = SubmodulePresentation(ring, columns, rank, degrees)
         runs.clear()
-        pres.minimal_generators()
+        kept = {column_degree(col, degrees) for col in pres.minimal_generators()}
         nonzero = [col for col in pres.columns if column_to_vec(col)]
-        assert len(runs) == len({column_degree(col, degrees) for col in nonzero})
+        candidates = sorted({column_degree(col, degrees) for col in nonzero})
+        # One run for the first degree, and one for each degree that follows
+        # a degree where a column was kept.
+        assert len(runs) == 1 + sum(d in kept for d in candidates[:-1])
 
 
 # -- lifts over a quotient ring ----------------------------------------------------
@@ -751,3 +771,124 @@ def test_reduced_basis_ignores_order_and_scaling_of_columns(case, data):
     ring, columns, rank, degrees = case
     other = _shuffled_and_scaled(data.draw, columns, ring.p)
     _assert_same_reduced_basis(ring, columns, other, rank, degrees)
+
+
+# -- the division kernel and the pair criteria against the former loops -------
+
+
+def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
+    """The former division loop: the largest term found by a full scan at
+    every step, divisibility tested exponent by exponent."""
+    work = dict(vec)
+    rem = {}
+    while work:
+        t = max(work, key=_vec_key)
+        c = work[t]
+        tpos, te = t
+        for i, (lpos, le) in enumerate(leads):
+            if lpos == tpos and all(a <= b for a, b in zip(le, te)):
+                shift = tuple(b - a for a, b in zip(le, te))
+                _axpy(work, basis[i], c, shift, p)
+                if rep is not None:
+                    _axpy(rep, reps[i], c, shift, p)
+                break
+        else:
+            rem[t] = work.pop(t)
+    return rem
+
+
+def _reference_skip_by_criteria(self, i, j):
+    """The former pair test of ``_Engine``: the chain criterion compares
+    exponent tuples."""
+    li, lj = self.leads[i], self.leads[j]
+    lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+    if (
+        self.single_pos[i]
+        and self.single_pos[j]
+        and lcm == tuple(a + b for a, b in zip(li[1], lj[1]))
+    ):
+        return True
+    pos = li[0]
+    pending = self.pending
+    for k, lk in enumerate(self.leads):
+        if k == i or k == j or lk[0] != pos:
+            continue
+        if all(a <= b for a, b in zip(lk[1], lcm)):
+            a = (i, k) if i < k else (k, i)
+            b = (j, k) if j < k else (k, j)
+            if a not in pending and b not in pending:
+                return True
+    return False
+
+
+@st.composite
+def _division_cases(draw):
+    """Monic divisors in drawn order (not a Groebner basis), each tracked by
+    its own index, and vectors to divide: rank 1-2 columns of ``_column_sets``
+    with the ring's ideal adjoined per position, or bracket powers
+    f^[q], q = p^e up to 49, of the ring's quadrics and of variables, with
+    forms of degree up to 2q + 1."""
+    ring, columns, rank, degrees = draw(_column_sets())
+    if draw(st.booleans()):
+        e = draw(st.integers(1, 2))
+        q = ring.p**e
+        gens = list(ring.ideal_groebner) + [ring.poly(v) for v in ring.variables]
+        divisors = [{(0, m): c for m, c in frobenius_power(g, e).terms.items()} for g in gens]
+        divisors = draw(st.permutations(divisors))
+        targets = []
+        for _ in range(3):
+            form = random_form(draw, ring, draw(st.integers(q, 2 * q + 1)), 4)
+            targets.append({(0, m): c for m, c in form.terms.items()})
+    else:
+        ideal_columns = [
+            [g if k == pos else ring.zero for k in range(rank)]
+            for pos in range(rank)
+            for g in ring.ideal_groebner
+        ]
+        vecs = [column_to_vec(col) for col in columns + ideal_columns]
+        vecs = draw(st.permutations([v for v in vecs if v]))
+        cut = draw(st.integers(1, len(vecs)))
+        divisors, targets = vecs[:cut], vecs[cut:] or vecs[:1]
+    p = ring.p
+    basis, leads, reps = [], [], []
+    for index, vec in enumerate(divisors):
+        lead = max(vec, key=_vec_key)
+        inv = pow(vec[lead], p - 2, p)
+        basis.append({t: c * inv % p for t, c in vec.items()})
+        leads.append(lead)
+        reps.append({(index, ring._zero_exps): inv})
+    return p, basis, leads, reps, targets, ring._zero_exps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_division_cases())
+def test_reduce_vec_takes_the_steps_of_the_reference_loop(case):
+    p, basis, leads, reps, targets, one = case
+    packed = [(pos, _pack(e)) for pos, e in leads]
+    for vec in targets:
+        rep, ref_rep = {(-1, one): 1}, {(-1, one): 1}
+        rem = _reduce_vec(vec, packed, basis, p, rep, reps)
+        ref = _reference_reduce_vec(vec, leads, basis, p, ref_rep, reps)
+        assert list(rem.items()) == list(ref.items())
+        assert list(rep.items()) == list(ref_rep.items())
+
+
+def _bases_and_syzygies(ring, columns, rank, degrees):
+    gb = groebner_basis(columns, ring, ambient_rank=rank, row_degrees=degrees)
+    syz = syzygy_generators(columns, ring, ambient_rank=rank, row_degrees=degrees)
+    return gb.leads, gb.vecs, [[str(e) for e in col] for col in syz]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_sets(), st.integers(0, 2))
+def test_pair_criteria_decide_as_the_reference(case, e):
+    """Rank 1-2 columns, with every entry raised to a bracket power p^e."""
+    ring, columns, rank, degrees = case
+    q = ring.p**e
+    columns = [[frobenius_power(entry, e) for entry in col] for col in columns]
+    degrees = tuple(q * d for d in degrees)
+    new = _bases_and_syzygies(ring, columns, rank, degrees)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner._Engine, "_skip_by_criteria", _reference_skip_by_criteria)
+        old = _bases_and_syzygies(ring, columns, rank, degrees)
+    assert new == old

@@ -5,7 +5,9 @@ through its ``__all__``, and every entry of ``frobetti.__all__`` must
 resolve.  This catches the imports a deletion leaves behind.  Imports from
 the package sit at module level, except where one breaks an import cycle.
 Every function, class and method of the package is named somewhere outside
-its own definition, which catches code nothing calls.
+its own definition, which catches code nothing calls.  No module binds a
+mutable container at module level or rebinds a global, so no cache or memo
+outlives the objects it belongs to.
 """
 
 import ast
@@ -110,3 +112,50 @@ def test_every_definition_is_referenced():
             if words[node.name] == own.count(node.name):
                 unused.append("%s:%s" % (path.name, label))
     assert not unused, "never referenced: %s" % ", ".join(unused)
+
+
+# Module-level mutable containers allowed: the export list and the cache
+# schema, which nothing mutates.
+MODULE_STATE_ALLOWED = {("__init__.py", "__all__"), ("cli.py", "CACHE_FIELDS")}
+MUTABLE_NODES = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+
+
+def _module_level(body):
+    """Statements that run at import time, outside functions and classes."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody"):
+            yield from _module_level(getattr(node, field, []))
+        for handler in getattr(node, "handlers", []):
+            yield from _module_level(handler.body)
+
+
+def _is_mutable(value):
+    return isinstance(value, MUTABLE_NODES) or (
+        isinstance(value, ast.Call)
+        and isinstance(value.func, ast.Name)
+        and value.func.id in ("dict", "list", "set")
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_shared_mutable_module_state(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in _module_level(tree.body):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if not _is_mutable(value):
+            continue
+        for target in targets:
+            name = target.id if isinstance(target, ast.Name) else ast.unparse(target)
+            if (path.name, name) not in MODULE_STATE_ALLOWED:
+                found.append("%s (line %d)" % (name, node.lineno))
+    found += ["global (line %d)" % node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    assert not found, "shared mutable state in %s: %s" % (path.name, ", ".join(found))

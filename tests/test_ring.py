@@ -3,7 +3,14 @@ import random
 import pytest
 
 from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
-from frobetti.errors import NotHomogeneous, NotPrime, ParseError, UnitIdeal, UnknownVariable
+from frobetti.errors import (
+    NotHomogeneous,
+    NotPrime,
+    Overflow,
+    ParseError,
+    UnitIdeal,
+    UnknownVariable,
+)
 from frobetti.ring import drl_key
 
 
@@ -151,3 +158,26 @@ def test_nf_matches_rank_one_normal_form(R1, R5):
             assert scaled.nf(f).terms == expected
             g = f + _random_poly(ring, rng, max_terms=3, max_deg=2) * rng.choice(gens)
             assert ring.nf(g).terms == expected
+
+
+def test_exponents_past_the_packed_width_raise_overflow():
+    # Divisibility tests read exponents packed 63 bits to a field.  Literals
+    # stay below MAX_EXPONENT, but nested powers do not: 2^20 * 2^20 * 2^23
+    # is 2^63, one past the widest exponent a field holds.
+    ring = make_ring(5, ["x", "y"], ["x*y"])
+    S = make_ring(5, ["x", "y"], [])
+    fits = ring.poly("((x^1048576)^1048576)^8388607")  # 2^63 - 2^40
+    assert ring.nf(fits) == fits
+    assert ring.nf(fits * ring.poly("y")).is_zero()
+    assert groebner_basis([[fits]], S, over_quotient=False).contains([fits * S.poly("x + y")])
+    wide = ring.poly("((x^1048576)^1048576)^8388608")
+    assert wide.terms == {(2**63, 0): 1}
+    for compute in (
+        lambda: ring.nf(wide),
+        lambda: ring.nf(wide * ring.poly("y")),
+        lambda: groebner_basis([[wide]], S, over_quotient=False),
+        lambda: groebner_basis([[fits]], S, over_quotient=False).contains([wide]),
+    ):
+        with pytest.raises(Overflow) as err:
+            compute()
+        assert "exponent %d does not fit" % 2**63 in str(err.value)
