@@ -8,8 +8,10 @@ by ``(generator index, exponents)``, so one multiply-subtract (``_axpy``) and
 one division loop (``_reduce_vec``, from :mod:`frobetti.ring`) serve basis
 elements, representations and the quotient ring's normal forms alike.
 Columns of ``Polynomial`` appear only at the API boundary.  The engine and
-``GroebnerBasis`` pack each lead into one int (``ring._pack``) when it is made;
-division, the chain criterion and minimalisation test divisibility on those.
+``GroebnerBasis`` pack each lead into one int (``ring._pack``) when it is made
+and keep the packed leads in one list per position, ``{pos: [(packed,
+index), ...]}``; division, the chain criterion and minimalisation scan only
+the list of the term's position.
 
 Computations over a quotient ring reduce to the polynomial ring by adjoining
 ``g * e_k`` for every Groebner generator g of the defining ideal and every
@@ -29,6 +31,7 @@ from .errors import (
 from .ring import (
     Polynomial,
     _axpy,
+    _lead_lists,
     _order_at_one,
     _pack,
     _reduce_vec,
@@ -84,35 +87,27 @@ def _spair(leads, vecs, i, j, p):
     return out
 
 
-def _echelon_reduce(vec, rows, p):
-    """Clear every row's pivot from ``vec``, rows taken in insertion order.
-
-    Each row is monic at its pivot and was itself reduced by the rows before
-    it, so a single pass leaves ``vec`` zero at every pivot.
-    """
-    for pivot, row in rows:
-        c = vec.get(pivot)
-        if c:
-            _axpy(vec, row, c, (0,) * len(pivot[1]), p)
-    return vec
-
-
 class _Engine:
     """Buchberger with normal pair selection and tracked representations.
 
     ``n_tracked`` marks how many of the input generators keep their syzygy
     coordinates; columns adjoined for quotient-ring arithmetic are untracked
-    and silently projected away from every representation.
+    and silently projected away from every representation.  Pairs are keyed
+    by true degree, sum(lcm) plus the row degree of their position, so
+    ``run(d)`` leaves a basis that is complete up to degree d.  ``by_pos``
+    lists the leads per position in insertion order, for ``_reduce_vec`` and
+    the chain criterion.
     """
 
-    def __init__(self, ring, n_tracked=0):
+    def __init__(self, ring, row_degrees, n_tracked=0):
         self.ring = ring
         self.p = ring.p
+        self.row_degrees = row_degrees
         self.n_tracked = n_tracked
         self.guard = _pack((1,) * ring.n) << 63
         self.basis = []
         self.leads = []
-        self.packed = []
+        self.by_pos = {}
         self.reps = []
         self.single_pos = []
         self.pairs = []
@@ -121,6 +116,11 @@ class _Engine:
     def seed(self, vec, index):
         rep = {(index, self.ring._zero_exps): 1} if index < self.n_tracked else {}
         self._insert(vec, rep)
+
+    def seed_ideal(self, ambient_rank):
+        """Seed I * ambient, untracked."""
+        for col in _quotient_columns(self.ring, ambient_rank):
+            self._insert(column_to_vec(col), {})
 
     def _insert(self, vec, rep):
         if len(self.basis) >= MAX_BASIS_SIZE:
@@ -135,16 +135,15 @@ class _Engine:
         pos = lead[0]
         self.basis.append(vec)
         self.leads.append(lead)
-        self.packed.append((pos, _pack(lead[1])))
         self.reps.append(rep)
         self.single_pos.append(all(t[0] == pos for t in vec))
-        for i in range(new):
-            li = self.leads[i]
-            if li[0] != pos:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(li[1], lead[1]))
-            heapq.heappush(self.pairs, (sum(lcm), i, new))
+        same_pos = self.by_pos.setdefault(pos, [])
+        shift = self.row_degrees[pos]
+        for _, i in same_pos:
+            lcm = tuple(max(a, b) for a, b in zip(self.leads[i][1], lead[1]))
+            heapq.heappush(self.pairs, (sum(lcm) + shift, i, new))
             self.pending.add((i, new))
+        same_pos.append((_pack(lead[1]), new))
 
     def _skip_by_criteria(self, i, j):
         li, lj = self.leads[i], self.leads[j]
@@ -157,25 +156,24 @@ class _Engine:
             and lcm == tuple(a + b for a, b in zip(li[1], lj[1]))
         ):
             return True
-        pos = li[0]
         pending = self.pending
         guard = self.guard
         m = _pack(lcm) | guard
-        for k, (pk, ak) in enumerate(self.packed):
-            if pk == pos and (m - ak) & guard == guard and k != i and k != j:
+        for ak, k in self.by_pos[li[0]]:
+            if (m - ak) & guard == guard and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
                 if a not in pending and b not in pending:
                     return True
         return False
 
-    def run(self):
+    def run(self, degree=INFINITE):
+        """Process the pairs of true degree at most ``degree``."""
         track = self.n_tracked > 0
         p = self.p
-        while self.pairs:
-            _, i, j = heapq.heappop(self.pairs)
-            if (i, j) not in self.pending:
-                continue
+        pairs = self.pairs
+        while pairs and pairs[0][0] <= degree:
+            _, i, j = heapq.heappop(pairs)
             self.pending.discard((i, j))
             if self._skip_by_criteria(i, j):
                 continue
@@ -183,7 +181,7 @@ class _Engine:
             if not vec:
                 continue
             rep = _spair(self.leads, self.reps, i, j, p) if track else None
-            rem = _reduce_vec(vec, self.packed, self.basis, p, rep, self.reps)
+            rem = _reduce_vec(vec, self.by_pos, self.basis, p, rep, self.reps)
             if rem:
                 self._insert(rem, rep or {})
 
@@ -191,26 +189,26 @@ class _Engine:
         """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
         order = sorted(range(len(self.basis)), key=lambda i: _vec_key(self.leads[i]))
         guard = self.guard
-        kept, packed = [], []
+        kept, by_pos = [], {}
         for i in order:
-            pos, b = self.packed[i]
-            if any(pk == pos and ((b | guard) - ak) & guard == guard for pk, ak in packed):
+            pos, e = self.leads[i]
+            b = _pack(e)
+            same_pos = by_pos.setdefault(pos, [])
+            if any(((b | guard) - a) & guard == guard for a, _ in same_pos):
                 continue
+            same_pos.append((b, len(kept)))
             kept.append(i)
-            packed.append(self.packed[i])
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
         reps = [dict(self.reps[i]) for i in kept]
         track = self.n_tracked > 0
-        for a in range(len(vecs)):
-            vecs[a] = _reduce_vec(
-                vecs[a],
-                packed[:a] + packed[a + 1 :],
-                vecs[:a] + vecs[a + 1 :],
-                self.p,
-                reps[a] if track else None,
-                reps[:a] + reps[a + 1 :],
-            )
+        # No other lead divides a lead, and every tail term is below its own
+        # lead, so the tail alone is reduced against the whole basis.
+        for a, lead in enumerate(leads):
+            tail = dict(vecs[a])
+            c = tail.pop(lead)
+            rest = _reduce_vec(tail, by_pos, vecs, self.p, reps[a] if track else None, reps)
+            vecs[a] = {lead: c, **rest}
         return vecs, leads, reps
 
 
@@ -218,11 +216,11 @@ class GroebnerBasis:
     """A reduced Groebner basis of a submodule span (plus I per position).
 
     ``columns`` lists the basis elements as columns of polynomials; the
-    internal vector form, with leads ``packed`` for ``_reduce_vec``, drives
-    normal forms and membership tests.
+    internal vector form, with its leads listed per position (``by_pos``,
+    built once) for ``_reduce_vec``, drives normal forms and membership tests.
     """
 
-    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "packed", "reps")
+    __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "by_pos", "reps")
 
     def __init__(self, ring, ambient_rank, row_degrees, vecs, leads, reps=None):
         self.ring = ring
@@ -230,7 +228,7 @@ class GroebnerBasis:
         self.row_degrees = tuple(row_degrees)
         self.vecs = vecs
         self.leads = leads
-        self.packed = [(pos, _pack(e)) for pos, e in leads]
+        self.by_pos = _lead_lists(leads)
         self.reps = reps
 
     @property
@@ -240,7 +238,7 @@ class GroebnerBasis:
     def normal_form_vec(self, vec, rep=None):
         """Normal form of ``vec``; a given ``rep`` receives every division
         step applied to the tracked representations (see ``_reduce_vec``)."""
-        return _reduce_vec(vec, self.packed, self.vecs, self.ring.p, rep, self.reps)
+        return _reduce_vec(vec, self.by_pos, self.vecs, self.ring.p, rep, self.reps)
 
     def normal_form(self, column):
         if len(column) != self.ambient_rank:
@@ -285,23 +283,17 @@ def _quotient_columns(ring, ambient_rank):
     return out
 
 
-def _run_engine(columns, ring, ambient_rank, over_quotient, n_tracked=0):
-    engine = _Engine(ring, n_tracked=n_tracked)
-    index = 0
+def _run_engine(columns, ring, ambient_rank, row_degrees, over_quotient, n_tracked=0):
+    engine = _Engine(ring, row_degrees, n_tracked=n_tracked)
     zero_indices = []
-    for col in columns:
+    for index, col in enumerate(columns):
         vec = column_to_vec(col)
         if vec:
             engine.seed(vec, index)
         elif index < n_tracked:
             zero_indices.append(index)
-        index += 1
     if over_quotient:
-        for col in _quotient_columns(ring, ambient_rank):
-            vec = column_to_vec(col)
-            if vec:
-                engine.seed(vec, index)
-            index += 1
+        engine.seed_ideal(ambient_rank)
     engine.run()
     return engine, zero_indices
 
@@ -319,13 +311,15 @@ def groebner_basis(gens, ring, over_quotient=True, ambient_rank=None, row_degree
     row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
     for col in cols:
         column_degree(col, row_degrees)
-    engine, _ = _run_engine(cols, ring, ambient_rank, over_quotient)
+    engine, _ = _run_engine(cols, ring, ambient_rank, row_degrees, over_quotient)
     vecs, leads, _ = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads)
 
 
 def _tracked_groebner(columns, ring, ambient_rank, row_degrees, over_quotient=True):
-    engine, _ = _run_engine(columns, ring, ambient_rank, over_quotient, n_tracked=len(columns))
+    engine, _ = _run_engine(
+        columns, ring, ambient_rank, row_degrees, over_quotient, n_tracked=len(columns)
+    )
     vecs, leads, reps = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads, reps)
 
@@ -340,7 +334,7 @@ def _infer_rank(gens):
 
 def reduced_ideal_groebner(gens, ring):
     """Reduced Groebner basis of an ideal of the underlying polynomial ring."""
-    engine, _ = _run_engine([[g] for g in gens], ring, 1, over_quotient=False)
+    engine, _ = _run_engine([[g] for g in gens], ring, 1, (0,), over_quotient=False)
     vecs, leads, _ = engine.reduced()
     return [vec_to_column(v, 1, ring)[0] for v in vecs]
 
@@ -362,7 +356,9 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     if n == 0:
         return []
 
-    engine, zero_indices = _run_engine(cols, ring, ambient_rank, over_quotient, n_tracked=n)
+    engine, zero_indices = _run_engine(
+        cols, ring, ambient_rank, row_degrees, over_quotient, n_tracked=n
+    )
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
     p = ring.p
@@ -503,14 +499,15 @@ class SubmodulePresentation:
 
         Candidates are visited greedily, lowest degree first and, within a
         degree, larger leading term first; a candidate is kept unless it lies
-        in the R-span of the kept columns plus I * ambient.  By graded
-        Nakayama that span is, in degree d, the degree-d part of
-        (kept of degree < d) + I * ambient, plus the F_p-span of the kept
-        degree-d columns, because R_0 = F_p.  A reduced basis G_d of the
-        former is built for the first degree and again whenever a column was
-        kept since; a degree-d candidate is kept iff its normal form against
-        G_d, which is F_p-linear, stays nonzero after row reduction over F_p
-        against the normal forms kept so far in degree d.
+        in the R-span of the kept columns plus I * ambient.  One engine,
+        seeded with I * ambient, holds a basis of that span: before the first
+        candidate of degree d it processes only the pairs of degree <= d, so
+        its basis is a Groebner basis up to degree d, and no basis is rebuilt.
+        A candidate is kept iff its normal form against that basis is nonzero,
+        and the normal form is then inserted.  It is fully reduced, so its
+        pairs have degree > d; by graded Nakayama, with R_0 = F_p, the engine
+        then spans (kept of degree < d) * R + I * ambient plus the F_p-span of
+        the degree-d columns kept so far, which is the span in degree d.
         """
         if self._mingens is not None:
             return self._mingens
@@ -525,29 +522,18 @@ class SubmodulePresentation:
         # the irrelevant ideal of F_p[x,y] presents as [x y].
         ranked.sort(key=lambda t: t[1], reverse=True)
         ranked.sort(key=lambda t: t[0])
-        p = self.ring.p
+        engine = _Engine(self.ring, self.row_degrees)
+        engine.seed_ideal(self.ambient_rank)
         kept = []
-        degree = built = None
+        degree = None
         for deg, _, col, vec in ranked:
             if deg != degree:
                 degree = deg
-                rows = []
-                if built != len(kept):
-                    built = len(kept)
-                    gb = groebner_basis(
-                        kept,
-                        self.ring,
-                        over_quotient=True,
-                        ambient_rank=self.ambient_rank,
-                        row_degrees=self.row_degrees,
-                    )
-            rem = _echelon_reduce(gb.normal_form_vec(vec), rows, p)
-            if not rem:
-                continue
-            pivot = max(rem, key=_vec_key)
-            inv = self.ring.inverse(rem[pivot])
-            rows.append((pivot, {t: (c * inv) % p for t, c in rem.items()}))
-            kept.append(col)
+                engine.run(deg)
+            rem = _reduce_vec(vec, engine.by_pos, engine.basis, self.ring.p)
+            if rem:
+                engine._insert(rem, {})
+                kept.append(col)
         self._mingens = kept
         return kept
 

@@ -11,7 +11,8 @@ in the position-over-term order.  ``_axpy`` and ``_reduce_vec`` are the one
 multiply-subtract and the one division loop for vectors; the Buchberger
 engine in :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial
 is a vector at position 0) both run on them.  ``_reduce_vec`` takes terms
-from a heap and tests divisibility by leads packed into one int (``_pack``).
+from a heap and tests divisibility by leads packed into one int (``_pack``),
+kept in one list per position (``_lead_lists``).
 """
 
 import sys
@@ -158,12 +159,21 @@ def _unpack(packed, n):
     return tuple(array("q", packed.to_bytes(8 * n, sys.byteorder)))
 
 
-def _reduce_vec(vec, packed, basis, p, rep=None, reps=None):
+def _lead_lists(leads):
+    """``{position: [(_pack(exponents), index), ...]}`` of a list of leads, in list order."""
+    by_pos = {}
+    for i, (pos, e) in enumerate(leads):
+        by_pos.setdefault(pos, []).append((_pack(e), i))
+    return by_pos
+
+
+def _reduce_vec(vec, by_pos, basis, p, rep=None, reps=None):
     """Full normal form of ``vec`` against a list of monic basis vectors.
 
-    ``packed[i]`` is the lead of ``basis[i]`` as ``(position, _pack(exponents))``;
-    each step clears the largest term by the first basis vector whose lead
-    divides it.  A term is keyed onto a heap when it enters the working
+    ``by_pos`` holds the leads of ``basis`` per position, as ``_lead_lists``
+    builds them; each step clears the largest term by the first basis vector
+    in its position's list whose lead divides it, and no other position's
+    leads are scanned.  A term is keyed onto a heap when it enters the working
     vector, and popped keys of cancelled terms are skipped.  Each division
     step ``vec -= c * x^shift * basis[i]`` is applied to ``rep`` as
     ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
@@ -185,8 +195,8 @@ def _reduce_vec(vec, packed, basis, p, rep=None, reps=None):
         if c is None:
             continue
         b = _pack(te) | guard
-        for i, (lpos, a) in enumerate(packed):
-            if lpos == tpos and (b - a) & guard == guard:
+        for a, i in by_pos.get(tpos, ()):
+            if (b - a) & guard == guard:
                 shift = _unpack((b - a) ^ guard, len(te))
                 for (pos, e), v in basis[i].items():
                     e = tuple(x + y for x, y in zip(e, shift))
@@ -374,9 +384,9 @@ class QuotientRing:
 
     ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
     ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
-    their packed leading terms.  ``dim`` is the Krull dimension, read off the
-    Hilbert numerator of the leading-term ideal on first use, so it always
-    matches the basis given.  An empty ideal gives the polynomial ring itself.
+    their leads listed per position (``_lead_lists``).  ``dim`` is the Krull
+    dimension, read off the Hilbert numerator of the leading-term ideal on
+    first use, so it always matches the basis given.  An empty ideal gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -409,7 +419,7 @@ class QuotientRing:
         for g in self.ideal_groebner:
             inv = self.inverse(g.leading()[1])
             self._gb_vecs.append({(0, m): (c * inv) % p for m, c in g.terms.items()})
-        self._gb_leads = [(0, _pack(g.leading()[0])) for g in self.ideal_groebner]
+        self._gb_leads = _lead_lists([(0, g.leading()[0]) for g in self.ideal_groebner])
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})

@@ -29,7 +29,7 @@ from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.ring import (
     Polynomial,
     _axpy,
-    _pack,
+    _lead_lists,
     _reduce_vec,
     drl_key,
     monomial_divides,
@@ -189,6 +189,11 @@ def test_resource_bound(monkeypatch, R1):
     monkeypatch.setattr(gr, "MAX_BASIS_SIZE", 1)
     with pytest.raises(gr.ResourceBound):
         gr.groebner_basis([[R1.poly("x")], [R1.poly("y")]], R1)
+    # minimal_generators runs its own engine, not groebner_basis; I * F of
+    # R1 already has two elements.
+    monkeypatch.setattr(gr, "MAX_BASIS_SIZE", 2)
+    with pytest.raises(gr.ResourceBound):
+        gr.SubmodulePresentation(R1, [[R1.poly("x")], [R1.poly("y")]], 1).minimal_generators()
 
 
 def test_normal_form_ambient_mismatch(R1):
@@ -538,9 +543,10 @@ def test_minimal_generators_match_greedy_on_resolution_kernels(request, name, st
 
 
 @st.composite
-def _column_sets(draw, ranks=(2, 1)):
+def _column_sets(draw, ranks=(2, 1), twists=(0, 1)):
     """A quotient ring by binomials and trinomials, and homogeneous columns
-    with zero columns, duplicates and columns in I * ambient mixed in."""
+    with zero columns, duplicates and columns in I * ambient mixed in.  Row
+    degrees are drawn from the range ``twists``."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(2, 3))
     variables = "xyz"[:n]
@@ -552,7 +558,7 @@ def _column_sets(draw, ranks=(2, 1)):
     quadrics = [form(2, bare) for _ in range(draw(st.integers(1, 2)))]
     ring = make_ring(p, list(variables), quadrics)
     rank = draw(st.sampled_from(ranks))
-    degrees = tuple(draw(st.lists(st.integers(0, 1), min_size=rank, max_size=rank)))
+    degrees = tuple(draw(st.lists(st.integers(*twists), min_size=rank, max_size=rank)))
     columns = []
     for _ in range(draw(st.integers(1, 5))):
         d = draw(st.integers(1, 3))
@@ -598,13 +604,18 @@ def test_minimal_generators_match_greedy_on_random_columns(case):
     _assert_same_mingens(ring, columns, rank, degrees)
 
 
-def test_minimal_generators_build_one_basis_per_degree(monkeypatch, R5):
-    runs = []
-    real = groebner._run_engine
+def test_minimal_generators_run_one_engine_per_call(monkeypatch, R5):
+    engines, runs = [], []
+    real_run = groebner._run_engine
 
-    def counting(*args, **kwargs):
+    class CountingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            engines.append(1)
+            super().__init__(*args, **kwargs)
+
+    def counting_run(*args, **kwargs):
         runs.append(1)
-        return real(*args, **kwargs)
+        return real_run(*args, **kwargs)
 
     cases = [(R5,) + kernel for kernel in _resolution_kernels(residue_field(R5), 2)]
     # The kernel of phi_1^[25] over the F_5 cubic has many candidate degrees
@@ -615,16 +626,50 @@ def test_minimal_generators_build_one_basis_per_degree(monkeypatch, R5):
         twisted.matrix(1), cubic, ambient_rank=twisted.rank(0), row_degrees=twisted.degrees(0)
     )
     cases.append((cubic, kernel, twisted.rank(1), twisted.degrees(1)))
-    monkeypatch.setattr(groebner, "_run_engine", counting)
+    monkeypatch.setattr(groebner, "_Engine", CountingEngine)
+    monkeypatch.setattr(groebner, "_run_engine", counting_run)
     for ring, columns, rank, degrees in cases:
         pres = SubmodulePresentation(ring, columns, rank, degrees)
+        engines.clear()
         runs.clear()
-        kept = {column_degree(col, degrees) for col in pres.minimal_generators()}
-        nonzero = [col for col in pres.columns if column_to_vec(col)]
-        candidates = sorted({column_degree(col, degrees) for col in nonzero})
-        # One run for the first degree, and one for each degree that follows
-        # a degree where a column was kept.
-        assert len(runs) == 1 + sum(d in kept for d in candidates[:-1])
+        pres.minimal_generators()
+        # One engine, run degree by degree, and no Groebner basis built.
+        assert (len(engines), len(runs)) == (1, 0)
+
+
+def _true_degree(engine, degrees, i, j):
+    (pos, a), (_, b) = engine.leads[i], engine.leads[j]
+    return sum(max(x, y) for x, y in zip(a, b)) + degrees[pos]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_sets(twists=(-1, 2)), st.data())
+def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
+    """After ``run(d)`` every pair left has degree > d, and a column of degree
+    at most d reduces to zero iff it lies in the span: R-combinations of the
+    columns and random columns, against the full basis of the span."""
+    ring, columns, rank, degrees = case
+    engine = groebner._Engine(ring, degrees)
+    for col in columns:
+        if column_to_vec(col):
+            engine.seed(column_to_vec(col), 0)
+    engine.seed_ideal(rank)
+    col_degs = [column_degree(col, degrees) for col in columns]
+    top = max((c for c in col_degs if c is not None), default=max(degrees))
+    d = data.draw(st.integers(min(degrees), top + 2))
+    engine.run(d)
+    assert all(_true_degree(engine, degrees, i, j) > d for _, i, j in engine.pairs)
+    full = groebner_basis(columns, ring, ambient_rank=rank, row_degrees=degrees)
+    for t in range(min(degrees), d + 1):
+        combination = [ring.zero] * rank
+        for col, c in zip(columns, col_degs):
+            if c is not None and c <= t and data.draw(st.booleans()):
+                f = random_form(data.draw, ring, t - c)
+                combination = [a + f * b for a, b in zip(combination, col)]
+        other = [random_form(data.draw, ring, t - degrees[k]) for k in range(rank)]
+        for target in (combination, other):
+            rem = _reduce_vec(column_to_vec(target), engine.by_pos, engine.basis, ring.p)
+            assert (not rem) == full.contains(target)
 
 
 # -- lifts over a quotient ring ----------------------------------------------------
@@ -864,10 +909,10 @@ def _division_cases(draw):
 @given(_division_cases())
 def test_reduce_vec_takes_the_steps_of_the_reference_loop(case):
     p, basis, leads, reps, targets, one = case
-    packed = [(pos, _pack(e)) for pos, e in leads]
+    by_pos = _lead_lists(leads)
     for vec in targets:
         rep, ref_rep = {(-1, one): 1}, {(-1, one): 1}
-        rem = _reduce_vec(vec, packed, basis, p, rep, reps)
+        rem = _reduce_vec(vec, by_pos, basis, p, rep, reps)
         ref = _reference_reduce_vec(vec, leads, basis, p, ref_rep, reps)
         assert list(rem.items()) == list(ref.items())
         assert list(rep.items()) == list(ref_rep.items())

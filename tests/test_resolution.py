@@ -39,6 +39,14 @@ def test_resolve_residue_field_r1(R1, K1):
     assert phi2.same_span(expected)
 
 
+def test_resolve_residue_field_r5_to_step_4(R5):
+    res = resolve(quotient_module(R5, list(R5.variables)), 4)
+    assert res.betti == (1, 5, 22, 96, 418)
+    assert res.check_complex()
+    assert res.check_homogeneous()
+    assert not any(entry.constant_term() for col in res.matrix(4) for entry in col)
+
+
 def test_exactness_certificate(R1, K1, R5):
     col = [[R5.poly("u"), R5.poly("v"), R5.poly("z^2")]]
     M5 = cokernel_presentation(R5, col, 3, [0, 0, -1])
