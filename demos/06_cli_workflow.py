@@ -33,7 +33,7 @@ print("exact vanishing decision:", envelope["result"])
 envelope = cli.run("verify", problem, {"emax": 3})
 print("laws pass:", envelope["result"]["passed"])
 
-# The cache keeps Groebner bases and resolutions under <digest>/<kind>.dat
+# The cache keeps resolutions under <digest>/<kind>.dat
 # with atomic writes; a second run reports a hit with an identical payload.
 with tempfile.TemporaryDirectory() as cache:
     first = cli.run("resolve", problem, {"steps": 3, "cache_dir": cache})

@@ -47,7 +47,7 @@ from .onedim import (
     syzygy_length_survey,
 )
 from .resolution import resolve
-from .ring import QuotientRing, make_ring
+from .ring import make_ring
 
 CACHE_HEADER = "FBCACHE 1"
 SCHEMA_FILE = os.path.join(os.path.dirname(__file__), "data", "report_schema.json")
@@ -217,26 +217,8 @@ def problem_digest(problem, ring):
     return hashlib.sha256(canonical_problem_text(problem, ring).encode()).hexdigest()
 
 
-def build_ring(problem, cache_dir=None, warnings=None):
-    """Construct the ring, honoring a cached Groebner basis when available."""
-    if cache_dir:
-        plain = make_ring(problem.p, problem.variables, [])
-        key = hashlib.sha256(
-            ("%d|%s|%s" % (problem.p, ",".join(problem.variables), ",".join(problem.ideal_gens))).encode()
-        ).hexdigest()
-        try:
-            entry = cache_get(cache_dir, key, "gb")
-        except CacheCorrupt as exc:
-            if warnings is not None:
-                warnings.append("cache: %s; recomputing" % exc)
-            entry = None
-        if entry is not None:
-            gens = [plain.poly(g) for g in problem.ideal_gens]
-            gb = [plain.poly(g) for g in entry["basis"]]
-            return QuotientRing(problem.p, tuple(problem.variables), gens, gb)
-        ring = make_ring(problem.p, problem.variables, problem.ideal_gens)
-        cache_put(cache_dir, key, "gb", {"basis": [str(g) for g in ring.ideal_groebner]})
-        return ring
+def build_ring(problem):
+    """Construct the ring; its Groebner basis is always computed, never cached."""
     return make_ring(problem.p, problem.variables, problem.ideal_gens)
 
 
@@ -280,7 +262,6 @@ def cache_put(cache_dir, digest, kind, payload):
 
 # The fields every payload of a cache kind must carry, with their types.
 CACHE_FIELDS = {
-    "gb": {"basis": list},
     "resolution": {"steps": int, "ranks": list, "row_degrees": list, "matrices": list},
 }
 
@@ -395,7 +376,7 @@ def run(command, problem, flags=None):
     cache_dir = flags.get("cache_dir") or os.environ.get("FB_CACHE_DIR")
     cache_state = "off" if not cache_dir else "miss"
 
-    ring = build_ring(problem, cache_dir, warnings)
+    ring = build_ring(problem)
     module = build_module(problem, ring)
     digest = problem_digest(problem, ring)
 

@@ -13,10 +13,12 @@ and keep the packed leads in one list per position, ``{pos: [(packed,
 index), ...]}``; division, the chain criterion and minimalisation scan only
 the list of the term's position.
 
-Computations over a quotient ring reduce to the polynomial ring by adjoining
-``g * e_k`` for every Groebner generator g of the defining ideal and every
-ambient position k; these adjoined generators are untracked, so syzygies and
-lifts come out in the original generator coordinates.
+Computations over a quotient ring R = S/I reduce to S by adjoining I * ambient:
+``g * e_k`` for every g in the reduced Groebner basis of I and every ambient
+position k, built from the ring's monic basis vectors (``_ideal_vecs``).
+They are untracked, so syzygies and lifts come out in the original generator
+coordinates, and no pair of two of them is queued: by Buchberger's criterion
+the reduced basis of I already gives their S-vector a standard representation.
 """
 
 import heapq
@@ -91,12 +93,12 @@ class _Engine:
     """Buchberger with normal pair selection and tracked representations.
 
     ``n_tracked`` marks how many of the input generators keep their syzygy
-    coordinates; columns adjoined for quotient-ring arithmetic are untracked
-    and silently projected away from every representation.  Pairs are keyed
-    by true degree, sum(lcm) plus the row degree of their position, so
-    ``run(d)`` leaves a basis that is complete up to degree d.  ``by_pos``
-    lists the leads per position in insertion order, for ``_reduce_vec`` and
-    the chain criterion.
+    coordinates; the elements of I * ambient that ``seed_ideal`` adjoins are
+    untracked, projected away from every representation, and never paired
+    with each other.  Pairs are keyed by true degree, sum(lcm) plus the row
+    degree of their position, so ``run(d)`` leaves a basis that is complete
+    up to degree d.  ``by_pos`` lists the leads per position in insertion
+    order, for ``_reduce_vec`` and the chain criterion.
     """
 
     def __init__(self, ring, row_degrees, n_tracked=0):
@@ -118,32 +120,45 @@ class _Engine:
         self._insert(vec, rep)
 
     def seed_ideal(self, ambient_rank):
-        """Seed I * ambient, untracked."""
-        for col in _quotient_columns(self.ring, ambient_rank):
-            self._insert(column_to_vec(col), {})
+        """Append I * ambient, untracked, pairing each g * e_k only with the
+        elements at position k from before the call.  The S-vector of g * e_k
+        and g' * e_k is S(g, g') * e_k, which has a standard representation in
+        the g * e_k (Buchberger's criterion for the reduced basis of I), so
+        that pair counts as treated, for the chain criterion too."""
+        lead_data = self.ring._gb_lead_data
+        for pos in range(ambient_rank):
+            earlier = list(self.by_pos.get(pos, ()))
+            for vec, (e, packed) in zip(_ideal_vecs(self.ring, pos), lead_data):
+                self._append(vec, (pos, e), packed, {}, True, earlier)
 
     def _insert(self, vec, rep):
-        if len(self.basis) >= MAX_BASIS_SIZE:
-            raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         lead = max(vec, key=_vec_key)
         c = vec[lead]
         if c != 1:
             inv = self.ring.inverse(c)
             vec = {t: (v * inv) % self.p for t, v in vec.items()}
             rep = {t: (v * inv) % self.p for t, v in rep.items()}
-        new = len(self.basis)
         pos = lead[0]
+        single = all(t[0] == pos for t in vec)
+        self._append(vec, lead, _pack(lead[1]), rep, single, self.by_pos.get(pos, ()))
+
+    def _append(self, vec, lead, packed, rep, single_pos, partners):
+        """Add the monic ``vec`` and queue its pairs with ``partners``, a list
+        of ``(packed, index)`` leads at its position."""
+        if len(self.basis) >= MAX_BASIS_SIZE:
+            raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
+        new = len(self.basis)
+        pos, e = lead
         self.basis.append(vec)
         self.leads.append(lead)
         self.reps.append(rep)
-        self.single_pos.append(all(t[0] == pos for t in vec))
-        same_pos = self.by_pos.setdefault(pos, [])
+        self.single_pos.append(single_pos)
         shift = self.row_degrees[pos]
-        for _, i in same_pos:
-            lcm = tuple(max(a, b) for a, b in zip(self.leads[i][1], lead[1]))
+        for _, i in partners:
+            lcm = tuple(max(a, b) for a, b in zip(self.leads[i][1], e))
             heapq.heappush(self.pairs, (sum(lcm) + shift, i, new))
             self.pending.add((i, new))
-        same_pos.append((_pack(lead[1]), new))
+        self.by_pos.setdefault(pos, []).append((packed, new))
 
     def _skip_by_criteria(self, i, j):
         li, lj = self.leads[i], self.leads[j]
@@ -262,7 +277,13 @@ class GroebnerBasis:
         return len(self.vecs)
 
 
-def _normalize_columns(columns, ambient_rank, ring):
+def _normalize_columns(columns, ring, ambient_rank, row_degrees):
+    """(columns over ``ring``, ambient rank, row degrees), with the rank
+    inferred and the row degrees zero when not given; raises unless every
+    column has the ambient rank and is homogeneous."""
+    if ambient_rank is None:
+        ambient_rank = _infer_rank(columns)
+    row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
     cols = []
     for col in columns:
         if isinstance(col, Polynomial):
@@ -270,24 +291,21 @@ def _normalize_columns(columns, ambient_rank, ring):
         if len(col) != ambient_rank:
             raise AmbientMismatch("matrix column has wrong number of rows")
         cols.append([ring.convert(c) for c in col])
-    return cols
+    for col in cols:
+        column_degree(col, row_degrees)
+    return cols, ambient_rank, row_degrees
 
 
-def _quotient_columns(ring, ambient_rank):
-    out = []
-    for pos in range(ambient_rank):
-        for g in ring.ideal_groebner:
-            col = [ring.zero] * ambient_rank
-            col[pos] = g
-            out.append(col)
-    return out
+def _ideal_vecs(ring, pos):
+    """g * e_pos for each g in the reduced basis of I, monic, in basis order."""
+    return [{(pos, m): c for (_, m), c in g.items()} for g in ring._gb_vecs]
 
 
-def _run_engine(columns, ring, ambient_rank, row_degrees, over_quotient, n_tracked=0):
+def _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient, n_tracked=0):
+    """One Buchberger run over the vectors ``vecs`` (plus I * ambient)."""
     engine = _Engine(ring, row_degrees, n_tracked=n_tracked)
     zero_indices = []
-    for index, col in enumerate(columns):
-        vec = column_to_vec(col)
+    for index, vec in enumerate(vecs):
         if vec:
             engine.seed(vec, index)
         elif index < n_tracked:
@@ -305,23 +323,11 @@ def groebner_basis(gens, ring, over_quotient=True, ambient_rank=None, row_degree
     position, so normal forms answer membership in the span as a submodule
     over R = S/I.
     """
-    if ambient_rank is None:
-        ambient_rank = _infer_rank(gens)
-    cols = _normalize_columns(gens, ambient_rank, ring)
-    row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
-    for col in cols:
-        column_degree(col, row_degrees)
-    engine, _ = _run_engine(cols, ring, ambient_rank, row_degrees, over_quotient)
+    cols, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
+    vecs = [column_to_vec(c) for c in cols]
+    engine, _ = _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient)
     vecs, leads, _ = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads)
-
-
-def _tracked_groebner(columns, ring, ambient_rank, row_degrees, over_quotient=True):
-    engine, _ = _run_engine(
-        columns, ring, ambient_rank, row_degrees, over_quotient, n_tracked=len(columns)
-    )
-    vecs, leads, reps = engine.reduced()
-    return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads, reps)
 
 
 def _infer_rank(gens):
@@ -334,7 +340,8 @@ def _infer_rank(gens):
 
 def reduced_ideal_groebner(gens, ring):
     """Reduced Groebner basis of an ideal of the underlying polynomial ring."""
-    engine, _ = _run_engine([[g] for g in gens], ring, 1, (0,), over_quotient=False)
+    vecs = [column_to_vec([g]) for g in gens]
+    engine, _ = _run_engine(vecs, ring, 1, (0,), over_quotient=False)
     vecs, leads, _ = engine.reduced()
     return [vec_to_column(v, 1, ring)[0] for v in vecs]
 
@@ -346,19 +353,18 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     before the Schreyer pass and projected away afterwards, so the result
     satisfies ``matrix * result == 0`` modulo the ideal, exactly.
     """
-    if ambient_rank is None:
-        ambient_rank = _infer_rank(columns)
-    cols = _normalize_columns(columns, ambient_rank, ring)
-    row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
-    for col in cols:
-        column_degree(col, row_degrees)
-    n = len(cols)
+    cols, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
+    vecs = [column_to_vec(c) for c in cols]
+    syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees, over_quotient)
+    return [vec_to_column(v, len(cols), ring) for v in syz]
+
+
+def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
+    """Syzygies of the vectors ``gens``, as vectors keyed by (index, exponents)."""
+    n = len(gens)
     if n == 0:
         return []
-
-    engine, zero_indices = _run_engine(
-        cols, ring, ambient_rank, row_degrees, over_quotient, n_tracked=n
-    )
+    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, over_quotient, n)
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
     p = ring.p
@@ -367,10 +373,11 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     syz_vecs = [{(idx, one): 1} for idx in zero_indices]
 
     # Columns of (Id - T U): each original generator minus its expression in
-    # the reduced basis.  Untracked (ideal) columns contribute relations too.
-    all_cols = cols + (_quotient_columns(ring, ambient_rank) if over_quotient else [])
-    for idx, col in enumerate(all_cols):
-        vec = column_to_vec(col)
+    # the reduced basis.  Untracked (ideal) generators contribute relations too.
+    ideal = []
+    if over_quotient:
+        ideal = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
+    for idx, vec in enumerate(gens + ideal):
         if not vec:
             continue
         rep = {(idx, one): 1} if idx < n else {}
@@ -390,9 +397,7 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
                 raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
             if rep:
                 syz_vecs.append(rep)
-
-    columns_out = [vec_to_column(v, n, ring) for v in _dedupe_vecs(syz_vecs)]
-    return columns_out
+    return _dedupe_vecs(syz_vecs)
 
 
 def _dedupe_vecs(vecs):
@@ -404,6 +409,46 @@ def _dedupe_vecs(vecs):
             seen.add(key)
             out.append(v)
     return out
+
+
+def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
+    """Indices of a minimal generating set of the R-span of the homogeneous
+    vectors ``vecs``, lowest degree first.
+
+    Candidates are visited greedily, lowest degree first and, within a
+    degree, larger leading term first; a candidate is kept unless it lies in
+    the R-span of the kept vectors plus I * ambient.  One engine, seeded with
+    I * ambient, holds a basis of that span: before the first candidate of
+    degree d it processes only the pairs of degree <= d, so its basis is a
+    Groebner basis up to degree d, and no basis is rebuilt.  A candidate is
+    kept iff its normal form against that basis is nonzero, and the normal
+    form is then inserted.  It is fully reduced, so its pairs have degree >
+    d; by graded Nakayama, with R_0 = F_p, the engine then spans (kept of
+    degree < d) * R + I * ambient plus the F_p-span of the degree-d vectors
+    kept so far, which is the span in degree d.
+    """
+    ranked = []
+    for index, vec in enumerate(vecs):
+        if vec:
+            lead = max(vec, key=_vec_key)
+            ranked.append((sum(lead[1]) + row_degrees[lead[0]], _vec_key(lead), index))
+    # Lowest degree first; within a degree, larger leading term first, so
+    # the irrelevant ideal of F_p[x,y] presents as [x y].
+    ranked.sort(key=lambda t: t[1], reverse=True)
+    ranked.sort(key=lambda t: t[0])
+    engine = _Engine(ring, row_degrees)
+    engine.seed_ideal(ambient_rank)
+    kept = []
+    degree = None
+    for deg, _, index in ranked:
+        if deg != degree:
+            degree = deg
+            engine.run(deg)
+        rem = _reduce_vec(vecs[index], engine.by_pos, engine.basis, ring.p)
+        if rem:
+            engine._insert(rem, {})
+            kept.append(index)
+    return kept
 
 
 class SubmodulePresentation:
@@ -427,14 +472,10 @@ class SubmodulePresentation:
     )
 
     def __init__(self, ring, columns, ambient_rank=None, row_degrees=None, mode="submodule"):
-        if ambient_rank is None:
-            ambient_rank = _infer_rank(columns)
         self.ring = ring
-        self.ambient_rank = ambient_rank
-        self.row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
-        self.columns = _normalize_columns(columns, ambient_rank, ring)
-        for col in self.columns:
-            column_degree(col, self.row_degrees)
+        self.columns, self.ambient_rank, self.row_degrees = _normalize_columns(
+            columns, ring, ambient_rank, row_degrees
+        )
         if mode not in ("submodule", "cokernel"):
             raise ValueError("mode must be 'submodule' or 'cokernel'")
         self.mode = mode
@@ -458,9 +499,10 @@ class SubmodulePresentation:
 
     def _tracked_gb(self):
         if self._tracked is None:
-            self._tracked = _tracked_groebner(
-                self.columns, self.ring, self.ambient_rank, self.row_degrees
-            )
+            vecs = [column_to_vec(col) for col in self.columns]
+            args = (self.ring, self.ambient_rank, self.row_degrees)
+            engine, _ = _run_engine(vecs, *args, over_quotient=True, n_tracked=len(vecs))
+            self._tracked = GroebnerBasis(*args, *engine.reduced())
         return self._tracked
 
     def contains(self, column):
@@ -495,47 +537,13 @@ class SubmodulePresentation:
     # -- generators ---------------------------------------------------------------
 
     def minimal_generators(self):
-        """A minimal generating set of the span, lowest degree first.
-
-        Candidates are visited greedily, lowest degree first and, within a
-        degree, larger leading term first; a candidate is kept unless it lies
-        in the R-span of the kept columns plus I * ambient.  One engine,
-        seeded with I * ambient, holds a basis of that span: before the first
-        candidate of degree d it processes only the pairs of degree <= d, so
-        its basis is a Groebner basis up to degree d, and no basis is rebuilt.
-        A candidate is kept iff its normal form against that basis is nonzero,
-        and the normal form is then inserted.  It is fully reduced, so its
-        pairs have degree > d; by graded Nakayama, with R_0 = F_p, the engine
-        then spans (kept of degree < d) * R + I * ambient plus the F_p-span of
-        the degree-d columns kept so far, which is the span in degree d.
-        """
-        if self._mingens is not None:
-            return self._mingens
-        ranked = []
-        for col in self.columns:
-            vec = column_to_vec(col)
-            if not vec:
-                continue
-            deg = column_degree(col, self.row_degrees)
-            ranked.append((deg, _vec_key(max(vec, key=_vec_key)), col, vec))
-        # Lowest degree first; within a degree, larger leading term first, so
-        # the irrelevant ideal of F_p[x,y] presents as [x y].
-        ranked.sort(key=lambda t: t[1], reverse=True)
-        ranked.sort(key=lambda t: t[0])
-        engine = _Engine(self.ring, self.row_degrees)
-        engine.seed_ideal(self.ambient_rank)
-        kept = []
-        degree = None
-        for deg, _, col, vec in ranked:
-            if deg != degree:
-                degree = deg
-                engine.run(deg)
-            rem = _reduce_vec(vec, engine.by_pos, engine.basis, self.ring.p)
-            if rem:
-                engine._insert(rem, {})
-                kept.append(col)
-        self._mingens = kept
-        return kept
+        """A minimal generating set of the span, lowest degree first (see
+        ``_minimal_generator_indices``)."""
+        if self._mingens is None:
+            vecs = [column_to_vec(col) for col in self.columns]
+            kept = _minimal_generator_indices(vecs, self.ring, self.ambient_rank, self.row_degrees)
+            self._mingens = [self.columns[i] for i in kept]
+        return self._mingens
 
     # -- syzygies -------------------------------------------------------------------
 

@@ -11,8 +11,11 @@ from .errors import NotHomogeneous
 from .groebner import (
     INFINITE,
     SubmodulePresentation,
+    _minimal_generator_indices,
+    _syzygy_vecs,
     column_degree,
-    syzygy_generators,
+    column_to_vec,
+    vec_to_column,
 )
 
 
@@ -216,6 +219,8 @@ def resolve(module, steps):
     each later map is a minimal generating set of the syzygies of the one
     before.  The ranks, twists and maps are kept on the module and extended
     on later calls; past a zero rank the resolution is padded with zeros.
+    Each kernel step stays in vector form; only the kept columns become
+    ``Polynomial`` columns.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -229,14 +234,14 @@ def resolve(module, steps):
         degs = [column_degree(c, rowdegs) for c in cols]
         module._resolution = ([rank, len(cols)], [rowdegs, degs], [cols])
     ranks, row_degrees, maps = module._resolution
+    vecs = [column_to_vec(col) for col in maps[-1]]
     while len(maps) < steps and ranks[-1]:
-        ker = syzygy_generators(
-            maps[-1], ring, ambient_rank=ranks[-2], row_degrees=row_degrees[-2], over_quotient=True
-        )
-        cols = SubmodulePresentation(ring, ker, ranks[-1], row_degrees[-1]).minimal_generators()
+        ker = _syzygy_vecs(vecs, ring, ranks[-2], row_degrees[-2])
+        vecs = [ker[i] for i in _minimal_generator_indices(ker, ring, ranks[-1], row_degrees[-1])]
+        cols = [vec_to_column(v, ranks[-1], ring) for v in vecs]
+        row_degrees.append([column_degree(c, row_degrees[-1]) for c in cols])
         maps.append(cols)
         ranks.append(len(cols))
-        row_degrees.append([column_degree(c, row_degrees[-1]) for c in cols])
     pad = steps + 1 - len(ranks)
     return MinimalResolution(
         ring,

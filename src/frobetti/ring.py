@@ -384,9 +384,11 @@ class QuotientRing:
 
     ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
     ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
-    their leads listed per position (``_lead_lists``).  ``dim`` is the Krull
-    dimension, read off the Hilbert numerator of the leading-term ideal on
-    first use, so it always matches the basis given.  An empty ideal gives the polynomial ring itself.
+    their leads listed per position (``_lead_lists``); ``_gb_lead_data`` holds
+    each lead's exponents and packed form, for seeding I * ambient.  ``dim`` is
+    the Krull dimension, read off the Hilbert numerator of the leading-term
+    ideal on first use, so it always matches the basis given.  An empty ideal
+    gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -398,6 +400,7 @@ class QuotientRing:
         "_zero_exps",
         "_gb_vecs",
         "_gb_leads",
+        "_gb_lead_data",
         "_std_cache",
         "_inv_cache",
         "_memo",
@@ -414,12 +417,14 @@ class QuotientRing:
         self.ideal_groebner = tuple(self.convert(g) for g in ideal_groebner)
         self._std_cache = {}
         self._inv_cache = {}
-        # _reduce_vec needs monic vectors; a basis read from a cache may not be.
+        # _reduce_vec needs monic vectors; a basis given to the constructor may not be.
         self._gb_vecs = []
         for g in self.ideal_groebner:
             inv = self.inverse(g.leading()[1])
             self._gb_vecs.append({(0, m): (c * inv) % p for m, c in g.terms.items()})
-        self._gb_leads = _lead_lists([(0, g.leading()[0]) for g in self.ideal_groebner])
+        leads = [g.leading()[0] for g in self.ideal_groebner]
+        self._gb_lead_data = tuple((e, _pack(e)) for e in leads)
+        self._gb_leads = _lead_lists([(0, e) for e in leads])
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
@@ -427,7 +432,7 @@ class QuotientRing:
     def numerator(self):
         """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
         if "numerator" not in self._memo:
-            leads = [g.leading()[0] for g in self.ideal_groebner]
+            leads = [e for e, _ in self._gb_lead_data]
             self._memo["numerator"] = hilbert_numerator(leads, self.n)
         return self._memo["numerator"]
 
@@ -508,7 +513,7 @@ class QuotientRing:
         got = self._std_cache.get(degree)
         if got is not None:
             return got
-        leads = [g.leading()[0] for g in self.ideal_groebner]
+        leads = [e for e, _ in self._gb_lead_data]
         out = []
         for m in monomials_of_degree(self.n, degree):
             if not any(monomial_divides(l, m) for l in leads):

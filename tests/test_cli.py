@@ -1,4 +1,5 @@
 import glob
+import hashlib
 import json
 import os
 
@@ -140,29 +141,17 @@ def _rewrite_entry(cache, kind, edit):
         handle.write(header + "\n" + json.dumps(edit(json.loads(body))) + "\n")
 
 
-def test_cached_basis_decides_dimension(tmp_path):
-    # The dimension is recomputed from the cached basis, so a stale or edited
-    # dimension in the entry cannot change the estimate's normalisation.
-    prob = _problem()
-    cache = str(tmp_path / "cache")
-    uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
-    cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    _rewrite_entry(cache, "gb", lambda payload: dict(payload, dim=0))
-    edited = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    assert cli.result_bytes(edited) == uncached
-    assert edited["result"]["d"] == 1 and edited["result"]["estimate_exact"] == "1"
-    assert not edited["warnings"]
-
-
-def test_gb_entry_without_basis_warns_and_recomputes(tmp_path):
-    prob = _problem()
-    cache = str(tmp_path / "cache")
-    uncached = cli.result_bytes(cli.run("hk", prob, {"emax": 2}))
-    cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    _rewrite_entry(cache, "gb", lambda payload: {})
-    again = cli.run("hk", prob, {"emax": 2, "cache_dir": cache})
-    assert cli.result_bytes(again) == uncached
-    assert any("cache" in w and "basis" in w for w in again["warnings"])
+def test_tampered_gb_entry_changes_nothing(tmp_path):
+    # Ring bases are never cached, so a gb.dat under the digest an older
+    # version keyed them by, here with a wrong basis, is never read.
+    cache = tmp_path / "cache"
+    key = hashlib.sha256(b"5|x,y|x^2,x*y").hexdigest()
+    (cache / key).mkdir(parents=True)
+    body = json.dumps({"basis": ["y^3", "x^2"]})
+    (cache / key / "gb.dat").write_text(cli.CACHE_HEADER + "\n" + body + "\n")
+    env = cli.run("hk", _problem(), {"emax": 2, "cache_dir": str(cache)})
+    assert [level[2] for level in env["result"]["levels"]] == [6, 26]
+    assert not env["warnings"]
 
 
 @pytest.mark.parametrize(

@@ -194,6 +194,11 @@ def test_resource_bound(monkeypatch, R1):
     monkeypatch.setattr(gr, "MAX_BASIS_SIZE", 2)
     with pytest.raises(gr.ResourceBound):
         gr.SubmodulePresentation(R1, [[R1.poly("x")], [R1.poly("y")]], 1).minimal_generators()
+    # I * F of R1 in rank two has four elements, past the bound on its own;
+    # the column x * e_0 adds no S-vector that survives reduction.
+    monkeypatch.setattr(gr, "MAX_BASIS_SIZE", 3)
+    with pytest.raises(gr.ResourceBound):
+        gr.syzygy_generators([[R1.poly("x"), R1.zero]], R1)
 
 
 def test_normal_form_ambient_mismatch(R1):
@@ -672,6 +677,45 @@ def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
             assert (not rem) == full.contains(target)
 
 
+def _ideal_columns(ring, rank):
+    """I * ambient as explicit columns: g * e_k for each g and position k."""
+    return [
+        [g if k == pos else ring.zero for k in range(rank)]
+        for pos in range(rank)
+        for g in ring.ideal_groebner
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(_column_sets(twists=(-1, 2)))
+def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
+    """``seed_ideal`` leaves no queued or pending pair of two elements of
+    I * ambient, and the engine still ends with the reduced basis of a run
+    over the columns plus I * ambient as plain columns, which queues every
+    pair."""
+    ring, columns, rank, degrees = case
+    engine = groebner._Engine(ring, degrees)
+    for index, col in enumerate(columns):
+        if column_to_vec(col):
+            engine.seed(column_to_vec(col), index)
+    first = len(engine.basis)
+    engine.seed_ideal(rank)
+    ideal_elements = range(first, len(engine.basis))
+    assert len(ideal_elements) == rank * len(ring.ideal_groebner)
+    queued = {(i, j) for _, i, j in engine.pairs} | engine.pending
+    assert not any(i in ideal_elements and j in ideal_elements for i, j in queued)
+    engine.run()
+    vecs, leads, _ = engine.reduced()
+    explicit = groebner_basis(
+        columns + _ideal_columns(ring, rank),
+        ring,
+        over_quotient=False,
+        ambient_rank=rank,
+        row_degrees=degrees,
+    )
+    assert (leads, vecs) == (explicit.leads, explicit.vecs)
+
+
 # -- lifts over a quotient ring ----------------------------------------------------
 
 
@@ -885,12 +929,7 @@ def _division_cases(draw):
             form = random_form(draw, ring, draw(st.integers(q, 2 * q + 1)), 4)
             targets.append({(0, m): c for m, c in form.terms.items()})
     else:
-        ideal_columns = [
-            [g if k == pos else ring.zero for k in range(rank)]
-            for pos in range(rank)
-            for g in ring.ideal_groebner
-        ]
-        vecs = [column_to_vec(col) for col in columns + ideal_columns]
+        vecs = [column_to_vec(col) for col in columns + _ideal_columns(ring, rank)]
         vecs = draw(st.permutations([v for v in vecs if v]))
         cut = draw(st.integers(1, len(vecs)))
         divisors, targets = vecs[:cut], vecs[cut:] or vecs[:1]

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from frobetti import (
@@ -6,6 +8,7 @@ from frobetti import (
     SubmodulePresentation,
     cokernel_presentation,
     homology_length,
+    make_ring,
     minimize,
     quotient_module,
     resolve,
@@ -13,6 +16,21 @@ from frobetti import (
     syzygy_generators,
     twist_complex,
 )
+
+from conftest import R5_QUADRICS, residue_field
+
+# The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
+QUADRIC_FAMILIES = {
+    "ci": ["x^2", "y^2", "z^2", "w^2"],
+    "cycle": ["x*y", "y*z", "z*w", "w*x"],
+    "tcubic": ["x*z - y^2", "y*w - z^2", "x*w - y*z"],
+    "four": ["x^2 + y*z", "y^2 + z*w", "z^2 + w*x", "w^2 + x*y"],
+    "path": ["x^2", "x*y", "y*z", "z*w", "w^2"],
+    "bin5": ["x*y - z*w", "x^2", "y^2", "z^2", "w^2"],
+    "mix": ["x^2 - y*w", "x*y", "z^2 - x*w", "y*z"],
+    "six": ["x*y", "x*z", "x*w", "y*z", "y*w", "z*w"],
+    "three": ["x*y", "z*w", "x*z - y*w"],
+}
 
 
 def test_resolve_koszul(R2, K2):
@@ -178,3 +196,16 @@ def test_resolve_rejects_bad_input(R1, K1):
     sub = SubmodulePresentation(R1, [[R1.poly("x")]], 1)
     with pytest.raises(ValueError):
         resolve(sub, 2)
+
+
+def test_resolutions_match_pinned_digest():
+    # One sha256 over the Betti numbers, twists and matrix strings of R5's
+    # residue field over F_5 to step 4 and of the quadric families' residue
+    # fields over F_101 to step 3.  Any change to which syzygies the engine
+    # produces, or which of them are kept, moves it.
+    cases = [(make_ring(5, list("xyzuv"), R5_QUADRICS), 4)]
+    cases += [(make_ring(101, list("xyzw"), gens), 3) for gens in QUADRIC_FAMILIES.values()]
+    digest = hashlib.sha256()
+    for ring, steps in cases:
+        digest.update(repr(_resolution_data(resolve(residue_field(ring), steps))).encode())
+    assert digest.hexdigest() == "3aedf71ec40c3ed164758fd193d608a3d555e16469e065104f326eeaf5b68a06"
