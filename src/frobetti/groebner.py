@@ -1,15 +1,17 @@
 """Buchberger engine for submodules of graded free modules over F_p[x]/I.
 
 Every module element inside the engine has one form: a dictionary keyed by
-``(position, exponents)`` in the position-over-term order (lower position
-wins, ties broken by degrevlex).  A tracked representation, which expresses
-a basis element in the input generators, is a vector of the same form keyed
-by ``(generator index, exponents)``, so one multiply-subtract (``_axpy``) and
-one division loop (``_reduce_vec``, from :mod:`frobetti.ring`) serve basis
-elements, representations and the quotient ring's normal forms alike.
-Columns of ``Polynomial`` appear only at the API boundary.  The engine and
-``GroebnerBasis`` pack each lead into one int (``ring._pack``) when it is made
-and keep the packed leads in one list per position, ``{pos: [(packed,
+one int per term, laid out by the ring's ``TermLayout`` (:mod:`frobetti.ring`)
+so that integer order is the position-over-term order (lower position wins,
+ties broken by degrevlex).  A lead is ``max(vec)``, multiplying by x^s is one
+int add, and the shift of a division step or an S-pair is a difference of
+terms.  A tracked representation, which expresses a basis element in the
+input generators, is a vector of the same form whose positions are generator
+indices, so one multiply-subtract (``_axpy``) and one division loop
+(``_reduce_vec``) serve basis elements, representations and the quotient
+ring's normal forms alike.  Columns of ``Polynomial`` appear only at the API
+boundary (``column_to_vec``, ``vec_to_column``).  The engine and
+``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division, the chain criterion and minimalisation scan only
 the list of the term's position.
 
@@ -35,9 +37,7 @@ from .ring import (
     _axpy,
     _lead_lists,
     _order_at_one,
-    _pack,
     _reduce_vec,
-    _vec_key,
     hilbert_numerator,
     numerator_dimension,
 )
@@ -47,17 +47,16 @@ INFINITE = float("inf")
 MAX_BASIS_SIZE = 20000
 
 
-def column_to_vec(col):
-    vec = {}
-    for pos, poly in enumerate(col):
-        for m, c in poly.terms.items():
-            vec[(pos, m)] = c
-    return vec
+def column_to_vec(col, ring):
+    encode = ring._layout.encode
+    return {encode(pos, m): c for pos, poly in enumerate(col) for m, c in poly.terms.items()}
 
 
 def vec_to_column(vec, rank, ring):
     comps = [{} for _ in range(rank)]
-    for (pos, m), c in vec.items():
+    decode = ring._layout.decode
+    for t, c in vec.items():
+        pos, m = decode(t)
         comps[pos][m] = c
     return [Polynomial(ring, t) for t in comps]
 
@@ -75,17 +74,17 @@ def column_degree(col, row_degrees):
     return degs.pop()
 
 
-def _spair(leads, vecs, i, j, p):
+def _spair(leads, vecs, i, j, ring):
     """x^si * vecs[i] - x^sj * vecs[j], with x^si * lead_i = x^sj * lead_j.
 
     Applied to basis vectors this is the S-vector of the pair; applied to
     their tracked representations it is the S-vector's representation.
     """
-    li, lj = leads[i][1], leads[j][1]
-    lcm = tuple(max(a, b) for a, b in zip(li, lj))
+    li, lj = leads[i], leads[j]
+    lcm = ring._layout.lcm(li, lj)
     out = {}
-    _axpy(out, vecs[i], -1, tuple(a - b for a, b in zip(lcm, li)), p)
-    _axpy(out, vecs[j], 1, tuple(a - b for a, b in zip(lcm, lj)), p)
+    _axpy(out, vecs[i], -1, lcm - li, ring)
+    _axpy(out, vecs[j], 1, lcm - lj, ring)
     return out
 
 
@@ -103,10 +102,9 @@ class _Engine:
 
     def __init__(self, ring, row_degrees, n_tracked=0):
         self.ring = ring
-        self.p = ring.p
+        self.layout = ring._layout
         self.row_degrees = row_degrees
         self.n_tracked = n_tracked
-        self.guard = _pack((1,) * ring.n) << 63
         self.basis = []
         self.leads = []
         self.by_pos = {}
@@ -116,7 +114,7 @@ class _Engine:
         self.pending = set()
 
     def seed(self, vec, index):
-        rep = {(index, self.ring._zero_exps): 1} if index < self.n_tracked else {}
+        rep = {self.layout.unit(index): 1} if index < self.n_tracked else {}
         self._insert(vec, rep)
 
     def seed_ideal(self, ambient_rank):
@@ -125,56 +123,60 @@ class _Engine:
         and g' * e_k is S(g, g') * e_k, which has a standard representation in
         the g * e_k (Buchberger's criterion for the reduced basis of I), so
         that pair counts as treated, for the chain criterion too."""
-        lead_data = self.ring._gb_lead_data
+        top = self.layout.top
+        leads = self.ring._gb_lead_terms
         for pos in range(ambient_rank):
             earlier = list(self.by_pos.get(pos, ()))
-            for vec, (e, packed) in zip(_ideal_vecs(self.ring, pos), lead_data):
-                self._append(vec, (pos, e), packed, {}, True, earlier)
+            for vec, lead in zip(_ideal_vecs(self.ring, pos), leads):
+                self._append(vec, lead - (pos << top), {}, True, earlier)
 
     def _insert(self, vec, rep):
-        lead = max(vec, key=_vec_key)
+        lead = max(vec)
+        layout = self.layout
+        if lead & layout.guard:
+            raise layout.overflow(lead)
         c = vec[lead]
         if c != 1:
+            p = self.ring.p
             inv = self.ring.inverse(c)
-            vec = {t: (v * inv) % self.p for t, v in vec.items()}
-            rep = {t: (v * inv) % self.p for t, v in rep.items()}
-        pos = lead[0]
-        single = all(t[0] == pos for t in vec)
-        self._append(vec, lead, _pack(lead[1]), rep, single, self.by_pos.get(pos, ()))
+            vec = {t: (v * inv) % p for t, v in vec.items()}
+            rep = {t: (v * inv) % p for t, v in rep.items()}
+        top = layout.top
+        single = min(vec) >> top == lead >> top
+        self._append(vec, lead, rep, single, self.by_pos.get(-(lead >> top), ()))
 
-    def _append(self, vec, lead, packed, rep, single_pos, partners):
+    def _append(self, vec, lead, rep, single_pos, partners):
         """Add the monic ``vec`` and queue its pairs with ``partners``, a list
-        of ``(packed, index)`` leads at its position."""
+        of ``(lead, index)`` at its position."""
         if len(self.basis) >= MAX_BASIS_SIZE:
             raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         new = len(self.basis)
-        pos, e = lead
+        pos = -(lead >> self.layout.top)
         self.basis.append(vec)
         self.leads.append(lead)
         self.reps.append(rep)
         self.single_pos.append(single_pos)
         shift = self.row_degrees[pos]
-        for _, i in partners:
-            lcm = tuple(max(a, b) for a, b in zip(self.leads[i][1], e))
-            heapq.heappush(self.pairs, (sum(lcm) + shift, i, new))
+        lcm, degree = self.layout.lcm, self.layout.degree
+        for a, i in partners:
+            heapq.heappush(self.pairs, (degree(lcm(a, lead)) + shift, i, new))
             self.pending.add((i, new))
-        self.by_pos.setdefault(pos, []).append((packed, new))
+        self.by_pos.setdefault(pos, []).append((lead, new))
 
     def _skip_by_criteria(self, i, j):
         li, lj = self.leads[i], self.leads[j]
-        lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+        layout = self.layout
+        lcm = layout.lcm(li, lj)
         # Product criterion is only valid when both elements live entirely in
-        # the shared lead position.
-        if (
-            self.single_pos[i]
-            and self.single_pos[j]
-            and lcm == tuple(a + b for a, b in zip(li[1], lj[1]))
-        ):
+        # the shared lead position.  The lcm has the degree of li * lj iff it
+        # is li * lj.
+        degree = layout.degree
+        if self.single_pos[i] and self.single_pos[j] and degree(lcm) == degree(li) + degree(lj):
             return True
         pending = self.pending
-        guard = self.guard
-        m = _pack(lcm) | guard
-        for ak, k in self.by_pos[li[0]]:
+        guard = layout.guard
+        m = lcm | guard
+        for ak, k in self.by_pos[-(li >> layout.top)]:
             if (m - ak) & guard == guard and k != i and k != j:
                 a = (i, k) if i < k else (k, i)
                 b = (j, k) if j < k else (k, j)
@@ -185,33 +187,33 @@ class _Engine:
     def run(self, degree=INFINITE):
         """Process the pairs of true degree at most ``degree``."""
         track = self.n_tracked > 0
-        p = self.p
+        ring = self.ring
         pairs = self.pairs
         while pairs and pairs[0][0] <= degree:
             _, i, j = heapq.heappop(pairs)
             self.pending.discard((i, j))
             if self._skip_by_criteria(i, j):
                 continue
-            vec = _spair(self.leads, self.basis, i, j, p)
+            vec = _spair(self.leads, self.basis, i, j, ring)
             if not vec:
                 continue
-            rep = _spair(self.leads, self.reps, i, j, p) if track else None
-            rem = _reduce_vec(vec, self.by_pos, self.basis, p, rep, self.reps)
+            rep = _spair(self.leads, self.reps, i, j, ring) if track else None
+            rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
             if rem:
                 self._insert(rem, rep or {})
 
     def reduced(self):
         """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
-        order = sorted(range(len(self.basis)), key=lambda i: _vec_key(self.leads[i]))
-        guard = self.guard
+        order = sorted(range(len(self.basis)), key=self.leads.__getitem__)
+        guard, top = self.layout.guard, self.layout.top
         kept, by_pos = [], {}
         for i in order:
-            pos, e = self.leads[i]
-            b = _pack(e)
-            same_pos = by_pos.setdefault(pos, [])
-            if any(((b | guard) - a) & guard == guard for a, _ in same_pos):
+            lead = self.leads[i]
+            b = lead | guard
+            same_pos = by_pos.setdefault(-(lead >> top), [])
+            if any((b - a) & guard == guard for a, _ in same_pos):
                 continue
-            same_pos.append((b, len(kept)))
+            same_pos.append((lead, len(kept)))
             kept.append(i)
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
@@ -222,7 +224,7 @@ class _Engine:
         for a, lead in enumerate(leads):
             tail = dict(vecs[a])
             c = tail.pop(lead)
-            rest = _reduce_vec(tail, by_pos, vecs, self.p, reps[a] if track else None, reps)
+            rest = _reduce_vec(tail, by_pos, vecs, self.ring, reps[a] if track else None, reps)
             vecs[a] = {lead: c, **rest}
         return vecs, leads, reps
 
@@ -243,7 +245,7 @@ class GroebnerBasis:
         self.row_degrees = tuple(row_degrees)
         self.vecs = vecs
         self.leads = leads
-        self.by_pos = _lead_lists(leads)
+        self.by_pos = _lead_lists(leads, ring)
         self.reps = reps
 
     @property
@@ -253,24 +255,24 @@ class GroebnerBasis:
     def normal_form_vec(self, vec, rep=None):
         """Normal form of ``vec``; a given ``rep`` receives every division
         step applied to the tracked representations (see ``_reduce_vec``)."""
-        return _reduce_vec(vec, self.by_pos, self.vecs, self.ring.p, rep, self.reps)
+        return _reduce_vec(vec, self.by_pos, self.vecs, self.ring, rep, self.reps)
 
     def normal_form(self, column):
         if len(column) != self.ambient_rank:
             raise AmbientMismatch(
                 "column has %d components, ambient rank is %d" % (len(column), self.ambient_rank)
             )
-        return vec_to_column(self.normal_form_vec(column_to_vec(column)), self.ambient_rank, self.ring)
+        vec = column_to_vec(column, self.ring)
+        return vec_to_column(self.normal_form_vec(vec), self.ambient_rank, self.ring)
 
     def contains(self, column):
-        return not self.normal_form_vec(column_to_vec(column))
+        return not self.normal_form_vec(column_to_vec(column, self.ring))
 
     def same_basis(self, other):
         return (
             self.ambient_rank == other.ambient_rank
-            and sorted(self.leads, key=_vec_key) == sorted(other.leads, key=_vec_key)
-            and sorted(self.vecs, key=lambda v: _vec_key(max(v, key=_vec_key)))
-            == sorted(other.vecs, key=lambda v: _vec_key(max(v, key=_vec_key)))
+            and sorted(self.leads) == sorted(other.leads)
+            and sorted(self.vecs, key=max) == sorted(other.vecs, key=max)
         )
 
     def __len__(self):
@@ -298,7 +300,8 @@ def _normalize_columns(columns, ring, ambient_rank, row_degrees):
 
 def _ideal_vecs(ring, pos):
     """g * e_pos for each g in the reduced basis of I, monic, in basis order."""
-    return [{(pos, m): c for (_, m), c in g.items()} for g in ring._gb_vecs]
+    shift = pos << ring._layout.top
+    return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
 
 
 def _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient, n_tracked=0):
@@ -324,7 +327,7 @@ def groebner_basis(gens, ring, over_quotient=True, ambient_rank=None, row_degree
     over R = S/I.
     """
     cols, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
-    vecs = [column_to_vec(c) for c in cols]
+    vecs = [column_to_vec(c, ring) for c in cols]
     engine, _ = _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient)
     vecs, leads, _ = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads)
@@ -340,7 +343,7 @@ def _infer_rank(gens):
 
 def reduced_ideal_groebner(gens, ring):
     """Reduced Groebner basis of an ideal of the underlying polynomial ring."""
-    vecs = [column_to_vec([g]) for g in gens]
+    vecs = [column_to_vec([g], ring) for g in gens]
     engine, _ = _run_engine(vecs, ring, 1, (0,), over_quotient=False)
     vecs, leads, _ = engine.reduced()
     return [vec_to_column(v, 1, ring)[0] for v in vecs]
@@ -354,23 +357,22 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     satisfies ``matrix * result == 0`` modulo the ideal, exactly.
     """
     cols, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
-    vecs = [column_to_vec(c) for c in cols]
+    vecs = [column_to_vec(c, ring) for c in cols]
     syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees, over_quotient)
     return [vec_to_column(v, len(cols), ring) for v in syz]
 
 
 def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
-    """Syzygies of the vectors ``gens``, as vectors keyed by (index, exponents)."""
+    """Syzygies of the vectors ``gens``, as vectors whose positions are generator indices."""
     n = len(gens)
     if n == 0:
         return []
     engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, over_quotient, n)
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
-    p = ring.p
-    one = ring._zero_exps
+    unit, top = ring._layout.unit, ring._layout.top
     # Zero input columns are syzygies outright.
-    syz_vecs = [{(idx, one): 1} for idx in zero_indices]
+    syz_vecs = [{unit(idx): 1} for idx in zero_indices]
 
     # Columns of (Id - T U): each original generator minus its expression in
     # the reduced basis.  Untracked (ideal) generators contribute relations too.
@@ -380,7 +382,7 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
     for idx, vec in enumerate(gens + ideal):
         if not vec:
             continue
-        rep = {(idx, one): 1} if idx < n else {}
+        rep = {unit(idx): 1} if idx < n else {}
         if gb.normal_form_vec(vec, rep):
             raise AssertionError("span generator failed to reduce to zero against its own basis")
         if rep:
@@ -390,10 +392,10 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
     # syzygy; no pair criteria here, completeness needs them all.
     for i in range(len(vecs)):
         for j in range(i + 1, len(vecs)):
-            if leads[i][0] != leads[j][0]:
+            if leads[i] >> top != leads[j] >> top:
                 continue
-            rep = _spair(leads, reps, i, j, p)
-            if gb.normal_form_vec(_spair(leads, vecs, i, j, p), rep):
+            rep = _spair(leads, reps, i, j, ring)
+            if gb.normal_form_vec(_spair(leads, vecs, i, j, ring), rep):
                 raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
             if rep:
                 syz_vecs.append(rep)
@@ -427,11 +429,12 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
     degree < d) * R + I * ambient plus the F_p-span of the degree-d vectors
     kept so far, which is the span in degree d.
     """
+    layout = ring._layout
     ranked = []
     for index, vec in enumerate(vecs):
         if vec:
-            lead = max(vec, key=_vec_key)
-            ranked.append((sum(lead[1]) + row_degrees[lead[0]], _vec_key(lead), index))
+            lead = max(vec)
+            ranked.append((layout.degree(lead) + row_degrees[-(lead >> layout.top)], lead, index))
     # Lowest degree first; within a degree, larger leading term first, so
     # the irrelevant ideal of F_p[x,y] presents as [x y].
     ranked.sort(key=lambda t: t[1], reverse=True)
@@ -444,7 +447,7 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
         if deg != degree:
             degree = deg
             engine.run(deg)
-        rem = _reduce_vec(vecs[index], engine.by_pos, engine.basis, ring.p)
+        rem = _reduce_vec(vecs[index], engine.by_pos, engine.basis, ring)
         if rem:
             engine._insert(rem, {})
             kept.append(index)
@@ -499,7 +502,7 @@ class SubmodulePresentation:
 
     def _tracked_gb(self):
         if self._tracked is None:
-            vecs = [column_to_vec(col) for col in self.columns]
+            vecs = [column_to_vec(col, self.ring) for col in self.columns]
             args = (self.ring, self.ambient_rank, self.row_degrees)
             engine, _ = _run_engine(vecs, *args, over_quotient=True, n_tracked=len(vecs))
             self._tracked = GroebnerBasis(*args, *engine.reduced())
@@ -529,7 +532,7 @@ class SubmodulePresentation:
             raise AmbientMismatch("lift target has wrong ambient rank")
         # The division steps leave rep = -c, the negated coefficients.
         rep = {}
-        if self._tracked_gb().normal_form_vec(column_to_vec(column), rep):
+        if self._tracked_gb().normal_form_vec(column_to_vec(column, self.ring), rep):
             return None
         p = self.ring.p
         return vec_to_column({t: p - c for t, c in rep.items()}, len(self.columns), self.ring)
@@ -540,7 +543,7 @@ class SubmodulePresentation:
         """A minimal generating set of the span, lowest degree first (see
         ``_minimal_generator_indices``)."""
         if self._mingens is None:
-            vecs = [column_to_vec(col) for col in self.columns]
+            vecs = [column_to_vec(col, self.ring) for col in self.columns]
             kept = _minimal_generator_indices(vecs, self.ring, self.ambient_rank, self.row_degrees)
             self._mingens = [self.columns[i] for i in kept]
         return self._mingens
@@ -635,7 +638,9 @@ class SubmodulePresentation:
         shifted by its row degree (negative row degrees give negative powers).
         """
         per_pos = [[] for _ in range(self.ambient_rank)]
-        for pos, e in self.gb().leads:
+        decode = self.ring._layout.decode
+        for lead in self.gb().leads:
+            pos, e = decode(lead)
             per_pos[pos].append(e)
         num = {}
         for shift, gens in zip(self.row_degrees, per_pos):

@@ -234,7 +234,7 @@ def resolve(module, steps):
         degs = [column_degree(c, rowdegs) for c in cols]
         module._resolution = ([rank, len(cols)], [rowdegs, degs], [cols])
     ranks, row_degrees, maps = module._resolution
-    vecs = [column_to_vec(col) for col in maps[-1]]
+    vecs = [column_to_vec(col, ring) for col in maps[-1]]
     while len(maps) < steps and ranks[-1]:
         ker = _syzygy_vecs(vecs, ring, ranks[-2], row_degrees[-2])
         vecs = [ker[i] for i in _minimal_generator_indices(ker, ring, ranks[-1], row_degrees[-1])]

@@ -6,19 +6,24 @@ over; arithmetic never reduces modulo the defining ideal (elements of the
 quotient ring are represented by their normal forms against the reduced
 Groebner basis of the ideal, computed on demand via :meth:`QuotientRing.nf`).
 
-Module elements are vectors: dictionaries keyed by ``(position, exponents)``
-in the position-over-term order.  ``_axpy`` and ``_reduce_vec`` are the one
-multiply-subtract and the one division loop for vectors; the Buchberger
-engine in :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial
-is a vector at position 0) both run on them.  ``_reduce_vec`` takes terms
-from a heap and tests divisibility by leads packed into one int (``_pack``),
-kept in one list per position (``_lead_lists``).
+Module elements are vectors: dictionaries keyed by one int per term
+x^e * e_pos, laid out by the ring's ``TermLayout``.  The encoding is additive
+(multiplying a term by x^s adds one int), its integer order is the
+position-over-term order (lower position first, then degrevlex), and its low
+bits are the packed exponents of ``_pack``, so one subtraction tests
+divisibility.  ``_axpy`` and ``_reduce_vec`` are the one multiply-subtract
+and the one division loop for vectors; the Buchberger engine in
+:mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial is a
+vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
+heap and tests them against the leads of their position only
+(``_lead_lists``).  Exponent tuples remain only at the API boundary.
 """
 
 import sys
 from array import array
 from heapq import heapify, heappop, heappush
 from math import comb
+from struct import Struct
 
 from .errors import (
     NotHomogeneous,
@@ -58,11 +63,19 @@ def monomial_divides(a, b):
 
 
 def minimalize_monomials(gens):
-    """Inclusion-minimal exponent tuples."""
-    out = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(h, g) for h in out):
+    """Inclusion-minimal exponent tuples, in (degree, exponents) order; the
+    divisibility test runs on packed exponents (``_pack``)."""
+    gens = sorted(set(gens), key=lambda e: (sum(e), e))
+    if not gens:
+        return []
+    guard = _pack((1,) * len(gens[0])) << 63
+    out, packed = [], []
+    for g in gens:
+        b = _pack(g)
+        bg = b | guard
+        if all((bg - a) & guard != guard for a in packed):
             out.append(g)
+            packed.append(b)
     return out
 
 
@@ -123,94 +136,156 @@ def numerator_dimension(num, n):
     return n - _order_at_one(num, n)[0] if num else -1
 
 
-def _vec_key(t):
-    """Sort key of a vector term: lower position wins, then degrevlex."""
-    pos, e = t
-    return (-pos, sum(e), tuple(-x for x in reversed(e)))
-
-
-def _axpy(target, vec, c, shift, p):
-    """target -= c * x^shift * vec, in place."""
-    for (pos, e), v in vec.items():
-        key = (pos, tuple(x + y for x, y in zip(e, shift)))
-        nc = (target.get(key, 0) - c * v) % p
-        if nc:
-            target[key] = nc
-        else:
-            target.pop(key, None)
+_WIDE = "exponent %d does not fit the 63-bit field of a packed monomial"
 
 
 def _pack(exps):
-    """Exponents as one int of 64-bit fields, each exponent below 2^63.
+    """Exponents as one int of 64-bit fields, field i (bits 64i and up) holding
+    exps[i] on every platform, each exponent below 2^63.
 
     With G = ``_pack((1,) * n) << 63`` the top bit of every field, a divides b
     iff ``((_pack(b) | G) - _pack(a)) & G == G``: no field borrows from the
     next, and each keeps its top bit iff a_i <= b_i.  Wider exponents raise.
     """
     try:
-        return int.from_bytes(array("q", exps), sys.byteorder)
+        fields = array("q", exps)
     except OverflowError:
-        raise Overflow(
-            "exponent %d does not fit the 63-bit field of a packed monomial" % max(exps)
-        ) from None
+        raise Overflow(_WIDE % max(exps)) from None
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
-def _unpack(packed, n):
-    return tuple(array("q", packed.to_bytes(8 * n, sys.byteorder)))
+class TermLayout:
+    """Module terms x^e * e_pos over n variables as single ints.
+
+    From the low bits up a term holds n exponent fields of 64 bits (``_pack``,
+    with the guard bit 63 of each field clear), n - 1 degrevlex tie fields
+    2^63 - e_i for the variables 2..n (the last variable most significant),
+    a degree field, and ``-pos`` on top.  The encoding is affine in e, so
+    x^s times a term is one add of ``t - u`` for any terms t = x^s * u of one
+    position; integer order is the position-over-term order (lower position
+    first, then degrevlex), so a vector's lead is ``max(vec)``; and u divides
+    t at one position iff ``((t | guard) - u) & guard == guard``.  A term
+    whose exponent reaches 2^63 sets its field's guard bit without carrying
+    into the next field, so testing ``t & guard`` catches it.
+    """
+
+    __slots__ = ("guard", "mask", "tie", "deg", "deg_mask", "top", "base", "nbytes", "_fields")
+
+    def __init__(self, n):
+        ones = _pack((1,) * n)
+        self.guard = ones << 63
+        self.mask = (1 << 64 * n) - 1
+        self.tie = 64 * n
+        self.deg = 64 * (2 * n - 1)
+        self.deg_mask = (1 << (64 + max(8, n.bit_length()))) - 1
+        self.top = self.deg + self.deg_mask.bit_length()
+        self.base = (ones >> 64) << (self.tie + 63)
+        self.nbytes = 8 * n
+        self._fields = Struct("<%dQ" % n).unpack
+
+    def encode(self, pos, exps):
+        x = _pack(exps)
+        return self.base - (pos << self.top) + x - ((x >> 64) << self.tie) + (sum(exps) << self.deg)
+
+    def unit(self, pos):
+        """The term 1 * e_pos."""
+        return self.base - (pos << self.top)
+
+    def exps(self, t):
+        return self._fields((t & self.mask).to_bytes(self.nbytes, "little"))
+
+    def decode(self, t):
+        return -(t >> self.top), self.exps(t)
+
+    def degree(self, t):
+        return (t >> self.deg) & self.deg_mask
+
+    def lcm(self, a, b):
+        """The term at a's position whose exponents are the maxima of a's and b's."""
+        guard = self.guard
+        d = ((b | guard) - a) & self.mask
+        # Field i of d is 2^63 + b_i - a_i: its guard bit is set iff b_i >= a_i.
+        # Keeping those fields without their guard bits leaves max(b - a, 0).
+        keep = d & guard
+        d = (d ^ keep) & ((keep >> 63) * 0xFFFFFFFFFFFFFFFF)
+        deg = sum(self._fields(d.to_bytes(self.nbytes, "little")))
+        return a + d - ((d >> 64) << self.tie) + (deg << self.deg)
+
+    def overflow(self, t):
+        return Overflow(_WIDE % max(self.exps(t)))
 
 
-def _lead_lists(leads):
-    """``{position: [(_pack(exponents), index), ...]}`` of a list of leads, in list order."""
+def _axpy(target, vec, c, shift, ring):
+    """target -= c * x^shift * vec, in place; ``shift`` is a difference of terms."""
+    p = ring.p
+    layout = ring._layout
+    guard = layout.guard
+    for t, v in vec.items():
+        t += shift
+        if t & guard:
+            raise layout.overflow(t)
+        nc = (target.get(t, 0) - c * v) % p
+        if nc:
+            target[t] = nc
+        else:
+            target.pop(t, None)
+
+
+def _lead_lists(leads, ring):
+    """``{position: [(lead, index), ...]}`` of a list of lead terms, in list order."""
+    top = ring._layout.top
     by_pos = {}
-    for i, (pos, e) in enumerate(leads):
-        by_pos.setdefault(pos, []).append((_pack(e), i))
+    for i, t in enumerate(leads):
+        by_pos.setdefault(-(t >> top), []).append((t, i))
     return by_pos
 
 
-def _reduce_vec(vec, by_pos, basis, p, rep=None, reps=None):
+def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     """Full normal form of ``vec`` against a list of monic basis vectors.
 
     ``by_pos`` holds the leads of ``basis`` per position, as ``_lead_lists``
     builds them; each step clears the largest term by the first basis vector
     in its position's list whose lead divides it, and no other position's
-    leads are scanned.  A term is keyed onto a heap when it enters the working
-    vector, and popped keys of cancelled terms are skipped.  Each division
-    step ``vec -= c * x^shift * basis[i]`` is applied to ``rep`` as
-    ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
+    leads are scanned.  A term is pushed (negated) onto a heap when it enters
+    the working vector, and popped terms that were cancelled are skipped.
+    Each division step ``vec -= c * x^shift * basis[i]`` is applied to ``rep``
+    as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
     representation of ``vec`` ends as that of the remainder.  Terms introduced
     by a step are strictly smaller than the term being cleared, so a single
     descending sweep terminates.
     """
+    p = ring.p
+    layout = ring._layout
+    guard, top = layout.guard, layout.top
     work = dict(vec)
-    # The smallest key is the largest term: lowest position, highest degree,
-    # then degrevlex, which is the lexicographically smallest reversed tuple.
-    heap = [(pos, -sum(e), e[::-1], e) for pos, e in work]
+    heap = [-t for t in work]
     heapify(heap)
-    guard = _pack((1,) * len(heap[0][3])) << 63 if heap else 0
     rem = {}
     while heap:
-        tpos, _, _, te = heappop(heap)
-        t = (tpos, te)
+        t = -heappop(heap)
         c = work.get(t)
         if c is None:
             continue
-        b = _pack(te) | guard
-        for a, i in by_pos.get(tpos, ()):
+        if t & guard:
+            raise layout.overflow(t)
+        b = t | guard
+        for a, i in by_pos.get(-(t >> top), ()):
             if (b - a) & guard == guard:
-                shift = _unpack((b - a) ^ guard, len(te))
-                for (pos, e), v in basis[i].items():
-                    e = tuple(x + y for x, y in zip(e, shift))
-                    key = (pos, e)
-                    old = work.get(key)
+                shift = t - a
+                for u, v in basis[i].items():
+                    u += shift
+                    old = work.get(u)
                     nc = ((old or 0) - c * v) % p
                     if nc:
-                        work[key] = nc
+                        work[u] = nc
                         if old is None:
-                            heappush(heap, (pos, -sum(e), e[::-1], e))
+                            heappush(heap, -u)
                     elif old is not None:
-                        del work[key]
+                        del work[u]
                 if rep is not None:
-                    _axpy(rep, reps[i], c, shift, p)
+                    _axpy(rep, reps[i], c, shift, ring)
                 break
         else:
             rem[t] = work.pop(t)
@@ -382,13 +457,14 @@ class Polynomial:
 class QuotientRing:
     """A standard-graded quotient R = F_p[x_1..x_n] / I.
 
-    ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I, and
-    ``_gb_vecs``/``_gb_leads`` the same basis as monic rank-one vectors with
-    their leads listed per position (``_lead_lists``); ``_gb_lead_data`` holds
-    each lead's exponents and packed form, for seeding I * ambient.  ``dim`` is
-    the Krull dimension, read off the Hilbert numerator of the leading-term
-    ideal on first use, so it always matches the basis given.  An empty ideal
-    gives the polynomial ring itself.
+    ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I.
+    ``_layout`` is the ring's ``TermLayout``: every module term of the engine
+    over this ring is one int in it, so ``_gb_vecs`` holds the same basis as
+    monic vectors at position 0, ``_gb_lead_terms`` their leads and
+    ``_gb_leads`` the leads listed per position (``_lead_lists``).  ``dim``
+    is the Krull dimension, read off the Hilbert numerator of the
+    leading-term ideal on first use, so it always matches the basis given.
+    An empty ideal gives the polynomial ring itself.
     """
 
     __slots__ = (
@@ -398,9 +474,10 @@ class QuotientRing:
         "ideal_gens",
         "ideal_groebner",
         "_zero_exps",
+        "_layout",
         "_gb_vecs",
         "_gb_leads",
-        "_gb_lead_data",
+        "_gb_lead_terms",
         "_std_cache",
         "_inv_cache",
         "_memo",
@@ -413,6 +490,7 @@ class QuotientRing:
         self.variables = tuple(variables)
         self.n = len(self.variables)
         self._zero_exps = (0,) * self.n
+        self._layout = layout = TermLayout(self.n)
         self.ideal_gens = tuple(ideal_gens)
         self.ideal_groebner = tuple(self.convert(g) for g in ideal_groebner)
         self._std_cache = {}
@@ -420,11 +498,11 @@ class QuotientRing:
         # _reduce_vec needs monic vectors; a basis given to the constructor may not be.
         self._gb_vecs = []
         for g in self.ideal_groebner:
-            inv = self.inverse(g.leading()[1])
-            self._gb_vecs.append({(0, m): (c * inv) % p for m, c in g.terms.items()})
-        leads = [g.leading()[0] for g in self.ideal_groebner]
-        self._gb_lead_data = tuple((e, _pack(e)) for e in leads)
-        self._gb_leads = _lead_lists([(0, e) for e in leads])
+            vec = {layout.encode(0, m): c for m, c in g.terms.items()}
+            inv = self.inverse(vec[max(vec)])
+            self._gb_vecs.append({t: (c * inv) % p for t, c in vec.items()})
+        self._gb_lead_terms = tuple(max(v) for v in self._gb_vecs)
+        self._gb_leads = _lead_lists(self._gb_lead_terms, self)
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
@@ -432,7 +510,7 @@ class QuotientRing:
     def numerator(self):
         """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
         if "numerator" not in self._memo:
-            leads = [e for e, _ in self._gb_lead_data]
+            leads = [self._layout.exps(t) for t in self._gb_lead_terms]
             self._memo["numerator"] = hilbert_numerator(leads, self.n)
         return self._memo["numerator"]
 
@@ -501,9 +579,10 @@ class QuotientRing:
         """Normal form of ``poly`` against the reduced Groebner basis of I."""
         if not poly.terms or not self._gb_vecs:
             return self.convert(poly)
-        vec = {(0, m): c for m, c in poly.terms.items()}
-        rem = _reduce_vec(vec, self._gb_leads, self._gb_vecs, self.p)
-        return Polynomial(self, {m: c for (_, m), c in rem.items()})
+        encode, exps = self._layout.encode, self._layout.exps
+        vec = {encode(0, m): c for m, c in poly.terms.items()}
+        rem = _reduce_vec(vec, self._gb_leads, self._gb_vecs, self)
+        return Polynomial(self, {exps(t): c for t, c in rem.items()})
 
     def is_zero_mod(self, poly):
         return not self.nf(poly).terms
@@ -513,7 +592,7 @@ class QuotientRing:
         got = self._std_cache.get(degree)
         if got is not None:
             return got
-        leads = [e for e, _ in self._gb_lead_data]
+        leads = [self._layout.exps(t) for t in self._gb_lead_terms]
         out = []
         for m in monomials_of_degree(self.n, degree):
             if not any(monomial_divides(l, m) for l in leads):

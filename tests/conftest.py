@@ -20,6 +20,19 @@ R5_QUADRICS = [
 ]
 
 
+def vec_key(t):
+    """The position-over-term order of a module term ``(pos, exponents)``:
+    lower position wins, then degrevlex.  ``TermLayout`` encodings must
+    sort as this key does."""
+    pos, e = t
+    return (-pos, sum(e), tuple(-x for x in reversed(e)))
+
+
+def decoded(ring, vec):
+    """A vector's terms as ``((pos, exponents), coeff)``, in dict order."""
+    return [(ring._layout.decode(t), c) for t, c in vec.items()]
+
+
 def fixture_rings(p):
     """The two-variable standard fixtures re-instantiated at characteristic p."""
     return {

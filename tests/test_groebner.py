@@ -20,7 +20,6 @@ from frobetti import groebner
 from frobetti.errors import AmbientMismatch, ResourceBound, ZeroDivisorQuery
 from frobetti.frobenius import frobenius_power, twist_complex
 from frobetti.groebner import (
-    _vec_key,
     column_degree,
     column_to_vec,
     vec_to_column,
@@ -28,7 +27,6 @@ from frobetti.groebner import (
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.ring import (
     Polynomial,
-    _axpy,
     _lead_lists,
     _reduce_vec,
     drl_key,
@@ -36,7 +34,7 @@ from frobetti.ring import (
     monomials_of_degree,
 )
 
-from conftest import brute_force_monomial_count, random_form, residue_field
+from conftest import brute_force_monomial_count, decoded, random_form, residue_field, vec_key
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------
@@ -111,25 +109,26 @@ def test_spoly_reduction_invariant(R1, R5):
     # every same-position S-polynomial of a reduced basis reduces to zero
     for ring, gens in ((R1, ["x^2", "x*y"]), (R5, list(map(str, R5.ideal_gens)))):
         gb = groebner_basis([[ring.poly(g)] for g in gens], ring, over_quotient=False)
+        encode, decode = ring._layout.encode, ring._layout.decode
         for a in range(len(gb.vecs)):
             for b in range(a + 1, len(gb.vecs)):
-                la, lb = gb.leads[a], gb.leads[b]
+                la, lb = decode(gb.leads[a]), decode(gb.leads[b])
                 if la[0] != lb[0]:
                     continue
                 lcm = tuple(max(x, y) for x, y in zip(la[1], lb[1]))
                 sa = tuple(x - y for x, y in zip(lcm, la[1]))
                 sb = tuple(x - y for x, y in zip(lcm, lb[1]))
                 vec = {}
-                for (pos, m), c in gb.vecs[a].items():
+                for (pos, m), c in decoded(ring, gb.vecs[a]):
                     vec[(pos, tuple(x + y for x, y in zip(m, sa)))] = c
-                for (pos, m), c in gb.vecs[b].items():
+                for (pos, m), c in decoded(ring, gb.vecs[b]):
                     key = (pos, tuple(x + y for x, y in zip(m, sb)))
                     nc = (vec.get(key, 0) - c) % ring.p
                     if nc:
                         vec[key] = nc
                     elif key in vec:
                         del vec[key]
-                assert not gb.normal_form_vec(vec)
+                assert not gb.normal_form_vec({encode(*t): c for t, c in vec.items()})
 
 
 def test_reduced_basis_is_canonical(R1, R5):
@@ -490,9 +489,11 @@ def test_length_dimension_hilbert_function_against_enumeration(case):
 
 def test_vec_round_trip(R1):
     col = [R1.poly("x^2 + y"), R1.poly("3*x*y")]
-    assert vec_to_column(column_to_vec(col), 2, R1) == col
+    assert vec_to_column(column_to_vec(col, R1), 2, R1) == col
     # position-over-term: lower position dominates
-    assert _vec_key((0, (1, 0))) > _vec_key((1, (5, 5)))
+    assert vec_key((0, (1, 0))) > vec_key((1, (5, 5)))
+    encode = R1._layout.encode
+    assert encode(0, (1, 0)) > encode(1, (5, 5))
 
 
 # -- minimal generators against the per-candidate greedy ------------------------
@@ -502,11 +503,11 @@ def _greedy_minimal_generators(pres):
     """The former rule: one Groebner basis per candidate column."""
     ranked = []
     for col in pres.columns:
-        vec = column_to_vec(col)
+        vec = [(pos, m) for pos, poly in enumerate(col) for m in poly.terms]
         if not vec:
             continue
         deg = column_degree(col, pres.row_degrees)
-        ranked.append((deg, _vec_key(max(vec, key=_vec_key)), col))
+        ranked.append((deg, vec_key(max(vec, key=vec_key)), col))
     ranked.sort(key=lambda t: t[1], reverse=True)
     ranked.sort(key=lambda t: t[0])
     kept = []
@@ -643,7 +644,8 @@ def test_minimal_generators_run_one_engine_per_call(monkeypatch, R5):
 
 
 def _true_degree(engine, degrees, i, j):
-    (pos, a), (_, b) = engine.leads[i], engine.leads[j]
+    decode = engine.layout.decode
+    (pos, a), (_, b) = decode(engine.leads[i]), decode(engine.leads[j])
     return sum(max(x, y) for x, y in zip(a, b)) + degrees[pos]
 
 
@@ -656,8 +658,8 @@ def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
     ring, columns, rank, degrees = case
     engine = groebner._Engine(ring, degrees)
     for col in columns:
-        if column_to_vec(col):
-            engine.seed(column_to_vec(col), 0)
+        if column_to_vec(col, ring):
+            engine.seed(column_to_vec(col, ring), 0)
     engine.seed_ideal(rank)
     col_degs = [column_degree(col, degrees) for col in columns]
     top = max((c for c in col_degs if c is not None), default=max(degrees))
@@ -673,7 +675,7 @@ def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
                 combination = [a + f * b for a, b in zip(combination, col)]
         other = [random_form(data.draw, ring, t - degrees[k]) for k in range(rank)]
         for target in (combination, other):
-            rem = _reduce_vec(column_to_vec(target), engine.by_pos, engine.basis, ring.p)
+            rem = _reduce_vec(column_to_vec(target, ring), engine.by_pos, engine.basis, ring)
             assert (not rem) == full.contains(target)
 
 
@@ -696,8 +698,8 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     ring, columns, rank, degrees = case
     engine = groebner._Engine(ring, degrees)
     for index, col in enumerate(columns):
-        if column_to_vec(col):
-            engine.seed(column_to_vec(col), index)
+        if column_to_vec(col, ring):
+            engine.seed(column_to_vec(col, ring), index)
     first = len(engine.basis)
     engine.seed_ideal(rank)
     ideal_elements = range(first, len(engine.basis))
@@ -865,21 +867,33 @@ def test_reduced_basis_ignores_order_and_scaling_of_columns(case, data):
 # -- the division kernel and the pair criteria against the former loops -------
 
 
+def _reference_axpy(target, vec, c, shift, p):
+    """target -= c * x^shift * vec, on vectors keyed by ``(pos, exponents)``."""
+    for (pos, e), v in vec.items():
+        key = (pos, tuple(x + y for x, y in zip(e, shift)))
+        nc = (target.get(key, 0) - c * v) % p
+        if nc:
+            target[key] = nc
+        else:
+            target.pop(key, None)
+
+
 def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
-    """The former division loop: the largest term found by a full scan at
-    every step, divisibility tested exponent by exponent."""
+    """The former division loop, on vectors keyed by ``(pos, exponents)``:
+    the largest term found by a full scan at every step, divisibility tested
+    exponent by exponent."""
     work = dict(vec)
     rem = {}
     while work:
-        t = max(work, key=_vec_key)
+        t = max(work, key=vec_key)
         c = work[t]
         tpos, te = t
         for i, (lpos, le) in enumerate(leads):
             if lpos == tpos and all(a <= b for a, b in zip(le, te)):
                 shift = tuple(b - a for a, b in zip(le, te))
-                _axpy(work, basis[i], c, shift, p)
+                _reference_axpy(work, basis[i], c, shift, p)
                 if rep is not None:
-                    _axpy(rep, reps[i], c, shift, p)
+                    _reference_axpy(rep, reps[i], c, shift, p)
                 break
         else:
             rem[t] = work.pop(t)
@@ -888,8 +902,9 @@ def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
 
 def _reference_skip_by_criteria(self, i, j):
     """The former pair test of ``_Engine``: the chain criterion compares
-    exponent tuples."""
-    li, lj = self.leads[i], self.leads[j]
+    exponent tuples, decoded from the engine's lead terms."""
+    leads = [self.layout.decode(t) for t in self.leads]
+    li, lj = leads[i], leads[j]
     lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
     if (
         self.single_pos[i]
@@ -899,7 +914,7 @@ def _reference_skip_by_criteria(self, i, j):
         return True
     pos = li[0]
     pending = self.pending
-    for k, lk in enumerate(self.leads):
+    for k, lk in enumerate(leads):
         if k == i or k == j or lk[0] != pos:
             continue
         if all(a <= b for a, b in zip(lk[1], lcm)):
@@ -929,32 +944,45 @@ def _division_cases(draw):
             form = random_form(draw, ring, draw(st.integers(q, 2 * q + 1)), 4)
             targets.append({(0, m): c for m, c in form.terms.items()})
     else:
-        vecs = [column_to_vec(col) for col in columns + _ideal_columns(ring, rank)]
+        vecs = [
+            {(pos, m): c for pos, poly in enumerate(col) for m, c in poly.terms.items()}
+            for col in columns + _ideal_columns(ring, rank)
+        ]
         vecs = draw(st.permutations([v for v in vecs if v]))
         cut = draw(st.integers(1, len(vecs)))
         divisors, targets = vecs[:cut], vecs[cut:] or vecs[:1]
     p = ring.p
     basis, leads, reps = [], [], []
     for index, vec in enumerate(divisors):
-        lead = max(vec, key=_vec_key)
+        lead = max(vec, key=vec_key)
         inv = pow(vec[lead], p - 2, p)
         basis.append({t: c * inv % p for t, c in vec.items()})
         leads.append(lead)
         reps.append({(index, ring._zero_exps): inv})
-    return p, basis, leads, reps, targets, ring._zero_exps
+    return ring, basis, leads, reps, targets
 
 
 @settings(max_examples=60, deadline=None)
 @given(_division_cases())
 def test_reduce_vec_takes_the_steps_of_the_reference_loop(case):
-    p, basis, leads, reps, targets, one = case
-    by_pos = _lead_lists(leads)
+    """The kernel on encoded terms against the reference on ``(pos,
+    exponents)`` keys: the same remainder and representation, term for term
+    and in the same order, after decoding."""
+    ring, basis, leads, reps, targets = case
+    p, encode = ring.p, ring._layout.encode
+
+    def enc(vec):
+        return {encode(*t): c for t, c in vec.items()}
+
+    by_pos = _lead_lists([encode(*t) for t in leads], ring)
+    enc_basis, enc_reps = [enc(v) for v in basis], [enc(r) for r in reps]
     for vec in targets:
-        rep, ref_rep = {(-1, one): 1}, {(-1, one): 1}
-        rem = _reduce_vec(vec, by_pos, basis, p, rep, reps)
+        start = {(-1, ring._zero_exps): 1}
+        rep, ref_rep = enc(start), dict(start)
+        rem = _reduce_vec(enc(vec), by_pos, enc_basis, ring, rep, enc_reps)
         ref = _reference_reduce_vec(vec, leads, basis, p, ref_rep, reps)
-        assert list(rem.items()) == list(ref.items())
-        assert list(rep.items()) == list(ref_rep.items())
+        assert decoded(ring, rem) == list(ref.items())
+        assert decoded(ring, rep) == list(ref_rep.items())
 
 
 def _bases_and_syzygies(ring, columns, rank, degrees):

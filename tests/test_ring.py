@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
 from frobetti.errors import (
@@ -11,7 +13,15 @@ from frobetti.errors import (
     UnitIdeal,
     UnknownVariable,
 )
-from frobetti.ring import drl_key
+from frobetti.ring import (
+    TermLayout,
+    _reduce_vec,
+    drl_key,
+    minimalize_monomials,
+    monomial_divides,
+)
+
+from conftest import vec_key
 
 
 def test_make_ring_fixtures(R1, R2, R5):
@@ -181,3 +191,74 @@ def test_exponents_past_the_packed_width_raise_overflow():
         with pytest.raises(Overflow) as err:
             compute()
         assert "exponent %d does not fit" % 2**63 in str(err.value)
+
+
+WIDEST = 2**63 - 1
+
+
+@st.composite
+def _terms(draw):
+    """A layout over 1-4 variables and three terms ``(pos, exponents)`` of it,
+    exponents up to 2^63 - 1 and positions up to 5000 (generator indices of
+    tracked representations), with some exponents and positions shared."""
+    n = draw(st.integers(1, 4))
+    exps = st.one_of(st.integers(0, 3), st.integers(0, WIDEST), st.sampled_from([WIDEST, 2**62]))
+    pos = st.one_of(st.integers(0, 2), st.integers(0, 5000))
+    terms = draw(st.lists(st.tuples(pos, st.tuples(*[exps] * n)), min_size=3, max_size=3))
+    return TermLayout(n), terms
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms())
+def test_term_layout_encodes_order_shifts_and_divisibility(case):
+    layout, terms = case
+    enc = [layout.encode(*t) for t in terms]
+    (pa, a), (pb, b), _ = terms
+    ta, tb = enc[0], enc[1]
+    # Round trip, position-over-term order and the degree field.
+    assert [layout.decode(t) for t in enc] == terms
+    assert sorted(range(3), key=enc.__getitem__) == sorted(range(3), key=lambda i: vec_key(terms[i]))
+    assert layout.degree(ta) == sum(a)
+    # Affine: a shift by x^s is one add of a difference of terms.
+    s = tuple(min(y, WIDEST - x) for x, y in zip(a, b))
+    lin = layout.encode(pb, s) - layout.unit(pb)
+    assert ta + lin == layout.encode(pa, tuple(x + y for x, y in zip(a, s)))
+    # The guard test is divisibility, whatever the positions.
+    guard = layout.guard
+    assert (((tb | guard) - ta) & guard == guard) == monomial_divides(a, b)
+    assert layout.lcm(ta, tb) == layout.encode(pa, tuple(map(max, a, b)))
+
+
+def test_tracked_representation_past_the_packed_width_raises_overflow():
+    # x^(2^62) reduced by x shifts the representation's term x^(2^62 + 1)
+    # by x^(2^62 - 1): the sum needs bit 63, which must not pass unnoticed.
+    ring = make_ring(5, ["x", "y"], [])
+    encode = ring._layout.encode
+    x = encode(0, (1, 0))
+    by_pos = {0: [(x, 0)]}
+    reps = [{encode(7, (2**62 + 1, 0)): 1}]
+    _reduce_vec({encode(0, (2**62 - 1, 0)): 1}, by_pos, [{x: 1}], ring, {}, reps)
+    with pytest.raises(Overflow) as err:
+        _reduce_vec({encode(0, (2**62, 0)): 1}, by_pos, [{x: 1}], ring, {}, reps)
+    assert "exponent %d does not fit" % 2**63 in str(err.value)
+
+
+def _reference_minimalize(gens):
+    """The former loop, testing divisibility exponent by exponent."""
+    out = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not any(monomial_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, WIDEST))] * n), max_size=12
+        )
+    )
+)
+def test_minimalize_monomials_matches_the_reference(gens):
+    assert minimalize_monomials(gens) == _reference_minimalize(gens)
