@@ -30,7 +30,7 @@ print("normal form modulo the ideal:", R.nf(f))
 # Groebner bases of ideals over the plain polynomial ring: the classic
 # two-generator example completes with the new element y^3.
 S = make_ring(5, ["x", "y"], [])
-gb = groebner_basis([[S.poly("x^2 - y^2")], [S.poly("x*y")]], S, over_quotient=False)
+gb = groebner_basis([[S.poly("x^2 - y^2")], [S.poly("x*y")]], S)
 print("\nGB of (x^2 - y^2, x*y):", [str(col[0]) for col in gb.columns])
 print("NF of x^3:", str(gb.normal_form([S.poly("x^3")])[0]))
 

@@ -7,7 +7,6 @@ the grading twists by q.
 """
 
 from .errors import Overflow
-from .groebner import SubmodulePresentation
 from .resolution import FreeComplex
 from .ring import MAX_EXPONENT, Polynomial
 
@@ -54,11 +53,6 @@ def frobenius_power(f, level):
 
 def bracket_ideal(gens, level, ring=None):
     """Generator-wise bracket power of an ideal (a list of ring elements)."""
-    if isinstance(gens, SubmodulePresentation):
-        cols = [[frobenius_power(p, level) for p in col] for col in gens.columns]
-        return SubmodulePresentation(
-            gens.ring, cols, gens.ambient_rank, None, gens.mode
-        )
     return [frobenius_power(g if isinstance(g, Polynomial) else ring.poly(g), level) for g in gens]
 
 

@@ -10,14 +10,17 @@ input generators, is a vector of the same form whose positions are generator
 indices, so one multiply-subtract (``_axpy``) and one division loop
 (``_reduce_vec``) serve basis elements, representations and the quotient
 ring's normal forms alike.  Columns of ``Polynomial`` appear only at the API
-boundary (``column_to_vec``, ``vec_to_column``).  The engine and
+boundary (``column_to_vec``, ``vec_to_column``): colon problems are built
+and solved on vectors (``_colon_heads``), and saturation carries its span and
+one reduced basis of it from round to round as vectors.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division, the chain criterion and minimalisation scan only
 the list of the term's position.
 
-Computations over a quotient ring R = S/I reduce to S by adjoining I * ambient:
-``g * e_k`` for every g in the reduced Groebner basis of I and every ambient
-position k, built from the ring's monic basis vectors (``_ideal_vecs``).
+Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
+for every g in the reduced Groebner basis of I and every ambient position k,
+built from the ring's monic basis vectors (``_ideal_vecs``); over a ring with
+no ideal that adds nothing, so the same run works over S.
 They are untracked, so syzygies and lifts come out in the original generator
 coordinates, and no pair of two of them is queued: by Buchberger's criterion
 the reduced basis of I already gives their S-vector a standard representation.
@@ -304,8 +307,8 @@ def _ideal_vecs(ring, pos):
     return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
 
 
-def _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient, n_tracked=0):
-    """One Buchberger run over the vectors ``vecs`` (plus I * ambient)."""
+def _run_engine(vecs, ring, ambient_rank, row_degrees, n_tracked=0):
+    """One Buchberger run over the vectors ``vecs`` plus I * ambient."""
     engine = _Engine(ring, row_degrees, n_tracked=n_tracked)
     zero_indices = []
     for index, vec in enumerate(vecs):
@@ -313,24 +316,25 @@ def _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient, n_tracked=
             engine.seed(vec, index)
         elif index < n_tracked:
             zero_indices.append(index)
-    if over_quotient:
-        engine.seed_ideal(ambient_rank)
+    engine.seed_ideal(ambient_rank)
     engine.run()
     return engine, zero_indices
 
 
-def groebner_basis(gens, ring, over_quotient=True, ambient_rank=None, row_degrees=None):
-    """Reduced Groebner basis of the span of ``gens``.
-
-    With ``over_quotient`` the defining ideal is adjoined per ambient
-    position, so normal forms answer membership in the span as a submodule
-    over R = S/I.
-    """
-    cols, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
-    vecs = [column_to_vec(c, ring) for c in cols]
-    engine, _ = _run_engine(vecs, ring, ambient_rank, row_degrees, over_quotient)
+def _basis_of_vecs(vecs, ring, ambient_rank, row_degrees):
+    """Reduced Groebner basis of the span of ``vecs`` plus I * ambient."""
+    engine, _ = _run_engine(vecs, ring, ambient_rank, row_degrees)
     vecs, leads, _ = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads)
+
+
+def groebner_basis(gens, ring, ambient_rank=None, row_degrees=None):
+    """Reduced Groebner basis of the span of ``gens`` plus I per ambient
+    position, so normal forms answer membership in the span as a submodule
+    over R = S/I (over a ring with no ideal, in the span over S)."""
+    cols, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
+    vecs = [column_to_vec(c, ring) for c in cols]
+    return _basis_of_vecs(vecs, ring, ambient_rank, row_degrees)
 
 
 def _infer_rank(gens):
@@ -344,12 +348,12 @@ def _infer_rank(gens):
 def reduced_ideal_groebner(gens, ring):
     """Reduced Groebner basis of an ideal of the underlying polynomial ring."""
     vecs = [column_to_vec([g], ring) for g in gens]
-    engine, _ = _run_engine(vecs, ring, 1, (0,), over_quotient=False)
+    engine, _ = _run_engine(vecs, ring, 1, (0,))
     vecs, leads, _ = engine.reduced()
     return [vec_to_column(v, 1, ring)[0] for v in vecs]
 
 
-def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_quotient=True):
+def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):
     """Generators of the syzygy module of the given columns over the ring.
 
     Over a quotient ring the relations of the defining ideal are adjoined
@@ -358,16 +362,16 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None, over_q
     """
     cols, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
     vecs = [column_to_vec(c, ring) for c in cols]
-    syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees, over_quotient)
+    syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees)
     return [vec_to_column(v, len(cols), ring) for v in syz]
 
 
-def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
+def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     """Syzygies of the vectors ``gens``, as vectors whose positions are generator indices."""
     n = len(gens)
     if n == 0:
         return []
-    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, over_quotient, n)
+    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, n)
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
     unit, top = ring._layout.unit, ring._layout.top
@@ -376,9 +380,7 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees, over_quotient=True):
 
     # Columns of (Id - T U): each original generator minus its expression in
     # the reduced basis.  Untracked (ideal) generators contribute relations too.
-    ideal = []
-    if over_quotient:
-        ideal = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
+    ideal = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
     for idx, vec in enumerate(gens + ideal):
         if not vec:
             continue
@@ -411,6 +413,34 @@ def _dedupe_vecs(vecs):
             seen.add(key)
             out.append(v)
     return out
+
+
+def _colon_heads(vecs, elements, ring, r, row_degrees):
+    """Generators of (N : (f_1, ..., f_k)) modulo N, for N the span of
+    ``vecs`` in R^r and each f_i a homogeneous vector at position 0.
+
+    They are the nonzero heads (first r coordinates) of the syzygies of the
+    block matrix [f_i * e_j | vecs moved to block i], whose row i * r + j
+    has degree row_degrees[j] + dmax - deg f_i (dmax the largest deg f_i):
+    a syzygy (h, c_1, ..., c_k) says f_i * h = -N c_i for every i.
+    """
+    top = ring._layout.top
+    degs = [ring._layout.degree(max(f)) for f in elements]
+    dmax = max(degs)
+    big_degrees = [row_degrees[pos] + dmax - d for d in degs for pos in range(r)]
+    matrix = [
+        {t - ((i * r + j) << top): c for i, f in enumerate(elements) for t, c in f.items()}
+        for j in range(r)
+    ]
+    for i in range(len(elements)):
+        shift = (i * r) << top
+        matrix += [{t - shift: c for t, c in v.items()} for v in vecs]
+    heads = []
+    for syz in _syzygy_vecs(matrix, ring, r * len(elements), big_degrees):
+        head = {t: c for t, c in syz.items() if -(t >> top) < r}
+        if head:
+            heads.append(head)
+    return heads
 
 
 def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
@@ -491,20 +521,14 @@ class SubmodulePresentation:
 
     def gb(self):
         if self._gb is None:
-            self._gb = groebner_basis(
-                self.columns,
-                self.ring,
-                over_quotient=True,
-                ambient_rank=self.ambient_rank,
-                row_degrees=self.row_degrees,
-            )
+            self._gb = groebner_basis(self.columns, self.ring, self.ambient_rank, self.row_degrees)
         return self._gb
 
     def _tracked_gb(self):
         if self._tracked is None:
             vecs = [column_to_vec(col, self.ring) for col in self.columns]
             args = (self.ring, self.ambient_rank, self.row_degrees)
-            engine, _ = _run_engine(vecs, *args, over_quotient=True, n_tracked=len(vecs))
+            engine, _ = _run_engine(vecs, *args, n_tracked=len(vecs))
             self._tracked = GroebnerBasis(*args, *engine.reduced())
         return self._tracked
 
@@ -548,18 +572,6 @@ class SubmodulePresentation:
             self._mingens = [self.columns[i] for i in kept]
         return self._mingens
 
-    # -- syzygies -------------------------------------------------------------------
-
-    def syzygies(self):
-        """Generators of the syzygy module of ``columns`` over R."""
-        return syzygy_generators(
-            self.columns,
-            self.ring,
-            ambient_rank=self.ambient_rank,
-            row_degrees=self.row_degrees,
-            over_quotient=True,
-        )
-
     # -- colon and saturation ----------------------------------------------------------
 
     def colon(self, element):
@@ -570,64 +582,49 @@ class SubmodulePresentation:
         return self.colon_by_elements([element])
 
     def colon_by_elements(self, elements):
+        """(N : (f_1, ..., f_k)): the columns of N after the colon generators
+        that ``_colon_heads`` finds."""
         elements = [self.ring.poly(f) for f in elements]
         if not elements or any(f.is_zero() for f in elements):
             raise ZeroDivisorQuery("colon by zero is rejected")
         for f in elements:
             if not f.is_homogeneous():
                 raise NotHomogeneous("colon element %s is not homogeneous" % f)
-        r = self.ambient_rank
-        k = len(elements)
-        big_rank = r * k
-        degs = [f.homogeneous_degree() for f in elements]
-        dmax = max(degs)
-        big_rowdegs = []
-        for i in range(k):
-            for pos in range(r):
-                big_rowdegs.append(self.row_degrees[pos] + dmax - degs[i])
-        cols = []
-        zero = self.ring.zero
-        for j in range(r):
-            col = [zero] * big_rank
-            for i, f in enumerate(elements):
-                col[i * r + j] = f
-            cols.append(col)
-        for i in range(k):
-            for gen in self.columns:
-                col = [zero] * big_rank
-                for pos in range(r):
-                    col[i * r + pos] = gen[pos]
-                cols.append(col)
-        syz = syzygy_generators(
-            cols, self.ring, ambient_rank=big_rank, row_degrees=big_rowdegs, over_quotient=True
-        )
-        out_cols = []
-        for s in syz:
-            head = s[:r]
-            if any(not poly.is_zero() for poly in head):
-                out_cols.append(head)
-        result = SubmodulePresentation(
-            self.ring, out_cols + self.columns, r, self.row_degrees, self.mode
-        )
-        return result
+        ring, r = self.ring, self.ambient_rank
+        vecs = [column_to_vec(col, ring) for col in self.columns]
+        elements = [column_to_vec([f], ring) for f in elements]
+        heads = _colon_heads(vecs, elements, ring, r, self.row_degrees)
+        out_cols = [vec_to_column(h, r, ring) for h in heads]
+        return SubmodulePresentation(ring, out_cols + self.columns, r, self.row_degrees, self.mode)
 
     def saturate(self):
-        """(N : m^infinity), computed by iterating colon with the variables.
+        """(N : m^infinity), computed by iterating the colon with the variables.
 
-        Each round carries only the reduced Groebner basis of the new span,
-        without its elements of I * ambient (which ``gb()`` adjoins anyway),
-        so the next colon problem is as small as the span allows.  Unless N
-        is already saturated, the columns returned are that reduced basis.
+        The span is carried as engine vectors, together with one reduced
+        Groebner basis of it plus I * ambient.  Each round computes the colon
+        generators (``_colon_heads``).  As N lies in N : m, the loop stops once
+        every one of them reduces to zero against that basis; otherwise one
+        engine run over them and the span gives the next basis, whose elements
+        outside I * ambient are the next span, so the next colon problem is as
+        small as the span allows.  Unless N is already saturated, the columns
+        returned are that reduced basis.
         """
-        current = self
+        ring, r, degs = self.ring, self.ambient_rank, self.row_degrees
+        variables = [column_to_vec([x], ring) for x in ring.gens()]
+        ideal = [v for pos in range(r) for v in _ideal_vecs(ring, pos)]
+        ideal = GroebnerBasis(ring, r, degs, ideal, [max(v) for v in ideal])
+        vecs = [column_to_vec(col, ring) for col in self.columns]
+        gb = self.gb()
         while True:
-            step = current.colon_by_elements(self.ring.gens())
-            if step.same_span(current):
-                return current
-            basis = [col for col in step.gb().columns if not all(map(self.ring.is_zero_mod, col))]
-            current = SubmodulePresentation(
-                self.ring, basis, self.ambient_rank, self.row_degrees, self.mode
-            )
+            heads = _colon_heads(vecs, variables, ring, r, degs)
+            if not any(map(gb.normal_form_vec, heads)):
+                break
+            gb = _basis_of_vecs(heads + vecs, ring, r, degs)
+            vecs = [v for v in gb.vecs if ideal.normal_form_vec(v)]
+        if gb is self.gb():
+            return self
+        columns = [vec_to_column(v, r, ring) for v in vecs]
+        return SubmodulePresentation(ring, columns, r, degs, self.mode)
 
     # -- numerical invariants -----------------------------------------------------------
 

@@ -84,7 +84,6 @@ def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_tar
             ring,
             ambient_rank=len(out_cols[0]) if out_cols else 0,
             row_degrees=out_target_degs,
-            over_quotient=True,
         )
         kernel = SubmodulePresentation(ring, kernel, ambient_rank, ambient_degs).minimal_generators()
     if not kernel:
@@ -99,7 +98,7 @@ def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_tar
             raise LiftFailure("incoming column does not lie in the kernel; not a complex")
         lifted.append(coeffs)
     relations = lifted + syzygy_generators(
-        kernel, ring, ambient_rank=ambient_rank, row_degrees=ambient_degs, over_quotient=True
+        kernel, ring, ambient_rank=ambient_rank, row_degrees=ambient_degs
     )
     degs = [column_degree(c, ambient_degs) or 0 for c in kernel]
     return SubmodulePresentation(ring, relations, len(kernel), degs, "cokernel")

@@ -86,7 +86,7 @@ def _naive_buchberger(gens):
 def test_groebner_examples_against_naive_oracle():
     S = make_ring(5, ["x", "y"], [])
     gens = [S.poly("x^2 - y^2"), S.poly("x*y")]
-    gb = groebner_basis([[g] for g in gens], S, over_quotient=False)
+    gb = groebner_basis([[g] for g in gens], S)
     mine = [col[0] for col in gb.columns]
     assert sorted(str(f) for f in mine) == ["x*y", "x^2 + 4*y^2", "y^3"]
     naive = _naive_buchberger(gens)
@@ -99,16 +99,17 @@ def test_groebner_examples_against_naive_oracle():
 
 def test_groebner_monomial_and_unit(R1):
     S = make_ring(5, ["x", "y"], [])
-    gb = groebner_basis([[S.poly("x^2")], [S.poly("x*y")]], S, over_quotient=False)
+    gb = groebner_basis([[S.poly("x^2")], [S.poly("x*y")]], S)
     assert sorted(str(c[0]) for c in gb.columns) == ["x*y", "x^2"]
-    gb1 = groebner_basis([[S.one]], S, over_quotient=False)
+    gb1 = groebner_basis([[S.one]], S)
     assert [str(c[0]) for c in gb1.columns] == ["1"]
 
 
 def test_spoly_reduction_invariant(R1, R5):
     # every same-position S-polynomial of a reduced basis reduces to zero
-    for ring, gens in ((R1, ["x^2", "x*y"]), (R5, list(map(str, R5.ideal_gens)))):
-        gb = groebner_basis([[ring.poly(g)] for g in gens], ring, over_quotient=False)
+    for quotient, gens in ((R1, ["x^2", "x*y"]), (R5, list(map(str, R5.ideal_gens)))):
+        ring = make_ring(quotient.p, list(quotient.variables), [])
+        gb = groebner_basis([[ring.poly(g)] for g in gens], ring)
         encode, decode = ring._layout.encode, ring._layout.decode
         for a in range(len(gb.vecs)):
             for b in range(a + 1, len(gb.vecs)):
@@ -136,18 +137,19 @@ def test_reduced_basis_is_canonical(R1, R5):
 
     gens5 = [str(g) for g in R5.ideal_gens]
     rng = random.Random(17)
-    for ring, gens in ((R1, ["x^2 - y^2", "x*y", "y^3"]), (R5, gens5)):
-        base = groebner_basis([[ring.poly(g)] for g in gens], ring, over_quotient=False)
+    for quotient, gens in ((R1, ["x^2 - y^2", "x*y", "y^3"]), (R5, gens5)):
+        ring = make_ring(quotient.p, list(quotient.variables), [])
+        base = groebner_basis([[ring.poly(g)] for g in gens], ring)
         for _ in range(3):
             shuffled = list(gens)
             rng.shuffle(shuffled)
-            other = groebner_basis([[ring.poly(g)] for g in shuffled], ring, over_quotient=False)
+            other = groebner_basis([[ring.poly(g)] for g in shuffled], ring)
             assert base.same_basis(other)
 
 
 def test_normal_form_examples():
     S = make_ring(5, ["x", "y"], [])
-    gb = groebner_basis([[S.poly("x^2")], [S.poly("x*y")]], S, over_quotient=False)
+    gb = groebner_basis([[S.poly("x^2")], [S.poly("x*y")]], S)
     nf = gb.normal_form([S.poly("x^2 + y")])
     assert str(nf[0]) == "y"
     assert gb.normal_form([S.zero])[0].is_zero()
@@ -155,27 +157,29 @@ def test_normal_form_examples():
 
 
 def test_normal_form_idempotent_and_membership(R1):
+    S = make_ring(R1.p, list(R1.variables), [])
     rng = random.Random(3)
-    gb = groebner_basis([[R1.poly("x^2")], [R1.poly("x*y")]], R1, over_quotient=False)
-    span = SubmodulePresentation(R1, [[R1.poly("x^2")], [R1.poly("x*y")]], 1)
+    gb = groebner_basis([[S.poly("x^2")], [S.poly("x*y")]], S)
+    span = SubmodulePresentation(S, [[S.poly("x^2")], [S.poly("x*y")]], 1)
     for _ in range(25):
         terms = {}
         for _ in range(rng.randint(0, 4)):
             terms[(rng.randint(0, 3), rng.randint(0, 3))] = rng.randint(1, 4)
-        v = R1.zero
+        v = S.zero
         for exps, c in terms.items():
-            v = v + R1.monomial(exps, c)
+            v = v + S.monomial(exps, c)
         nf = gb.normal_form([v])[0]
         assert gb.normal_form([nf])[0] == nf
         assert span.contains([v - nf])
 
 
 def test_normal_form_is_linear(R1):
+    S = make_ring(R1.p, list(R1.variables), [])
     rng = random.Random(13)
-    gb = groebner_basis([[R1.poly("x^2 - y^2")], [R1.poly("x*y")]], R1, over_quotient=False)
+    gb = groebner_basis([[S.poly("x^2 - y^2")], [S.poly("x*y")]], S)
     for _ in range(20):
-        f = R1.monomial((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 4))
-        g = R1.monomial((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 4))
+        f = S.monomial((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 4))
+        g = S.monomial((rng.randint(0, 3), rng.randint(0, 3)), rng.randint(1, 4))
         a, b = rng.randint(1, 4), rng.randint(1, 4)
         lhs = gb.normal_form([a * f + b * g])[0]
         rhs = a * gb.normal_form([f])[0] + b * gb.normal_form([g])[0]
@@ -201,14 +205,15 @@ def test_resource_bound(monkeypatch, R1):
 
 
 def test_normal_form_ambient_mismatch(R1):
-    gb = groebner_basis([[R1.poly("x")]], R1, over_quotient=False)
+    S = make_ring(R1.p, list(R1.variables), [])
+    gb = groebner_basis([[S.poly("x")]], S)
     with pytest.raises(AmbientMismatch):
-        gb.normal_form([R1.poly("x"), R1.poly("y")])
+        gb.normal_form([S.poly("x"), S.poly("y")])
 
 
 def test_syzygy_examples(R1):
     S = make_ring(5, ["x", "y"], [])
-    syz = syzygy_generators([[S.poly("x")], [S.poly("y")]], S, ambient_rank=1, over_quotient=False)
+    syz = syzygy_generators([[S.poly("x")], [S.poly("y")]], S, ambient_rank=1)
     koszul = SubmodulePresentation(S, [[S.poly("y"), S.poly("-x")]], 2)
     assert SubmodulePresentation(S, syz, 2).same_span(koszul)
 
@@ -220,7 +225,7 @@ def test_syzygy_examples(R1):
     )
     assert SubmodulePresentation(R1, syzR, 2).same_span(expected)
 
-    assert syzygy_generators([[S.one]], S, ambient_rank=1, over_quotient=False) == []
+    assert syzygy_generators([[S.one]], S, ambient_rank=1) == []
 
 
 def _nullspace(rows, p):
@@ -693,8 +698,8 @@ def _ideal_columns(ring, rank):
 def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     """``seed_ideal`` leaves no queued or pending pair of two elements of
     I * ambient, and the engine still ends with the reduced basis of a run
-    over the columns plus I * ambient as plain columns, which queues every
-    pair."""
+    over the columns plus I * ambient as plain columns, over the same
+    variables with no ideal, which queues every pair."""
     ring, columns, rank, degrees = case
     engine = groebner._Engine(ring, degrees)
     for index, col in enumerate(columns):
@@ -708,12 +713,9 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     assert not any(i in ideal_elements and j in ideal_elements for i, j in queued)
     engine.run()
     vecs, leads, _ = engine.reduced()
+    bare = make_ring(ring.p, list(ring.variables), [])
     explicit = groebner_basis(
-        columns + _ideal_columns(ring, rank),
-        ring,
-        over_quotient=False,
-        ambient_rank=rank,
-        row_degrees=degrees,
+        columns + _ideal_columns(ring, rank), bare, ambient_rank=rank, row_degrees=degrees
     )
     assert (leads, vecs) == (explicit.leads, explicit.vecs)
 
@@ -816,6 +818,12 @@ def test_saturate_matches_accumulating_reference(case):
     ring = make_ring(5, list("xyz"), gens)
     pres = SubmodulePresentation(ring, [[ring.poly(e) for e in col] for col in columns], rank)
     sat = pres.saturate()
+    if sat is not pres:
+        # The reduced basis of the saturation without its elements of I * ambient.
+        basis = [col for col in sat.gb().columns if not all(map(ring.is_zero_mod, col))]
+        assert [list(map(str, col)) for col in sat.columns] == [
+            list(map(str, col)) for col in basis
+        ]
     if ring.dim == 0:
         identity = [[ring.one if k == j else ring.zero for k in range(rank)] for j in range(rank)]
         assert sat.same_span(SubmodulePresentation(ring, identity, rank))
@@ -830,6 +838,24 @@ def test_saturate_carries_reduced_basis():
     assert sat.same_span(ideal(ring, ["x"]))
     assert not any(all(map(ring.is_zero_mod, col)) for col in sat.columns)
     assert len(sat.columns) <= len(sat.gb())
+
+
+def test_saturation_runs_the_engine_twice_per_round(monkeypatch, R1, R5):
+    """k colon rounds take 2k engine runs: one basis of the input, k colon
+    syzygy runs and k - 1 bases of the growing span.  The zero submodule
+    saturates in three rounds over R5 and in two over R1."""
+    made = []
+
+    class CountingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_Engine", CountingEngine)
+    for ring, runs in ((R5, 6), (R1, 4)):
+        made.clear()
+        SubmodulePresentation(ring, [], 1).saturate()
+        assert len(made) == runs
 
 
 def _shuffled_and_scaled(draw, columns, p):

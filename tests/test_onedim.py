@@ -28,6 +28,7 @@ from conftest import fixture_rings, residue_field
 def test_h0_ring(R1, R2, R3, R5):
     assert h0_ring(R1).same_span(ideal(R1, ["x"]))
     assert h0_ring(R5).same_span(ideal(R5, ["x", "z", "u", "v"]))
+    assert [str(c[0]) for c in h0_ring(R5).columns] == ["x", "z", "u", "v"]
     assert h0_ring(R3).is_zero_submodule()
     assert h0_ring(R2).is_zero_submodule()
 
