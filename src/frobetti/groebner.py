@@ -15,7 +15,11 @@ and solved on vectors (``_colon_heads``), and saturation carries its span and
 one reduced basis of it from round to round as vectors.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division, the chain criterion and minimalisation scan only
-the list of the term's position.
+the list of the term's position.  A queued pair carries the lcm of its two
+leads, which the criteria and the S-vector reuse.  A Hilbert numerator
+(length, dimension, Hilbert function) needs only the minimal leads of one
+engine run (``_Engine.minimal_leads``), so it takes no tail reduction and
+builds no ``GroebnerBasis``.
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
@@ -77,17 +81,16 @@ def column_degree(col, row_degrees):
     return degs.pop()
 
 
-def _spair(leads, vecs, i, j, ring):
-    """x^si * vecs[i] - x^sj * vecs[j], with x^si * lead_i = x^sj * lead_j.
+def _spair(leads, vecs, i, j, lcm, ring):
+    """x^si * vecs[i] - x^sj * vecs[j], with x^si * lead_i = x^sj * lead_j =
+    ``lcm``, the lcm of the two leads.
 
     Applied to basis vectors this is the S-vector of the pair; applied to
     their tracked representations it is the S-vector's representation.
     """
-    li, lj = leads[i], leads[j]
-    lcm = ring._layout.lcm(li, lj)
     out = {}
-    _axpy(out, vecs[i], -1, lcm - li, ring)
-    _axpy(out, vecs[j], 1, lcm - lj, ring)
+    _axpy(out, vecs[i], -1, lcm - leads[i], ring)
+    _axpy(out, vecs[j], 1, lcm - leads[j], ring)
     return out
 
 
@@ -97,10 +100,11 @@ class _Engine:
     ``n_tracked`` marks how many of the input generators keep their syzygy
     coordinates; the elements of I * ambient that ``seed_ideal`` adjoins are
     untracked, projected away from every representation, and never paired
-    with each other.  Pairs are keyed by true degree, sum(lcm) plus the row
-    degree of their position, so ``run(d)`` leaves a basis that is complete
-    up to degree d.  ``by_pos`` lists the leads per position in insertion
-    order, for ``_reduce_vec`` and the chain criterion.
+    with each other.  Pairs are queued as ``(degree, i, j, lcm)``, keyed by
+    true degree, sum(lcm) plus the row degree of their position, so
+    ``run(d)`` leaves a basis that is complete up to degree d.  ``by_pos``
+    lists the leads per position in insertion order, for ``_reduce_vec`` and
+    the chain criterion.
     """
 
     def __init__(self, ring, row_degrees, n_tracked=0):
@@ -162,14 +166,14 @@ class _Engine:
         shift = self.row_degrees[pos]
         lcm, degree = self.layout.lcm, self.layout.degree
         for a, i in partners:
-            heapq.heappush(self.pairs, (degree(lcm(a, lead)) + shift, i, new))
+            m = lcm(a, lead)
+            heapq.heappush(self.pairs, (degree(m) + shift, i, new, m))
             self.pending.add((i, new))
         self.by_pos.setdefault(pos, []).append((lead, new))
 
-    def _skip_by_criteria(self, i, j):
+    def _skip_by_criteria(self, i, j, lcm):
         li, lj = self.leads[i], self.leads[j]
         layout = self.layout
-        lcm = layout.lcm(li, lj)
         # Product criterion is only valid when both elements live entirely in
         # the shared lead position.  The lcm has the degree of li * lj iff it
         # is li * lj.
@@ -193,20 +197,23 @@ class _Engine:
         ring = self.ring
         pairs = self.pairs
         while pairs and pairs[0][0] <= degree:
-            _, i, j = heapq.heappop(pairs)
+            _, i, j, lcm = heapq.heappop(pairs)
             self.pending.discard((i, j))
-            if self._skip_by_criteria(i, j):
+            if self._skip_by_criteria(i, j, lcm):
                 continue
-            vec = _spair(self.leads, self.basis, i, j, ring)
+            vec = _spair(self.leads, self.basis, i, j, lcm, ring)
             if not vec:
                 continue
-            rep = _spair(self.leads, self.reps, i, j, ring) if track else None
+            rep = _spair(self.leads, self.reps, i, j, lcm, ring) if track else None
             rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
             if rem:
                 self._insert(rem, rep or {})
 
-    def reduced(self):
-        """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
+    def minimal_leads(self):
+        """(kept, by_pos): the indices of the elements whose lead no other
+        lead divides, in lead order, and their leads per position as
+        ``{pos: [(lead, index in kept), ...]}``.  These are the leads of the
+        reduced basis, so they alone give its Hilbert numerator."""
         order = sorted(range(len(self.basis)), key=self.leads.__getitem__)
         guard, top = self.layout.guard, self.layout.top
         kept, by_pos = [], {}
@@ -218,6 +225,11 @@ class _Engine:
                 continue
             same_pos.append((lead, len(kept)))
             kept.append(i)
+        return kept, by_pos
+
+    def reduced(self):
+        """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
+        kept, by_pos = self.minimal_leads()
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
         reps = [dict(self.reps[i]) for i in kept]
@@ -374,7 +386,7 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, n)
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
-    unit, top = ring._layout.unit, ring._layout.top
+    unit, top, lcm = ring._layout.unit, ring._layout.top, ring._layout.lcm
     # Zero input columns are syzygies outright.
     syz_vecs = [{unit(idx): 1} for idx in zero_indices]
 
@@ -396,8 +408,9 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
         for j in range(i + 1, len(vecs)):
             if leads[i] >> top != leads[j] >> top:
                 continue
-            rep = _spair(leads, reps, i, j, ring)
-            if gb.normal_form_vec(_spair(leads, vecs, i, j, ring), rep):
+            m = lcm(leads[i], leads[j])
+            rep = _spair(leads, reps, i, j, m, ring)
+            if gb.normal_form_vec(_spair(leads, vecs, i, j, m, ring), rep):
                 raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
             if rep:
                 syz_vecs.append(rep)
@@ -502,6 +515,7 @@ class SubmodulePresentation:
         "_tracked",
         "_mingens",
         "_resolution",
+        "_numerator",
     )
 
     def __init__(self, ring, columns, ambient_rank=None, row_degrees=None, mode="submodule"):
@@ -516,6 +530,7 @@ class SubmodulePresentation:
         self._tracked = None
         self._mingens = None
         self._resolution = None
+        self._numerator = None
 
     # -- basic structure -------------------------------------------------------
 
@@ -629,21 +644,28 @@ class SubmodulePresentation:
     # -- numerical invariants -----------------------------------------------------------
 
     def numerator(self):
-        """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n.
+        """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n; a fresh
+        copy of the memoised value.
 
         The sum of the numerators of the positions' leading-term ideals, each
         shifted by its row degree (negative row degrees give negative powers).
+        The leads are those of the basis from ``gb()`` when it is built, and
+        otherwise the minimal leads of one engine run, with no tail reduction.
         """
-        per_pos = [[] for _ in range(self.ambient_rank)]
-        decode = self.ring._layout.decode
-        for lead in self.gb().leads:
-            pos, e = decode(lead)
-            per_pos[pos].append(e)
-        num = {}
-        for shift, gens in zip(self.row_degrees, per_pos):
-            for d, c in hilbert_numerator(gens, self.ring.n).items():
-                num[d + shift] = num.get(d + shift, 0) + c
-        return {d: c for d, c in num.items() if c}
+        if self._numerator is None:
+            if self._gb is not None:
+                by_pos = self._gb.by_pos
+            else:
+                vecs = [column_to_vec(col, self.ring) for col in self.columns]
+                engine, _ = _run_engine(vecs, self.ring, self.ambient_rank, self.row_degrees)
+                _, by_pos = engine.minimal_leads()
+            num = {}
+            for pos, shift in enumerate(self.row_degrees):
+                leads = [t for t, _ in by_pos.get(pos, ())]
+                for d, c in hilbert_numerator(leads, self.ring._layout).items():
+                    num[d + shift] = num.get(d + shift, 0) + c
+            self._numerator = {d: c for d, c in num.items() if c}
+        return dict(self._numerator)
 
     def length(self):
         """Length of the cokernel; Infinite exactly when its dimension is positive."""

@@ -3,8 +3,9 @@
 Lengths come from Hilbert series.  At a spot G' -a-> G -b-> G'' of a graded
 complex, HS(ker b / im a) = HS(coker a) + HS(coker b) - HS(G''), as every
 term is additive on short exact sequences.  Each term is a Hilbert numerator
-read off one Groebner basis, so a Tor or Ext length needs the bases of two
-twisted cokernels and no syzygies, minimal generators or lifts.
+read off the minimal leads of one engine run, so a Tor or Ext length needs
+one run for each of two twisted cokernels, and no reduced basis, syzygies,
+minimal generators or lifts.
 
 The subquotient route is kept as the presentation of H and as the reference
 route of the tests: H = ker(out)/im(in) is presented on the kernel

@@ -16,7 +16,10 @@ and the one division loop for vectors; the Buchberger engine in
 :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial is a
 vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
 heap and tests them against the leads of their position only
-(``_lead_lists``).  Exponent tuples remain only at the API boundary.
+(``_lead_lists``).  ``hilbert_numerator`` reads the same lead terms, as
+``(degree, packed exponents)`` pairs, so lengths, dimensions and Hilbert
+functions never decode a term.  Exponent tuples remain only at the API
+boundary.
 """
 
 import sys
@@ -62,51 +65,76 @@ def monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def minimalize_monomials(gens):
-    """Inclusion-minimal exponent tuples, in (degree, exponents) order; the
-    divisibility test runs on packed exponents (``_pack``)."""
-    gens = sorted(set(gens), key=lambda e: (sum(e), e))
-    if not gens:
-        return []
-    guard = _pack((1,) * len(gens[0])) << 63
-    out, packed = [], []
-    for g in gens:
-        b = _pack(g)
-        bg = b | guard
-        if all((bg - a) & guard != guard for a in packed):
-            out.append(g)
-            packed.append(b)
+def _minimal_pairs(pairs, guard):
+    """The inclusion-minimal ``(degree, packed exponents)`` pairs, in degree
+    order; ``guard`` is the top bit of every 64-bit field, so a divides b iff
+    ``((b | guard) - a) & guard == guard``."""
+    out = []
+    for pair in sorted(pairs):
+        b = pair[1] | guard
+        if all((b - a) & guard != guard for _, a in out):
+            out.append(pair)
     return out
 
 
-def hilbert_numerator(gens, n):
-    """N(t) with HS(S/L) = N(t) / (1 - t)^n for L = (gens) in n variables.
+def hilbert_numerator(terms, layout):
+    """N(t) with HS(S/L) = N(t) / (1 - t)^n for L the monomial ideal of the
+    lead ``terms`` of one position, encoded by ``layout``.
 
     N is returned as ``{degree: coeff}`` without zero coefficients.  This is
     the Bayer-Stillman pivot recursion N(L) = N(L + (x_i^k)) + t^k N(L : x_i^k),
     down to pairwise coprime generators, where N = prod (1 - t^deg g).  The
     pivot variable x_i occurs in the most generators and k is the median
     exponent of x_i among those that are not pure powers, so the depth grows
-    with the logarithm of the exponents.
+    with the logarithm of the exponents.  Generators are ``(degree, packed
+    exponents)`` pairs (the low bits of a term, see ``TermLayout``), so a
+    colon by x_i^k is a subtraction of fields.
     """
-    gens = minimalize_monomials(gens)
-    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
-    if max(counts, default=0) <= 1:
+    guard, mask, degree = layout.guard, layout.mask, layout.degree
+    gens = _minimal_pairs([(degree(t), t & mask) for t in terms], guard)
+    return _numerator(gens, layout)
+
+
+_FIELD = (1 << 64) - 1
+
+
+def _numerator(gens, layout):
+    """``hilbert_numerator`` of minimal ``(degree, packed exponents)`` pairs."""
+    guard = layout.guard
+    ones = guard >> 63
+    # Field i of the sum counts the generators with a nonzero exponent i.
+    counts = layout.exps(sum((((g | guard) - ones) & guard) >> 63 for _, g in gens))
+    if max(counts) <= 1:
         num = {0: 1}
-        for g in gens:
-            d = sum(g)
+        for d, _ in gens:
             out = dict(num)
             for j, c in num.items():
                 out[j + d] = out.get(j + d, 0) - c
             num = {j: c for j, c in out.items() if c}
         return num
     i = counts.index(max(counts))
-    exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    at = 64 * i
+    exps = sorted(e for d, g in gens if 0 < (e := (g >> at) & _FIELD) < d)
     k = exps[len(exps) // 2]
-    pivot = tuple(k if j == i else 0 for j in range(n))
-    num = hilbert_numerator(gens + [pivot], n)
-    colon = [g[:i] + (max(g[i] - k, 0),) + g[i + 1 :] for g in gens]
-    for d, c in hilbert_numerator(colon, n).items():
+    pivot = k << at
+    # L + (x_i^k) keeps the generators with g_i < k, as x_i^k divides the
+    # others; no pure power of x_i divides x_i^k, since every other
+    # generator's x_i-exponent lies below that power's.  In L : x_i^k the
+    # generators with g_i <= k lose field i, and only they need minimalising.
+    # The others shift down by the pivot and all stay: the shift keeps them
+    # minimal among themselves, and if h (h_i <= k) without field i divided
+    # g - x_i^k (g_i > k), h would divide g.
+    plus, low, high = [], [], []
+    for d, g in gens:
+        e = (g >> at) & _FIELD
+        if e < k:
+            plus.append((d, g))
+        if e <= k:
+            low.append((d - e, g - (e << at)))
+        else:
+            high.append((d - k, g - pivot))
+    num = _numerator(plus + [(k, pivot)], layout)
+    for d, c in _numerator(_minimal_pairs(low, guard) + high, layout).items():
         num[d + k] = num.get(d + k, 0) + c
     return {d: c for d, c in num.items() if c}
 
@@ -510,8 +538,7 @@ class QuotientRing:
     def numerator(self):
         """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
         if "numerator" not in self._memo:
-            leads = [self._layout.exps(t) for t in self._gb_lead_terms]
-            self._memo["numerator"] = hilbert_numerator(leads, self.n)
+            self._memo["numerator"] = hilbert_numerator(self._gb_lead_terms, self._layout)
         return self._memo["numerator"]
 
     @property

@@ -65,6 +65,43 @@ def brute_force_monomial_count(gens_exps, n, degree_cap):
     return total
 
 
+def reference_minimalize(gens):
+    """Inclusion-minimal exponent tuples in (degree, exponents) order,
+    testing divisibility exponent by exponent."""
+    out = []
+    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
+        if not any(monomial_divides(h, g) for h in out):
+            out.append(g)
+    return out
+
+
+def reference_numerator(gens, n):
+    """N(t) with HS(S/L) = N(t) / (1 - t)^n for the monomial ideal L of the
+    exponent tuples ``gens``: the former pivot recursion of
+    ``ring.hilbert_numerator`` on tuples, with the same pivot rule, each node
+    re-minimalising its generators."""
+    gens = reference_minimalize(gens)
+    counts = [sum(1 for g in gens if g[i]) for i in range(n)]
+    if max(counts, default=0) <= 1:
+        num = {0: 1}
+        for g in gens:
+            d = sum(g)
+            out = dict(num)
+            for j, c in num.items():
+                out[j + d] = out.get(j + d, 0) - c
+            num = {j: c for j, c in out.items() if c}
+        return num
+    i = counts.index(max(counts))
+    exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+    k = exps[len(exps) // 2]
+    pivot = tuple(k if j == i else 0 for j in range(n))
+    num = reference_numerator(gens + [pivot], n)
+    colon = [g[:i] + (max(g[i] - k, 0),) + g[i + 1 :] for g in gens]
+    for d, c in reference_numerator(colon, n).items():
+        num[d + k] = num.get(d + k, 0) + c
+    return {d: c for d, c in num.items() if c}
+
+
 def random_form(draw, ring, degree, max_terms=3):
     """A random form of the given degree with at most ``max_terms`` terms,
     drawn inside a hypothesis composite strategy."""

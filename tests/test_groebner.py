@@ -22,6 +22,8 @@ from frobetti.frobenius import frobenius_power, twist_complex
 from frobetti.groebner import (
     column_degree,
     column_to_vec,
+    numerator_dimension,
+    numerator_length,
     vec_to_column,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
@@ -34,7 +36,14 @@ from frobetti.ring import (
     monomials_of_degree,
 )
 
-from conftest import brute_force_monomial_count, decoded, random_form, residue_field, vec_key
+from conftest import (
+    brute_force_monomial_count,
+    decoded,
+    random_form,
+    reference_numerator,
+    residue_field,
+    vec_key,
+)
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------
@@ -670,7 +679,7 @@ def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
     top = max((c for c in col_degs if c is not None), default=max(degrees))
     d = data.draw(st.integers(min(degrees), top + 2))
     engine.run(d)
-    assert all(_true_degree(engine, degrees, i, j) > d for _, i, j in engine.pairs)
+    assert all(_true_degree(engine, degrees, i, j) > d for _, i, j, _ in engine.pairs)
     full = groebner_basis(columns, ring, ambient_rank=rank, row_degrees=degrees)
     for t in range(min(degrees), d + 1):
         combination = [ring.zero] * rank
@@ -709,7 +718,7 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     engine.seed_ideal(rank)
     ideal_elements = range(first, len(engine.basis))
     assert len(ideal_elements) == rank * len(ring.ideal_groebner)
-    queued = {(i, j) for _, i, j in engine.pairs} | engine.pending
+    queued = {(i, j) for _, i, j, _ in engine.pairs} | engine.pending
     assert not any(i in ideal_elements and j in ideal_elements for i, j in queued)
     engine.run()
     vecs, leads, _ = engine.reduced()
@@ -718,6 +727,84 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
         columns + _ideal_columns(ring, rank), bare, ambient_rank=rank, row_degrees=degrees
     )
     assert (leads, vecs) == (explicit.leads, explicit.vecs)
+
+
+# -- Hilbert numerators from minimal leads ---------------------------------------
+
+
+def _leads_per_position(pres):
+    """The leads of the reduced basis, decoded to exponent tuples, per position."""
+    per_pos = [[] for _ in range(pres.ambient_rank)]
+    for lead in pres.gb().leads:
+        pos, e = pres.ring._layout.decode(lead)
+        per_pos[pos].append(e)
+    return per_pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(_column_sets(twists=(-1, 2)))
+def test_numerator_from_minimal_leads_matches_the_reduced_basis(case):
+    """A fresh presentation's numerator (minimal leads of one engine run)
+    equals the one read off the built reduced basis and the former tuple
+    route; the dict handed out is a copy; length, dimension and the Hilbert
+    function, which read it, count the standard monomials of the basis's
+    leads."""
+    ring, columns, rank, degrees = case
+    n = ring.n
+    fresh = cokernel_presentation(ring, columns, rank, degrees)
+    built = cokernel_presentation(ring, columns, rank, degrees)
+    per_pos = _leads_per_position(built)
+    # The former route: decoded leads through the tuple recursion.
+    reference = {}
+    for shift, gens in zip(degrees, per_pos):
+        for d, c in reference_numerator(gens, n).items():
+            reference[d + shift] = reference.get(d + shift, 0) + c
+    reference = {d: c for d, c in reference.items() if c}
+    num = fresh.numerator()
+    assert num == built.numerator() == reference
+    num[10**6] = 1
+    num.clear()
+    assert fresh.numerator() == reference
+    assert fresh.length() == numerator_length(reference, n)
+    assert fresh.dimension() == numerator_dimension(reference, n)
+    for d in range(min(degrees) - 1, max(degrees) + 6):
+        expected = sum(
+            brute_force_monomial_count(gens, n, d - r) - brute_force_monomial_count(gens, n, d - r - 1)
+            for r, gens in zip(degrees, per_pos)
+        )
+        assert fresh.hilbert_function(d) == expected
+
+
+def test_fresh_numerator_runs_one_engine_and_no_tail_reduction(monkeypatch, R1, R5):
+    """A numerator needs only minimal leads: the length, dimension and
+    Hilbert function of a fresh presentation take one engine run and no
+    reduced basis."""
+    made, reduced = [], []
+
+    class CountingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+        def reduced(self):
+            reduced.append(self)
+            return super().reduced()
+
+    cubic = make_ring(5, list("xyz"), ["x^3 + y^3 + z^3"])
+    twisted = twist_complex(resolve(residue_field(cubic), 2), 2)
+    cases = [
+        quotient_module(R5, ["y", "x + z"]),
+        residue_field(R1),
+        cokernel_presentation(cubic, twisted.matrix(1), twisted.rank(0), twisted.degrees(0)),
+    ]
+    monkeypatch.setattr(groebner, "_Engine", CountingEngine)
+    for pres in cases:
+        made.clear()
+        reduced.clear()
+        pres.length()
+        pres.dimension()
+        pres.hilbert_function(3)
+        assert (len(made), len(reduced)) == (1, 0)
 
 
 # -- lifts over a quotient ring ----------------------------------------------------
@@ -926,12 +1013,14 @@ def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
     return rem
 
 
-def _reference_skip_by_criteria(self, i, j):
+def _reference_skip_by_criteria(self, i, j, carried):
     """The former pair test of ``_Engine``: the chain criterion compares
-    exponent tuples, decoded from the engine's lead terms."""
+    exponent tuples, decoded from the engine's lead terms.  The lcm the pair
+    carries from the queue must be the lcm of those tuples."""
     leads = [self.layout.decode(t) for t in self.leads]
     li, lj = leads[i], leads[j]
     lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
+    assert self.layout.decode(carried) == (li[0], lcm)
     if (
         self.single_pos[i]
         and self.single_pos[j]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
+from frobetti import ring as ring_module
 from frobetti.errors import (
     NotHomogeneous,
     NotPrime,
@@ -15,13 +16,14 @@ from frobetti.errors import (
 )
 from frobetti.ring import (
     TermLayout,
+    _minimal_pairs,
     _reduce_vec,
     drl_key,
-    minimalize_monomials,
+    hilbert_numerator,
     monomial_divides,
 )
 
-from conftest import vec_key
+from conftest import reference_minimalize, reference_numerator, vec_key
 
 
 def test_make_ring_fixtures(R1, R2, R5):
@@ -243,22 +245,48 @@ def test_tracked_representation_past_the_packed_width_raises_overflow():
     assert "exponent %d does not fit" % 2**63 in str(err.value)
 
 
-def _reference_minimalize(gens):
-    """The former loop, testing divisibility exponent by exponent."""
-    out = []
-    for g in sorted(set(gens), key=lambda e: (sum(e), e)):
-        if not any(monomial_divides(h, g) for h in out):
-            out.append(g)
-    return out
+def _monomial_lists(max_size):
+    """Exponent tuples in 1-4 variables, each exponent 0..4 or up to WIDEST."""
+    return st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, WIDEST))] * n),
+            max_size=max_size,
+        )
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda n: st.lists(
-            st.tuples(*[st.one_of(st.integers(0, 4), st.integers(0, WIDEST))] * n), max_size=12
-        )
-    )
-)
+@given(_monomial_lists(12))
 def test_minimalize_monomials_matches_the_reference(gens):
-    assert minimalize_monomials(gens) == _reference_minimalize(gens)
+    """The packed minimalisation keeps the reference's monomials, with each
+    pair's degree, in degree order."""
+    if not gens:
+        assert _minimal_pairs([], 0) == []
+        return
+    layout = TermLayout(len(gens[0]))
+    pairs = [(sum(g), layout.encode(0, g) & layout.mask) for g in gens]
+    kept = _minimal_pairs(pairs, layout.guard)
+    assert [d for d, _ in kept] == sorted(d for d, _ in kept)
+    decoded = [layout.exps(t) for _, t in kept]
+    assert [d for d, _ in kept] == [sum(g) for g in decoded]
+    assert sorted(decoded, key=lambda e: (sum(e), e)) == reference_minimalize(gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_monomial_lists(8))
+def test_hilbert_numerator_on_packed_terms_matches_the_reference(gens):
+    """The packed recursion gives the reference's numerator, and every node
+    of it receives minimal generators, as the reference's nodes do after
+    re-minimalising."""
+    n = len(gens[0]) if gens else 1
+    layout = TermLayout(n)
+    terms = [layout.encode(0, g) for g in gens]
+    node = ring_module._numerator
+
+    def checked(pairs, layout):
+        assert sorted(pairs) == _minimal_pairs(pairs, layout.guard)
+        return node(pairs, layout)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring_module, "_numerator", checked)
+        assert hilbert_numerator(terms, layout) == reference_numerator(gens, n)
