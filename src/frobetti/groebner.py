@@ -14,12 +14,17 @@ boundary (``column_to_vec``, ``vec_to_column``): colon problems are built
 and solved on vectors (``_colon_heads``), and saturation carries its span and
 one reduced basis of it from round to round as vectors.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
-index), ...]}``; division, the chain criterion and minimalisation scan only
-the list of the term's position.  A queued pair carries the lcm of its two
-leads, which the criteria and the S-vector reuse.  A Hilbert numerator
-(length, dimension, Hilbert function) needs only the minimal leads of one
-engine run (``_Engine.minimal_leads``), so it takes no tail reduction and
-builds no ``GroebnerBasis``.
+index), ...]}``; division and minimalisation scan only the list of the
+term's position.  Pairs are chosen when an element is appended, by the
+Gebauer-Moeller update (``_Engine._update``): the new lead deletes the queued
+pairs of its position that it makes redundant, and of its own pairs it
+queues only those whose lcm is minimal among theirs, one per lcm, and none
+whose lcm is that of a coprime pair.  A pair that is not queued counts as
+treated, so popping a pair only checks that it is still queued.  A queued
+pair carries the lcm of its two leads, which the S-vector reuses.  A Hilbert
+numerator (length, dimension, Hilbert function) needs only the minimal leads
+of one engine run (``_Engine.minimal_leads``), so it takes no tail reduction
+and builds no ``GroebnerBasis``.
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
@@ -98,13 +103,21 @@ class _Engine:
     """Buchberger with normal pair selection and tracked representations.
 
     ``n_tracked`` marks how many of the input generators keep their syzygy
-    coordinates; the elements of I * ambient that ``seed_ideal`` adjoins are
-    untracked, projected away from every representation, and never paired
-    with each other.  Pairs are queued as ``(degree, i, j, lcm)``, keyed by
-    true degree, sum(lcm) plus the row degree of their position, so
-    ``run(d)`` leaves a basis that is complete up to degree d.  ``by_pos``
-    lists the leads per position in insertion order, for ``_reduce_vec`` and
-    the chain criterion.
+    coordinates; the elements of I * ambient that ``seed_ideal`` adjoins
+    (indices ``ideal``) are untracked, projected away from every
+    representation, and never paired with each other.  ``by_pos`` lists the
+    leads per position in insertion order, for ``_reduce_vec``.
+
+    Pairs are chosen by the Gebauer-Moeller update (``_update``) when an
+    element is appended, never when they are popped.  ``queued`` holds, per
+    position, the live pairs as ``{(i, j): lcm}``; the heap ``pairs`` holds
+    them as ``(degree, i, j, lcm)``, keyed by true degree, sum(lcm) plus the
+    row degree of their position, so ``run(d)`` leaves a basis that is
+    complete up to degree d.  A pair the update deletes stays on the heap and
+    is skipped when popped, since it is no longer in ``queued``.  Every pair
+    of two elements at one position that is not queued counts as treated:
+    it was processed, the update dropped it, or both elements come from
+    ``seed_ideal``.
     """
 
     def __init__(self, ring, row_degrees, n_tracked=0):
@@ -118,7 +131,8 @@ class _Engine:
         self.reps = []
         self.single_pos = []
         self.pairs = []
-        self.pending = set()
+        self.queued = {}
+        self.ideal = range(0)
 
     def seed(self, vec, index):
         rep = {self.layout.unit(index): 1} if index < self.n_tracked else {}
@@ -126,12 +140,16 @@ class _Engine:
 
     def seed_ideal(self, ambient_rank):
         """Append I * ambient, untracked, pairing each g * e_k only with the
-        elements at position k from before the call.  The S-vector of g * e_k
-        and g' * e_k is S(g, g') * e_k, which has a standard representation in
-        the g * e_k (Buchberger's criterion for the reduced basis of I), so
-        that pair counts as treated, for the chain criterion too."""
+        elements at position k from before the call; called at most once per
+        engine.  The S-vector of g * e_k and g' * e_k is S(g, g') * e_k, which
+        has a standard representation in the g * e_k (Buchberger's criterion
+        for the reduced basis of I), so that pair is treated without being
+        queued.  The B criterion relies on this when a later g' * e_k deletes
+        a queued pair (i, g * e_k)."""
         top = self.layout.top
         leads = self.ring._gb_lead_terms
+        first = len(self.basis)
+        self.ideal = range(first, first + ambient_rank * len(leads))
         for pos in range(ambient_rank):
             earlier = list(self.by_pos.get(pos, ()))
             for vec, lead in zip(_ideal_vecs(self.ring, pos), leads):
@@ -153,8 +171,8 @@ class _Engine:
         self._append(vec, lead, rep, single, self.by_pos.get(-(lead >> top), ()))
 
     def _append(self, vec, lead, rep, single_pos, partners):
-        """Add the monic ``vec`` and queue its pairs with ``partners``, a list
-        of ``(lead, index)`` at its position."""
+        """Add the monic ``vec`` and queue the pairs with ``partners``, a list
+        of ``(lead, index)`` at its position, that ``_update`` keeps."""
         if len(self.basis) >= MAX_BASIS_SIZE:
             raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         new = len(self.basis)
@@ -163,43 +181,78 @@ class _Engine:
         self.leads.append(lead)
         self.reps.append(rep)
         self.single_pos.append(single_pos)
-        shift = self.row_degrees[pos]
-        lcm, degree = self.layout.lcm, self.layout.degree
-        for a, i in partners:
-            m = lcm(a, lead)
-            heapq.heappush(self.pairs, (degree(m) + shift, i, new, m))
-            self.pending.add((i, new))
+        if partners:
+            queued = self.queued.setdefault(pos, {})
+            shift = self.row_degrees[pos]
+            for d, i, m in self._update(new, partners, queued):
+                queued[(i, new)] = m
+                heapq.heappush(self.pairs, (d + shift, i, new, m))
         self.by_pos.setdefault(pos, []).append((lead, new))
 
-    def _skip_by_criteria(self, i, j, lcm):
-        li, lj = self.leads[i], self.leads[j]
+    def _update(self, new, partners, queued):
+        """The Gebauer-Moeller update (Becker-Weispfenning, UPDATE) for the
+        element ``new``, whose lead is h.
+
+        B criterion: delete from ``queued``, the live pairs of its position,
+        each (i, j) whose lcm m is divisible by h, unless lcm(lead_i, h) or
+        lcm(lead_j, h) equals m.  Gebauer and Moeller need both lcms to differ
+        from m so that two deletions cannot rely on each other; a pair of two
+        elements from ``seed_ideal`` relies on no other pair, so (x, new) may
+        have lcm m when both come from there.  M and F criteria: take the
+        pairs with ``partners`` so that a proper divisor of an lcm comes
+        first, and a coprime pair first among equal lcms, and keep a pair iff
+        no kept lcm divides its lcm; any such order keeps the same pairs.
+        Returns the kept pairs that are not coprime (product criterion) as
+        ``(degree of lcm, i, lcm)``.  Coprime means the lcm is the product of
+        the leads and both elements live only at their lead position; the
+        product criterion does not hold for module elements otherwise.
+        """
         layout = self.layout
-        # Product criterion is only valid when both elements live entirely in
-        # the shared lead position.  The lcm has the degree of li * lj iff it
-        # is li * lj.
-        degree = layout.degree
-        if self.single_pos[i] and self.single_pos[j] and degree(lcm) == degree(li) + degree(lj):
-            return True
-        pending = self.pending
-        guard = layout.guard
-        m = lcm | guard
-        for ak, k in self.by_pos[-(li >> layout.top)]:
-            if (m - ak) & guard == guard and k != i and k != j:
-                a = (i, k) if i < k else (k, i)
-                b = (j, k) if j < k else (k, j)
-                if a not in pending and b not in pending:
-                    return True
-        return False
+        lcm, guard = layout.lcm, layout.guard
+        leads = self.leads
+        h = leads[new]
+        if queued:
+            ideal = self.ideal
+            ideal_new = new in ideal
+            dead = [
+                (i, j)
+                for (i, j), m in queued.items()
+                if ((m | guard) - h) & guard == guard
+                and (lcm(leads[i], h) != m or ideal_new and i in ideal)
+                and (lcm(leads[j], h) != m or ideal_new and j in ideal)
+            ]
+            for key in dead:
+                del queued[key]
+        single = self.single_pos
+        single_new = single[new]
+        # Integer order on one position is degree first, so a proper divisor
+        # sorts first; a + h_times is the term a * h, as the encoding is affine.
+        h_times = h - layout.unit(-(h >> layout.top))
+        records = []
+        for a, i in partners:
+            m = lcm(a, h)
+            records.append((m, not (single_new and single[i] and m == a + h_times), i))
+        records.sort()
+        kept, fresh = [], []
+        for m, not_coprime, i in records:
+            b = m | guard
+            for k in kept:
+                if (b - k) & guard == guard:
+                    break
+            else:
+                kept.append(m)
+                if not_coprime:
+                    fresh.append((layout.degree(m), i, m))
+        return fresh
 
     def run(self, degree=INFINITE):
         """Process the pairs of true degree at most ``degree``."""
         track = self.n_tracked > 0
         ring = self.ring
-        pairs = self.pairs
+        pairs, queued, top = self.pairs, self.queued, self.layout.top
         while pairs and pairs[0][0] <= degree:
             _, i, j, lcm = heapq.heappop(pairs)
-            self.pending.discard((i, j))
-            if self._skip_by_criteria(i, j, lcm):
+            if queued[-(lcm >> top)].pop((i, j), None) is None:
                 continue
             vec = _spair(self.leads, self.basis, i, j, lcm, ring)
             if not vec:

@@ -46,6 +46,14 @@ def test_hk_r2_r4(R2, R4):
         assert lv.raw == brute_force_monomial_count(gens, 2, 2 * lv.q)
 
 
+def test_hk_of_the_cubic_at_high_frobenius_levels():
+    """Levels where the Groebner bases of J^[q] reach hundreds of elements,
+    almost all minimal, so that the pair update discards most pairs."""
+    for p, top, raw in ((5, 4, [55, 1405, 35155, 878905]), (7, 3, [109, 5401, 264709])):
+        cubic = make_ring(p, list("xyz"), ["x^3 + y^3 + z^3"])
+        assert hk_sequence(cubic, ["x", "y", "z"], range(1, top + 1)).raw_values() == raw
+
+
 def test_levels_are_exact_rationals(R1, K1):
     seq = hk_sequence(R1, ["x", "y"], range(1, 3))
     for lv in seq.levels:

@@ -10,6 +10,7 @@ from frobetti import (
     SubmodulePresentation,
     cokernel_presentation,
     groebner_basis,
+    hk_sequence,
     ideal,
     make_ring,
     quotient_module,
@@ -705,10 +706,10 @@ def _ideal_columns(ring, rank):
 @settings(max_examples=50, deadline=None)
 @given(_column_sets(twists=(-1, 2)))
 def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
-    """``seed_ideal`` leaves no queued or pending pair of two elements of
-    I * ambient, and the engine still ends with the reduced basis of a run
-    over the columns plus I * ambient as plain columns, over the same
-    variables with no ideal, which queues every pair."""
+    """``seed_ideal`` queues no pair of two elements of I * ambient, and the
+    engine still ends with the reduced basis of a run over the columns plus
+    I * ambient as plain columns, over the same variables with no ideal,
+    where every pair of them goes through the pair update."""
     ring, columns, rank, degrees = case
     engine = groebner._Engine(ring, degrees)
     for index, col in enumerate(columns):
@@ -718,7 +719,9 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     engine.seed_ideal(rank)
     ideal_elements = range(first, len(engine.basis))
     assert len(ideal_elements) == rank * len(ring.ideal_groebner)
-    queued = {(i, j) for _, i, j, _ in engine.pairs} | engine.pending
+    # Nothing has been popped yet, so the heap holds every pair ever queued,
+    # those the update deleted again included.
+    queued = {(i, j) for _, i, j, _ in engine.pairs}
     assert not any(i in ideal_elements and j in ideal_elements for i, j in queued)
     engine.run()
     vecs, leads, _ = engine.reduced()
@@ -1013,31 +1016,58 @@ def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
     return rem
 
 
-def _reference_skip_by_criteria(self, i, j, carried):
-    """The former pair test of ``_Engine``: the chain criterion compares
-    exponent tuples, decoded from the engine's lead terms.  The lcm the pair
-    carries from the queue must be the lcm of those tuples."""
-    leads = [self.layout.decode(t) for t in self.leads]
-    li, lj = leads[i], leads[j]
-    lcm = tuple(max(a, b) for a, b in zip(li[1], lj[1]))
-    assert self.layout.decode(carried) == (li[0], lcm)
-    if (
-        self.single_pos[i]
-        and self.single_pos[j]
-        and lcm == tuple(a + b for a, b in zip(li[1], lj[1]))
-    ):
-        return True
-    pos = li[0]
-    pending = self.pending
-    for k, lk in enumerate(leads):
-        if k == i or k == j or lk[0] != pos:
+def _reference_update(self, new, partners, queued):
+    """The Gebauer-Moeller update of ``_Engine._update`` on exponent tuples
+    decoded from the engine's lead terms.  The partners must be the earlier
+    elements at the new element's position, less its siblings from
+    ``seed_ideal``, and the lcm each queued pair carries must be the lcm of
+    its leads' tuples."""
+    layout = self.layout
+    leads = [layout.decode(t) for t in self.leads]
+    pos, h = leads[new]
+    ideal = self.ideal
+    earlier = [k for k in range(new) if leads[k][0] == pos]
+    assert [i for _, i in partners] == [k for k in earlier if not (k in ideal and new in ideal)]
+
+    def lcm(a, b):
+        return tuple(max(x, y) for x, y in zip(a, b))
+
+    def divides(a, b):
+        return all(x <= y for x, y in zip(a, b))
+
+    for (i, j), carried in list(queued.items()):
+        m = lcm(leads[i][1], leads[j][1])
+        assert layout.decode(carried) == (pos, m)
+        if divides(h, m) and all(
+            lcm(leads[k][1], h) != m or (k in ideal and new in ideal) for k in (i, j)
+        ):
+            del queued[(i, j)]
+    records = []
+    for lead, i in partners:
+        assert lead == self.leads[i]
+        e = leads[i][1]
+        m = lcm(e, h)
+        coprime = (
+            self.single_pos[i]
+            and self.single_pos[new]
+            and m == tuple(x + y for x, y in zip(e, h))
+        )
+        records.append((sum(m), not coprime, i, m))
+    kept, fresh = [], []
+    for d, not_coprime, i, m in sorted(records):
+        if any(divides(k, m) for k in kept):
             continue
-        if all(a <= b for a, b in zip(lk[1], lcm)):
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a not in pending and b not in pending:
-                return True
-    return False
+        kept.append(m)
+        if not_coprime:
+            fresh.append((d, i, layout.encode(pos, m)))
+    return fresh
+
+
+def _queue_every_pair(self, new, partners, queued):
+    """No criteria: every pair with ``partners`` is queued and reduced."""
+    lcm, degree = self.layout.lcm, self.layout.degree
+    pairs = [(lcm(a, self.leads[new]), i) for a, i in partners]
+    return [(degree(m), i, m) for m, i in pairs]
 
 
 @st.composite
@@ -1103,19 +1133,89 @@ def test_reduce_vec_takes_the_steps_of_the_reference_loop(case):
 def _bases_and_syzygies(ring, columns, rank, degrees):
     gb = groebner_basis(columns, ring, ambient_rank=rank, row_degrees=degrees)
     syz = syzygy_generators(columns, ring, ambient_rank=rank, row_degrees=degrees)
-    return gb.leads, gb.vecs, [[str(e) for e in col] for col in syz]
+    return gb.leads, gb.vecs, syz
+
+
+def _syzygy_basis(ring, columns, degrees, syz):
+    """The reduced Groebner basis of the syzygy module ``syz`` of ``columns``,
+    whose row degrees are the column degrees (0 for a zero column)."""
+    rows = [column_degree(col, degrees) or 0 for col in columns]
+    gb = groebner_basis(syz, ring, ambient_rank=len(columns), row_degrees=rows)
+    return gb.leads, gb.vecs
 
 
 @settings(max_examples=40, deadline=None)
 @given(_column_sets(), st.integers(0, 2))
 def test_pair_criteria_decide_as_the_reference(case, e):
-    """Rank 1-2 columns, with every entry raised to a bracket power p^e."""
+    """Rank 1-2 columns, with every entry raised to a bracket power p^e.
+    The update on encoded terms gives the same reduced basis and the same
+    syzygies as the update on exponent tuples; a run that queues every pair
+    gives the same reduced basis and a syzygy module with the same basis."""
     ring, columns, rank, degrees = case
     q = ring.p**e
     columns = [[frobenius_power(entry, e) for entry in col] for col in columns]
     degrees = tuple(q * d for d in degrees)
-    new = _bases_and_syzygies(ring, columns, rank, degrees)
+    leads, vecs, syz = _bases_and_syzygies(ring, columns, rank, degrees)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(groebner._Engine, "_skip_by_criteria", _reference_skip_by_criteria)
-        old = _bases_and_syzygies(ring, columns, rank, degrees)
-    assert new == old
+        patch.setattr(groebner._Engine, "_update", _reference_update)
+        ref_leads, ref_vecs, ref_syz = _bases_and_syzygies(ring, columns, rank, degrees)
+    assert (leads, vecs) == (ref_leads, ref_vecs)
+    assert [[str(x) for x in col] for col in syz] == [[str(x) for x in col] for col in ref_syz]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner._Engine, "_update", _queue_every_pair)
+        all_leads, all_vecs, all_syz = _bases_and_syzygies(ring, columns, rank, degrees)
+    assert (leads, vecs) == (all_leads, all_vecs)
+    assert _syzygy_basis(ring, columns, degrees, syz) == _syzygy_basis(
+        ring, columns, degrees, all_syz
+    )
+
+
+def test_pair_update_queues_few_pairs_at_a_high_frobenius_level(monkeypatch):
+    """hk of the F_7 cubic at e = 3 builds a basis of hundreds of elements,
+    almost all minimal.  Queuing every same-position pair takes 9,876 pairs
+    and reduces 277 S-vectors; the update queues a tenth of that at most and
+    reduces no more."""
+    counts, reduced = [], []
+    real_reduce = groebner._reduce_vec
+
+    class CountingEngine(groebner._Engine):
+        def _update(self, new, partners, queued):
+            fresh = super()._update(new, partners, queued)
+            counts.append(len(fresh))
+            return fresh
+
+    def counting_reduce(*args, **kwargs):
+        reduced.append(1)
+        return real_reduce(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_Engine", CountingEngine)
+    monkeypatch.setattr(groebner, "_reduce_vec", counting_reduce)
+    cubic = make_ring(7, list("xyz"), ["x^3 + y^3 + z^3"])
+    assert hk_sequence(cubic, ["x", "y", "z"], [3]).raw_values() == [264709]
+    assert sum(counts) <= 9876 // 10
+    assert len(reduced) <= 277
+
+
+def test_update_relies_on_pairs_of_two_ideal_elements(monkeypatch):
+    """Over F_5[x,y,z]/(yz, xz, x^2) the column (x, y) has lead x e_0 and
+    lives at two positions, so its pair with yz e_0 (lcm xyz e_0) is queued.
+    xz e_0 divides that lcm, and its pair with yz e_0 has the same lcm but
+    needs no other pair, since the basis of I treats it; so the update
+    deletes the queued pair and no S-vector of lcm xyz e_0 is formed.  The
+    plain Gebauer-Moeller B criterion, which needs both lcms to differ from
+    xyz, keeps it."""
+    ring = make_ring(5, list("xyz"), ["x^2", "x*z", "y*z"])
+    seen = []
+    real_spair = groebner._spair
+
+    def recording_spair(leads, vecs, i, j, lcm, ring):
+        seen.append(ring._layout.decode(lcm))
+        return real_spair(leads, vecs, i, j, lcm, ring)
+
+    monkeypatch.setattr(groebner, "_spair", recording_spair)
+    column = [ring.poly("x"), ring.poly("y")]
+    gb = groebner_basis([column], ring, ambient_rank=2, row_degrees=(0, 0))
+    assert (0, (1, 0, 1)) in seen and (0, (1, 1, 1)) not in seen
+    assert [[str(e) for e in col] for col in gb.columns] == [
+        ["0", "y*z"], ["0", "x*z"], ["0", "x*y"], ["0", "x^2"], ["x", "y"], ["y*z", "0"]
+    ]
