@@ -17,7 +17,7 @@ from .asymptotics import (
     verify_laws,
 )
 from .errors import FrobettiError
-from .frobenius import BracketLevel, bracket_ideal, bracket_matrix, frobenius_power, twist_complex
+from .frobenius import BracketLevel, bracket_ideal, frobenius_power, twist_complex
 from .groebner import (
     INFINITE,
     GroebnerBasis,
@@ -69,7 +69,6 @@ __all__ = [
     "SyzygyPresentation",
     "beta_sequence",
     "bracket_ideal",
-    "bracket_matrix",
     "buchsbaum_flag",
     "choose_parameter",
     "cokernel_presentation",

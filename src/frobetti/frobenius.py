@@ -1,12 +1,14 @@
-"""Frobenius bracket powers of polynomials, ideals, matrices, and complexes.
+"""Frobenius bracket powers of polynomials, ideals, and complexes.
 
 Over F_p the q-th power of a sparse polynomial is computed by scaling every
 exponent vector by q; coefficients are fixed by Fermat.  Bracket powers of a
-complex keep the ranks, raise every matrix entry to the q-th power, and scale
-the grading twists by q.
+complex scale the twists by q and map each column term t of x^e * e_pos to
+q*t - (q-1)*unit(pos), that of x^(q*e) * e_pos, as the encoding is affine.
+As bracket power is a ring endomorphism of S over F_p and I^[q] lies in I,
+phi^[q] psi^[q] = (phi psi)^[q] lies in I when phi psi does: a twist checks its input.
 """
 
-from .errors import Overflow
+from .errors import LiftFailure, Overflow
 from .resolution import FreeComplex
 from .ring import MAX_EXPONENT, Polynomial
 
@@ -56,21 +58,24 @@ def bracket_ideal(gens, level, ring=None):
     return [frobenius_power(g if isinstance(g, Polynomial) else ring.poly(g), level) for g in gens]
 
 
-def bracket_matrix(columns, level):
-    """Entry-wise bracket power of a matrix given as a list of columns."""
-    return [[frobenius_power(entry, level) for entry in col] for col in columns]
+def _bracket_vec(vec, q, layout):
+    """vec^[q] for an engine vector: each term x^e * e_pos becomes x^(q*e) * e_pos."""
+    if any(max(layout.exps(t)) * q >= MAX_EXPONENT for t in vec):
+        raise Overflow("bracket power pushes an exponent past the configured width")
+    top, unit = layout.top, layout.unit
+    return {q * t - (q - 1) * unit(-(t >> top)): c for t, c in vec.items()}
 
 
 def twist_complex(complex_, level):
-    """The complex (G_j, phi_j^[q]); composition-zero is re-verified exactly."""
+    """The complex (G_j, phi_j^[q]); for q > 1 the input's complex property is checked."""
     ring = complex_.ring
     lv = _level(ring, level)
     q = lv.q
     if q == 1:
         return complex_.copy()
-    maps = [bracket_matrix(complex_.maps[j], lv) for j in range(1, len(complex_.maps))]
+    if not complex_.check_complex():
+        raise LiftFailure("consecutive maps do not compose to zero; not a complex")
+    layout = ring._layout
+    maps = [[_bracket_vec(v, q, layout) for v in mat] for mat in complex_.maps[1:]]
     degrees = [[q * d for d in degs] for degs in complex_.row_degrees]
-    twisted = FreeComplex(ring, complex_.ranks, degrees, maps)
-    if not twisted.check_complex():
-        raise AssertionError("bracket power destroyed the complex property")
-    return twisted
+    return FreeComplex(ring, complex_.ranks, degrees, maps)

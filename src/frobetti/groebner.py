@@ -11,8 +11,9 @@ indices, so one multiply-subtract (``_axpy``) and one division loop
 (``_reduce_vec``) serve basis elements, representations and the quotient
 ring's normal forms alike.  Columns of ``Polynomial`` appear only at the API
 boundary (``column_to_vec``, ``vec_to_column``): colon problems are built
-and solved on vectors (``_colon_heads``), and saturation carries its span and
-one reduced basis of it from round to round as vectors.  The engine and
+and solved on vectors (``_colon_heads``), saturation carries its span and
+one reduced basis of it from round to round as vectors, and complexes
+(:mod:`frobetti.resolution`) store their maps as vectors.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division and minimalisation scan only the list of the
 term's position.  Pairs are chosen when an element is appended, by the
@@ -372,6 +373,12 @@ def _ideal_vecs(ring, pos):
     return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
 
 
+def _ideal_basis(ring, ambient_rank, row_degrees):
+    """I * ambient as a ``GroebnerBasis``, built without an engine run."""
+    vecs = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
+    return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, [max(v) for v in vecs])
+
+
 def _run_engine(vecs, ring, ambient_rank, row_degrees, n_tracked=0):
     """One Buchberger run over the vectors ``vecs`` plus I * ambient."""
     engine = _Engine(ring, row_degrees, n_tracked=n_tracked)
@@ -679,8 +686,7 @@ class SubmodulePresentation:
         """
         ring, r, degs = self.ring, self.ambient_rank, self.row_degrees
         variables = [column_to_vec([x], ring) for x in ring.gens()]
-        ideal = [v for pos in range(r) for v in _ideal_vecs(ring, pos)]
-        ideal = GroebnerBasis(ring, r, degs, ideal, [max(v) for v in ideal])
+        ideal = _ideal_basis(ring, r, degs)
         vecs = [column_to_vec(col, ring) for col in self.columns]
         gb = self.gb()
         while True:
@@ -697,27 +703,11 @@ class SubmodulePresentation:
     # -- numerical invariants -----------------------------------------------------------
 
     def numerator(self):
-        """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n; a fresh
-        copy of the memoised value.
-
-        The sum of the numerators of the positions' leading-term ideals, each
-        shifted by its row degree (negative row degrees give negative powers).
-        The leads are those of the basis from ``gb()`` when it is built, and
-        otherwise the minimal leads of one engine run, with no tail reduction.
-        """
+        """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n
+        (``cokernel_numerator``); a fresh copy of the memoised value."""
         if self._numerator is None:
-            if self._gb is not None:
-                by_pos = self._gb.by_pos
-            else:
-                vecs = [column_to_vec(col, self.ring) for col in self.columns]
-                engine, _ = _run_engine(vecs, self.ring, self.ambient_rank, self.row_degrees)
-                _, by_pos = engine.minimal_leads()
-            num = {}
-            for pos, shift in enumerate(self.row_degrees):
-                leads = [t for t, _ in by_pos.get(pos, ())]
-                for d, c in hilbert_numerator(leads, self.ring._layout).items():
-                    num[d + shift] = num.get(d + shift, 0) + c
-            self._numerator = {d: c for d, c in num.items() if c}
+            vecs = [column_to_vec(col, self.ring) for col in self.columns]
+            self._numerator = cokernel_numerator(vecs, self.ring, self.row_degrees)
         return dict(self._numerator)
 
     def length(self):
@@ -742,6 +732,20 @@ class SubmodulePresentation:
             len(self.columns),
             self.ring,
         )
+
+
+def cokernel_numerator(vecs, ring, row_degrees):
+    """Hilbert numerator of the cokernel of ``vecs`` in the free module with
+    twists ``row_degrees``: the numerators of the positions' lead-term ideals
+    (minimal leads of one engine run), each shifted by its row degree."""
+    engine, _ = _run_engine(vecs, ring, len(row_degrees), row_degrees)
+    by_pos = engine.minimal_leads()[1]
+    num = {}
+    for pos, shift in enumerate(row_degrees):
+        leads = [t for t, _ in by_pos.get(pos, ())]
+        for d, c in hilbert_numerator(leads, ring._layout).items():
+            num[d + shift] = num.get(d + shift, 0) + c
+    return {d: c for d, c in num.items() if c}
 
 
 def numerator_length(num, n):

@@ -5,7 +5,9 @@ complex, HS(ker b / im a) = HS(coker a) + HS(coker b) - HS(G''), as every
 term is additive on short exact sequences.  Each term is a Hilbert numerator
 read off the minimal leads of one engine run, so a Tor or Ext length needs
 one run for each of two twisted cokernels, and no reduced basis, syzygies,
-minimal generators or lifts.
+minimal generators or lifts.  The runs take the complex's column vectors as
+stored, over R or R/P alike: ``coefficient_ring`` keeps the variables, so
+both share a ``TermLayout``.
 
 The subquotient route is kept as the presentation of H and as the reference
 route of the tests: H = ker(out)/im(in) is presented on the kernel
@@ -19,7 +21,7 @@ from .errors import InfiniteLength, LiftFailure
 from .frobenius import twist_complex
 from .groebner import (
     SubmodulePresentation,
-    cokernel_presentation,
+    cokernel_numerator,
     column_degree,
     numerator_length,
     syzygy_generators,
@@ -39,23 +41,26 @@ def coefficient_ring(ring, extra_gens):
     return got
 
 
-def _convert_columns(cols, ring):
-    return [[ring.convert(entry) for entry in col] for col in cols]
+def _target_ring(C, ring):
+    """``ring``, or C's ring when None; raises unless it has C's p and variables."""
+    if ring is not None and (ring.p, ring.variables) != (C.ring.p, C.ring.variables):
+        raise ValueError("cannot convert between incompatible rings")
+    return ring or C.ring
 
 
-def _spot_length(ring, degs, in_cols, out_cols, out_degs):
+def _spot_length(ring, degs, in_vecs, out_vecs, out_degs):
     """Length of ker(out)/im(in) at the free module with twists ``degs``.
 
-    ``in_cols`` are the images of the incoming map, ``out_cols`` the columns
+    ``in_vecs`` are the images of the incoming map, ``out_vecs`` the columns
     of the outgoing map into the free module with twists ``out_degs``.  The
     maps must compose to zero; the length is the Hilbert-series identity
     N(coker in) + N(coker out) - N(target of out), read at t = 1.
     """
     if not degs:
         return 0
-    num = cokernel_presentation(ring, in_cols, len(degs), degs).numerator()
+    num = cokernel_numerator(in_vecs, ring, degs)
     if out_degs:
-        for d, c in cokernel_presentation(ring, out_cols, len(out_degs), out_degs).numerator().items():
+        for d, c in cokernel_numerator(out_vecs, ring, out_degs).items():
             num[d] = num.get(d, 0) + c
         free = ring.numerator()
         for shift in out_degs:
@@ -107,17 +112,16 @@ def subquotient_presentation(ring, ambient_rank, ambient_degs, out_cols, out_tar
 
 def homology_presentation(C, i, ring=None):
     """Cokernel presentation of H_i(C), over C's ring or a quotient of it."""
-    base = C.ring
-    target = ring or base
+    target = _target_ring(C, ring)
     if i < 0 or i > C.length:
         return SubmodulePresentation(target, [], 0, (), "cokernel")
     if i == 0:
         out_cols = None
         out_degs = ()
     else:
-        out_cols = _convert_columns(C.matrix(i), target)
+        out_cols = C.matrix(i)
         out_degs = C.degrees(i - 1)
-    in_cols = _convert_columns(C.matrix(i + 1), target)
+    in_cols = C.matrix(i + 1)
     return subquotient_presentation(
         target, C.rank(i), C.degrees(i), out_cols, out_degs, in_cols
     )
@@ -125,11 +129,7 @@ def homology_presentation(C, i, ring=None):
 
 def _complex_length(C, i, ring):
     """Length of H_i(C) over ``ring`` for a complex C, by Hilbert series."""
-
-    def cols(j):
-        return _convert_columns(C.matrix(j), ring)
-
-    return _spot_length(ring, C.degrees(i), cols(i + 1), cols(i), C.degrees(i - 1))
+    return _spot_length(ring, C.degrees(i), C.vectors(i + 1), C.vectors(i), C.degrees(i - 1))
 
 
 def homology_length(C, i, ring=None):
@@ -140,9 +140,10 @@ def homology_length(C, i, ring=None):
     which fix it only for a complex, so a non-complex raises LiftFailure.
     ``homology_presentation`` presents the same module as a subquotient.
     """
+    target = _target_ring(C, ring)
     if not C.check_complex():
         raise LiftFailure("consecutive maps do not compose to zero; not a complex")
-    return _complex_length(C, i, ring or C.ring)
+    return _complex_length(C, i, target)
 
 
 def _twisted_resolution(module, steps, e):
@@ -166,14 +167,6 @@ def tor_length(module, i, e, coefficients="R"):
     return _complex_length(twisted, i, ring)
 
 
-def _transpose(cols, source_rank):
-    """Columns of the dual map: transpose of a column-major matrix."""
-    if not cols:
-        return [[] for _ in range(source_rank)] if source_rank else []
-    target_rank = len(cols[0])
-    return [[cols[c][r] for c in range(len(cols))] for r in range(target_rank)]
-
-
 def ext_length(module, i, e, coefficients="R"):
     """lambda(Ext^i(M, e-th twist of N)) via the transposed bracket complex.
 
@@ -186,8 +179,15 @@ def ext_length(module, i, e, coefficients="R"):
     ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
 
     def dual(j):
-        # columns of phi_j^T: G_{j-1}^* -> G_j^*
-        return _transpose(_convert_columns(twisted.matrix(j), ring), twisted.rank(j - 1))
+        # columns of phi_j^T: G_{j-1}^* -> G_j^*; the term at position r of
+        # column c moves to position c of column r.
+        top = ring._layout.top
+        out = [{} for _ in range(twisted.rank(j - 1))]
+        for c, vec in enumerate(twisted.vectors(j)):
+            for t, v in vec.items():
+                r = -(t >> top)
+                out[r][t + ((r - c) << top)] = v
+        return out
 
     def twists(j):
         return [-d for d in twisted.degrees(j)]
@@ -271,11 +271,8 @@ class OracleResult:
 
 
 def default_oracle_bound(C):
-    maxdeg = 0
-    for j in range(1, len(C.maps)):
-        for col in C.maps[j]:
-            for entry in col:
-                maxdeg = max(maxdeg, entry.degree())
+    degree = C.ring._layout.degree
+    maxdeg = max((degree(t) for mat in C.maps[1:] for vec in mat for t in vec), default=0)
     return maxdeg * max(C.length, 1) + 10
 
 
@@ -286,12 +283,12 @@ def degreewise_homology_oracle(C, i, degree_bound=None, window=3, ring=None):
     the Groebner subquotient route.  The result carries a flag telling
     whether the last ``window`` degrees contributed nothing.
     """
-    base = ring or C.ring
+    base = _target_ring(C, ring)
     D = default_oracle_bound(C) if degree_bound is None else degree_bound
     rank_i = C.rank(i)
     degs_i = C.degrees(i)
-    out_cols = _convert_columns(C.matrix(i), base) if i >= 1 else None
-    in_cols = _convert_columns(C.matrix(i + 1), base)
+    out_cols = C.matrix(i) if i >= 1 else None
+    in_cols = C.matrix(i + 1)
     rank_prev = C.rank(i - 1) if i >= 1 else 0
     degs_prev = C.degrees(i - 1) if i >= 1 else []
     rank_next = C.rank(i + 1)

@@ -1,48 +1,34 @@
 """Minimal graded free resolutions, complex minimization, syzygy data.
 
 A ``FreeComplex`` stores free modules G_0 .. G_L with maps phi_j : G_j ->
-G_{j-1} given as column lists.  ``resolve`` builds a minimal resolution one
-kernel at a time: syzygy generators of phi_j are pruned to a minimal
-generating set, which keeps every matrix entry inside the irrelevant ideal.
-Syzygies use the image convention Omega_i = im(phi_i), with Omega_0 = M.
+G_{j-1} only as lists of engine column vectors; ``matrix(j)`` builds
+``Polynomial`` columns on demand.  ``resolve`` builds a minimal resolution
+one kernel at a time on vectors: syzygy generators of phi_j are pruned to a
+minimal generating set, which keeps every matrix entry inside the irrelevant
+ideal.  Syzygies use the image convention Omega_i = im(phi_i), with Omega_0 = M.
 """
 
 from .errors import NotHomogeneous
 from .groebner import (
     INFINITE,
     SubmodulePresentation,
+    _ideal_basis,
     _minimal_generator_indices,
     _syzygy_vecs,
     column_degree,
     column_to_vec,
     vec_to_column,
 )
-
-
-def matrix_multiply(A, B, target_rank, ring):
-    """Columns of A @ B where A maps G_j -> G_{j-1} and B maps G_{j+1} -> G_j."""
-    out = []
-    for col in B:
-        acc = [ring.zero] * target_rank
-        for pos, entry in enumerate(col):
-            if entry.is_zero():
-                continue
-            src = A[pos]
-            acc = [a + entry * b for a, b in zip(acc, src)]
-        out.append(acc)
-    return out
-
-
-def _copy_matrix(mat):
-    return [list(col) for col in mat]
+from .ring import _axpy
 
 
 class FreeComplex:
     """A chain complex of free modules over a quotient ring.
 
-    ``maps[j]`` (j = 1..L) is the list of columns of phi_j; each column has
-    ``ranks[j-1]`` entries.  ``row_degrees[j]`` carries the grading twists of
-    G_j, so column c of phi_j is homogeneous of degree ``row_degrees[j][c]``.
+    ``maps[j]`` (j = 1..L) lists the columns of phi_j as engine vectors,
+    shared between complexes and never modified; the constructor also takes
+    a column as ``ranks[j-1]`` polynomials.  ``row_degrees[j]`` carries the
+    twists of G_j, so column c of phi_j has degree ``row_degrees[j][c]``.
     """
 
     __slots__ = ("ring", "ranks", "row_degrees", "maps")
@@ -51,24 +37,30 @@ class FreeComplex:
         self.ring = ring
         self.ranks = list(ranks)
         self.row_degrees = [list(d) for d in row_degrees]
-        self.maps = [None] + [_copy_matrix(m) for m in maps]
+        self.maps = [None] + [list(m) for m in maps]
         for j in range(1, len(self.ranks)):
             mat = self.maps[j]
             if len(mat) != self.ranks[j]:
                 raise ValueError("phi_%d has %d columns, expected %d" % (j, len(mat), self.ranks[j]))
-            for col in mat:
-                if len(col) != self.ranks[j - 1]:
-                    raise ValueError("phi_%d column length mismatch" % j)
+            for c, col in enumerate(mat):
+                if not isinstance(col, dict):
+                    if len(col) != self.ranks[j - 1]:
+                        raise ValueError("phi_%d column length mismatch" % j)
+                    mat[c] = column_to_vec(col, ring)
 
     @property
     def length(self):
         return len(self.ranks) - 1
 
-    def matrix(self, j):
-        """Columns of phi_j; the empty matrix outside the stored range."""
+    def vectors(self, j):
+        """Columns of phi_j as stored engine vectors; [] outside the stored range."""
         if 1 <= j < len(self.maps):
             return self.maps[j]
         return []
+
+    def matrix(self, j):
+        """Columns of phi_j as lists of polynomials, built on each call."""
+        return [vec_to_column(v, self.rank(j - 1), self.ring) for v in self.vectors(j)]
 
     def rank(self, i):
         if 0 <= i < len(self.ranks):
@@ -83,17 +75,22 @@ class FreeComplex:
     def check_complex(self):
         """Every consecutive composition is zero modulo the defining ideal."""
         ring = self.ring
+        unit, top = ring._layout.unit, ring._layout.top
         for j in range(1, self.length):
-            prod = matrix_multiply(self.maps[j], self.maps[j + 1], self.rank(j - 1), ring)
-            for col in prod:
-                for entry in col:
-                    if not ring.is_zero_mod(entry):
-                        return False
+            ideal = _ideal_basis(ring, self.rank(j - 1), self.degrees(j - 1))
+            for vec in self.maps[j + 1]:
+                image = {}
+                for t, c in vec.items():
+                    # t is c * x^m * e_r: add c * x^m times column r of phi_j.
+                    r = -(t >> top)
+                    _axpy(image, self.maps[j][r], -c, t - unit(r), ring)
+                if ideal.normal_form_vec(image):
+                    return False
         return True
 
     def check_homogeneous(self):
         for j in range(1, len(self.maps)):
-            for c, col in enumerate(self.maps[j]):
+            for c, col in enumerate(self.matrix(j)):
                 deg = column_degree(col, self.row_degrees[j - 1])
                 if deg is not None and deg != self.row_degrees[j][c]:
                     raise NotHomogeneous(
@@ -103,15 +100,7 @@ class FreeComplex:
         return True
 
     def has_unit_entry(self):
-        return self._find_unit() is not None
-
-    def _find_unit(self):
-        for j in range(1, len(self.maps)):
-            for c, col in enumerate(self.maps[j]):
-                for r, entry in enumerate(col):
-                    if entry.constant_term():
-                        return (j, r, c)
-        return None
+        return _find_unit([None] + [self.matrix(j) for j in range(1, len(self.maps))]) is not None
 
     def copy(self):
         return FreeComplex(self.ring, self.ranks, self.row_degrees, self.maps[1:])
@@ -120,20 +109,35 @@ class FreeComplex:
         return "<complex of free modules, ranks %s>" % (tuple(self.ranks),)
 
 
+def _find_unit(maps):
+    for j in range(1, len(maps)):
+        for c, col in enumerate(maps[j]):
+            for r, entry in enumerate(col):
+                if entry.constant_term():
+                    return (j, r, c)
+    return None
+
+
 def minimize(complex_):
     """Split off unit entries by row/column operations; homology is unchanged."""
     C = complex_.copy()
-    ring = C.ring
+    maps = [None] + [C.matrix(j) for j in range(1, len(C.maps))]
+    _split_units(C.ring, C.ranks, C.row_degrees, maps)
+    return FreeComplex(C.ring, C.ranks, C.row_degrees, maps[1:])
+
+
+def _split_units(ring, ranks, row_degrees, maps):
+    """``minimize`` in place, on ``Polynomial`` columns: ``maps[j]`` is phi_j (j >= 1)."""
     while True:
-        found = C._find_unit()
+        found = _find_unit(maps)
         if found is None:
-            return C
+            return
         j, r, c = found
-        mat = C.maps[j]
+        mat = maps[j]
         u = mat[c][r].constant_term()
         w = ring.inverse(u)
-        nxt = C.maps[j + 1] if j + 1 < len(C.maps) else None
-        prv = C.maps[j - 1] if j - 1 >= 1 else None
+        nxt = maps[j + 1] if j + 1 < len(maps) else None
+        prv = maps[j - 1] if j - 1 >= 1 else None
         # Clear row r with column operations; mirror as row operations on phi_{j+1}.
         for c2 in range(len(mat)):
             if c2 == c:
@@ -147,7 +151,7 @@ def minimize(complex_):
                 for col in nxt:
                     col[c] = col[c] + t * col[c2]
         # Clear column c with row operations; mirror as column operations on phi_{j-1}.
-        for r2 in range(C.ranks[j - 1]):
+        for r2 in range(ranks[j - 1]):
             if r2 == r:
                 continue
             b = mat[c][r2]
@@ -167,10 +171,10 @@ def minimize(complex_):
                 del col[c]
         if prv is not None:
             del prv[r]
-        C.ranks[j] -= 1
-        C.ranks[j - 1] -= 1
-        del C.row_degrees[j][c]
-        del C.row_degrees[j - 1][r]
+        ranks[j] -= 1
+        ranks[j - 1] -= 1
+        del row_degrees[j][c]
+        del row_degrees[j - 1][r]
 
 
 class MinimalResolution(FreeComplex):
@@ -198,18 +202,6 @@ class MinimalResolution(FreeComplex):
         return "<minimal resolution, betti %s>" % (self.betti,)
 
 
-def _minimize_presentation(ring, rank, row_degrees, columns):
-    """Split unit entries out of a presentation; returns (rank, degrees, columns)."""
-    pres = FreeComplex(
-        ring,
-        [rank, len(columns)],
-        [list(row_degrees), [column_degree(c, row_degrees) or 0 for c in columns]],
-        [columns],
-    )
-    reduced = minimize(pres)
-    return reduced.ranks[0], reduced.row_degrees[0], reduced.maps[1]
-
-
 def resolve(module, steps):
     """Minimal free resolution of a cokernel presentation through ``steps``.
 
@@ -219,8 +211,8 @@ def resolve(module, steps):
     each later map is a minimal generating set of the syzygies of the one
     before.  The ranks, twists and maps are kept on the module and extended
     on later calls; past a zero rank the resolution is padded with zeros.
-    Each kernel step stays in vector form; only the kept columns become
-    ``Polynomial`` columns.
+    The kept syzygy vectors are stored as they come, each twisted by the
+    degree of its lead.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -228,20 +220,21 @@ def resolve(module, steps):
         raise ValueError("resolve expects a cokernel presentation")
     ring = module.ring
     if module._resolution is None:
-        rank, rowdegs, cols = _minimize_presentation(
-            ring, module.ambient_rank, module.row_degrees, module.minimal_generators()
-        )
-        degs = [column_degree(c, rowdegs) for c in cols]
-        module._resolution = ([rank, len(cols)], [rowdegs, degs], [cols])
+        # phi_1: the minimal generators with their unit entries split off.
+        cols = [list(c) for c in module.minimal_generators()]
+        ranks = [module.ambient_rank, len(cols)]
+        degs = [list(module.row_degrees), [column_degree(c, module.row_degrees) or 0 for c in cols]]
+        _split_units(ring, ranks, degs, [None, cols])
+        module._resolution = (ranks, degs, [[column_to_vec(c, ring) for c in cols]])
     ranks, row_degrees, maps = module._resolution
-    vecs = [column_to_vec(col, ring) for col in maps[-1]]
+    layout = ring._layout
     while len(maps) < steps and ranks[-1]:
-        ker = _syzygy_vecs(vecs, ring, ranks[-2], row_degrees[-2])
+        ker = _syzygy_vecs(maps[-1], ring, ranks[-2], row_degrees[-2])
         vecs = [ker[i] for i in _minimal_generator_indices(ker, ring, ranks[-1], row_degrees[-1])]
-        cols = [vec_to_column(v, ranks[-1], ring) for v in vecs]
-        row_degrees.append([column_degree(c, row_degrees[-1]) for c in cols])
-        maps.append(cols)
-        ranks.append(len(cols))
+        twists = row_degrees[-1]
+        row_degrees.append([layout.degree(t) + twists[-(t >> layout.top)] for t in map(max, vecs)])
+        maps.append(vecs)
+        ranks.append(len(vecs))
     pad = steps + 1 - len(ranks)
     return MinimalResolution(
         ring,

@@ -47,6 +47,32 @@ def residue_field(ring):
     return quotient_module(ring, list(ring.variables))
 
 
+def matrix_multiply(A, B, target_rank, ring):
+    """Columns of A @ B on ``Polynomial`` columns, where A maps G_j -> G_{j-1}
+    and B maps G_{j+1} -> G_j: the reference product for ``check_complex``."""
+    out = []
+    for col in B:
+        acc = [ring.zero] * target_rank
+        for pos, entry in enumerate(col):
+            if entry.is_zero():
+                continue
+            src = A[pos]
+            acc = [a + entry * b for a, b in zip(acc, src)]
+        out.append(acc)
+    return out
+
+
+def composes_to_zero(C):
+    """Whether consecutive maps of C compose to zero modulo the ideal, by
+    ``Polynomial`` matrix products and normal forms."""
+    ring = C.ring
+    for j in range(1, C.length):
+        prod = matrix_multiply(C.matrix(j), C.matrix(j + 1), C.rank(j - 1), ring)
+        if not all(ring.is_zero_mod(entry) for col in prod for entry in col):
+            return False
+    return True
+
+
 def brute_force_monomial_count(gens_exps, n, degree_cap):
     """Standard monomials of degree <= degree_cap of a monomial ideal, by raw enumeration.
 

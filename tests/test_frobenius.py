@@ -4,9 +4,10 @@ import pytest
 
 from frobetti import (
     BracketLevel,
+    FreeComplex,
     bracket_ideal,
-    bracket_matrix,
     frobenius_power,
+    make_ring,
     quotient_module,
     resolve,
     tor_length,
@@ -14,6 +15,8 @@ from frobetti import (
 )
 from frobetti.errors import Overflow
 from frobetti.homology import homology_length
+
+from conftest import composes_to_zero, residue_field
 
 
 def test_bracket_level():
@@ -66,8 +69,10 @@ def test_bracket_ideal_and_matrix(R1):
     assert [str(g) for g in gens] == ["x^5", "y^5"]
     gens2 = bracket_ideal([R1.poly("x^2"), R1.poly("x*y")], 1)
     assert [str(g) for g in gens2] == ["x^10", "x^5*y^5"]
-    mat = bracket_matrix([[R1.poly("x")], [R1.poly("y")]], BracketLevel(5, 2))
-    assert [str(col[0]) for col in mat] == ["x^25", "y^25"]
+    # Entrywise bracket powers of a matrix, as the twist of a one-map complex.
+    C = FreeComplex(R1, [1, 2], [[0], [1, 1]], [[[R1.poly("x")], [R1.poly("y")]]])
+    tw = twist_complex(C, BracketLevel(5, 2))
+    assert [str(col[0]) for col in tw.matrix(1)] == ["x^25", "y^25"]
 
 
 def test_twist_complex(R1, R2, K1, K2):
@@ -89,17 +94,35 @@ def test_twist_complex(R1, R2, K1, K2):
 
 
 def test_twist_is_complex(R1, R3, K1, K3):
-    for module in (K1, K3):
+    cubic = make_ring(5, list("xyz"), ["x^3 + y^3 + z^3"])
+    cone = make_ring(3, list("xyz"), ["x^2 + y^2 + z^2"])
+    for module in (K1, K3, residue_field(cubic), residue_field(cone)):
         res = resolve(module, 3)
         for e in (1, 2):
             tw = twist_complex(res, e)
             assert tw.check_complex()
+            assert composes_to_zero(tw)
 
 
 def test_overflow_guard(R2):
     f = R2.poly("x^1000000")
     with pytest.raises(Overflow):
         frobenius_power(f, 5)
+    # The twist of a complex keeps the same bound, q * e < 2^31 for every
+    # exponent e, which the packed fields of a term would not catch.
+    S = make_ring(5, ["x", "y"], [])
+
+    def one_map(entry, degree):
+        return FreeComplex(S, [1, 1], [[0], [degree]], [[[S.poly(entry)]]])
+
+    with pytest.raises(Overflow):
+        twist_complex(one_map("x^1000000", 1000000), 5)
+    tw = twist_complex(one_map("x^687194", 687194), 5)
+    assert tw.degrees(1) == [2147481250]
+    assert str(tw.matrix(1)[0][0]) == "x^2147481250"
+    # The bound is per exponent, not on the degree.
+    tw = twist_complex(one_map("x^400000*y^400000", 800000), 5)
+    assert str(tw.matrix(1)[0][0]) == "x^1250000000*y^1250000000"
 
 
 def test_ehk_identity(R1, R4):

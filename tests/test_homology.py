@@ -166,17 +166,32 @@ def _dual(cols, source_rank):
     return [[col[r] for col in cols] for r in range(source_rank)] if cols else [[]] * source_rank
 
 
-def _ext_by_subquotient(tw, i):
-    """H^i of the dual of ``tw``, presented as a subquotient (the reference route)."""
+def _ext_by_subquotient(tw, i, ring=None):
+    """H^i of the dual of ``tw`` over its ring or ``ring``, presented as a
+    subquotient (the reference route)."""
     out_cols = _dual(tw.matrix(i + 1), tw.rank(i)) if tw.matrix(i + 1) else None
     return subquotient_presentation(
-        tw.ring,
+        ring or tw.ring,
         tw.rank(i),
         [-d for d in tw.degrees(i)],
         out_cols,
         [-d for d in tw.degrees(i + 1)],
         _dual(tw.matrix(i), tw.rank(i - 1)) if i else [],
     ).length()
+
+
+def test_ext_with_prime_coefficients_matches_subquotient(R1, K1):
+    # ext_length hands R's vectors to R/(x) unchanged, as both share a layout.
+    from frobetti.homology import coefficient_ring
+
+    ring2 = coefficient_ring(R1, ["x"])
+    for pos, exps in ((0, (0, 0)), (1, (2, 3)), (4, (7, 1))):
+        assert ring2._layout.encode(pos, exps) == R1._layout.encode(pos, exps)
+    res = resolve(K1, 3)
+    for e in (0, 1, 2):
+        tw = twist_complex(res, e)
+        for i in (0, 1, 2):
+            assert ext_length(K1, i, e, ["x"]) == _ext_by_subquotient(tw, i, ring2)
 
 
 @st.composite

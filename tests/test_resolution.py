@@ -16,8 +16,9 @@ from frobetti import (
     syzygy_generators,
     twist_complex,
 )
+from frobetti.errors import LiftFailure
 
-from conftest import R5_QUADRICS, residue_field
+from conftest import R5_QUADRICS, composes_to_zero, residue_field
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
 QUADRIC_FAMILIES = {
@@ -100,6 +101,25 @@ def test_betti_equal_tor_dimensions(R1, R2, R5, K1, K2):
         for j in range(steps + 1):
             pres = homology_presentation(res, j, kring)
             assert pres.length() == res.rank(j)
+
+
+def test_check_complex_matches_polynomial_products():
+    # Over k[x,y,z]/(xy - z^2) the composite of these non-monomial maps is
+    # zero at position 0 and xy - z^2 at position 1, so the check must reduce
+    # a position other than 0 against I.  Changing one entry breaks it.
+    ring = make_ring(5, list("xyz"), ["x*y - z^2"])
+    P = ring.poly
+    phi1 = [[P("z"), P("y")], [P("-x - z"), P("-y - z")]]
+    phi2 = [[P("x + z"), P("z")]]
+    degrees = [[0, 0], [1, 1], [2]]
+    good = FreeComplex(ring, [2, 2, 1], degrees, [phi1, phi2])
+    bad = FreeComplex(ring, [2, 2, 1], degrees, [[[P("z"), P("x + y")], phi1[1]], phi2])
+    assert good.check_homogeneous() and bad.check_homogeneous()
+    assert good.check_complex() and composes_to_zero(good)
+    assert not bad.check_complex() and not composes_to_zero(bad)
+    assert twist_complex(good, 1).check_complex()
+    with pytest.raises(LiftFailure):
+        twist_complex(bad, 1)
 
 
 def test_minimize_strips_identity_block(R1, K1):
