@@ -363,9 +363,17 @@ def _serialize_resolution(res):
     }
 
 
+def _flag(flags, name, default, least=0):
+    """flags[name], or ``default`` when it is None (so 0 means 0); a value
+    below ``least`` is a ParseError."""
+    value = flags.get(name)
+    if value is not None and value < least:
+        raise ParseError("--%s must be at least %d, got %d" % (name, least, value))
+    return default if value is None else value
+
+
 def _e_range(flags):
-    emax = flags.get("emax") or 3
-    return range(1, emax + 1)
+    return range(1, _flag(flags, "emax", 3, 1) + 1)
 
 
 def run(command, problem, flags=None):
@@ -381,7 +389,7 @@ def run(command, problem, flags=None):
     digest = problem_digest(problem, ring)
 
     if command == "resolve":
-        steps = flags.get("steps") or 3
+        steps = _flag(flags, "steps", 3)
         data = None
         if cache_dir:
             try:
@@ -405,7 +413,7 @@ def run(command, problem, flags=None):
         seq = hk_sequence(ring, gens, _e_range(flags))
         payload = _sequence_payload(seq)
     elif command == "beta":
-        idx = flags.get("idx") or 0
+        idx = _flag(flags, "idx", 0)
         if flags.get("exact"):
             vanishes = decide_beta_vanishing(module, idx)
             payload = {"index": idx, "vanishes": vanishes, "rule": "image-in-h0"}
@@ -413,15 +421,15 @@ def run(command, problem, flags=None):
             seq = beta_sequence(module, idx, _e_range(flags))
             payload = _sequence_payload(seq)
     elif command == "mu":
-        idx = flags.get("idx") or 0
+        idx = _flag(flags, "idx", 0)
         seq = mu_sequence(module, idx, _e_range(flags))
         payload = _sequence_payload(seq)
     elif command == "diagnose1":
-        idx = flags.get("idx") or 0
+        idx = _flag(flags, "idx", 0)
         primes = problem.minprimes
         if primes is None:
             primes = minimal_primes_monomial(problem.ideal_gens, ring)
-        emax = flags.get("emax") or 3
+        emax = _flag(flags, "emax", 3, 1)
         diag = diagnose_onedim(module, idx, primes, range(0, emax), range(1, emax + 1))
         payload = {
             "index": idx,
@@ -443,7 +451,7 @@ def run(command, problem, flags=None):
             },
         }
     elif command == "syz":
-        i_max = flags.get("idx") or flags.get("steps") or 3
+        i_max = _flag(flags, "idx", _flag(flags, "steps", 3))
         survey = syzygy_length_survey(module, i_max)
         payload = {
             "ring_dim": survey.ring_dim,

@@ -10,10 +10,10 @@ input generators, is a vector of the same form whose positions are generator
 indices, so one multiply-subtract (``_axpy``) and one division loop
 (``_reduce_vec``) serve basis elements, representations and the quotient
 ring's normal forms alike.  Columns of ``Polynomial`` appear only at the API
-boundary (``column_to_vec``, ``vec_to_column``): colon problems are built
-and solved on vectors (``_colon_heads``), saturation carries its span and
-one reduced basis of it from round to round as vectors, and complexes
-(:mod:`frobetti.resolution`) store their maps as vectors.  The engine and
+boundary (``_normalize_columns`` in, ``vec_to_column`` out): presentations
+and complexes (:mod:`frobetti.resolution`) store their spans and maps as
+vectors, colon problems are built and solved on vectors (``_colon_heads``),
+and saturation carries one reduced basis from round to round.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division and minimalisation scan only the list of the
 term's position.  Pairs are chosen when an element is appended, by the
@@ -349,33 +349,42 @@ class GroebnerBasis:
 
 
 def _normalize_columns(columns, ring, ambient_rank, row_degrees):
-    """(columns over ``ring``, ambient rank, row degrees), with the rank
-    inferred and the row degrees zero when not given; raises unless every
-    column has the ambient rank and is homogeneous."""
+    """(engine vectors, ambient rank, row degrees) of ``columns``, with the
+    rank inferred and the row degrees zero when not given.  A column given as
+    polynomials (one polynomial is a column of rank one) is converted, and
+    raises unless it has the ambient rank and is homogeneous; a column given
+    as a vector passes unchanged."""
     if ambient_rank is None:
-        ambient_rank = _infer_rank(columns)
+        first = columns[0] if columns else None
+        if isinstance(first, dict):
+            raise AmbientMismatch("columns given as vectors need the ambient rank")
+        ambient_rank = 1 if first is None or isinstance(first, Polynomial) else len(first)
     row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
-    cols = []
+    vecs = []
     for col in columns:
-        if isinstance(col, Polynomial):
-            col = [col]
-        if len(col) != ambient_rank:
-            raise AmbientMismatch("matrix column has wrong number of rows")
-        cols.append([ring.convert(c) for c in col])
-    for col in cols:
-        column_degree(col, row_degrees)
-    return cols, ambient_rank, row_degrees
+        if not isinstance(col, dict):
+            if isinstance(col, Polynomial):
+                col = [col]
+            if len(col) != ambient_rank:
+                raise AmbientMismatch("matrix column has wrong number of rows")
+            col = [ring.convert(c) for c in col]
+            column_degree(col, row_degrees)
+            col = column_to_vec(col, ring)
+        vecs.append(col)
+    return vecs, ambient_rank, row_degrees
 
 
-def _ideal_vecs(ring, pos):
-    """g * e_pos for each g in the reduced basis of I, monic, in basis order."""
+def _ideal_vecs(ring, pos, gens=None):
+    """g * e_pos for each g in ``gens``, monic vectors at position 0 (by
+    default the reduced basis of I), in order."""
     shift = pos << ring._layout.top
-    return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
+    return [{t - shift: c for t, c in g.items()} for g in (ring._gb_vecs if gens is None else gens)]
 
 
-def _ideal_basis(ring, ambient_rank, row_degrees):
-    """I * ambient as a ``GroebnerBasis``, built without an engine run."""
-    vecs = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
+def _ideal_basis(ring, ambient_rank, row_degrees, gens=None):
+    """J * ambient as a ``GroebnerBasis``, built without an engine run, for
+    the ideal J of S whose reduced basis is ``gens`` (I by default)."""
+    vecs = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos, gens)]
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, [max(v) for v in vecs])
 
 
@@ -404,17 +413,8 @@ def groebner_basis(gens, ring, ambient_rank=None, row_degrees=None):
     """Reduced Groebner basis of the span of ``gens`` plus I per ambient
     position, so normal forms answer membership in the span as a submodule
     over R = S/I (over a ring with no ideal, in the span over S)."""
-    cols, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
-    vecs = [column_to_vec(c, ring) for c in cols]
+    vecs, ambient_rank, row_degrees = _normalize_columns(gens, ring, ambient_rank, row_degrees)
     return _basis_of_vecs(vecs, ring, ambient_rank, row_degrees)
-
-
-def _infer_rank(gens):
-    for col in gens:
-        if isinstance(col, Polynomial):
-            return 1
-        return len(col)
-    return 1
 
 
 def reduced_ideal_groebner(gens, ring):
@@ -432,10 +432,8 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):
     before the Schreyer pass and projected away afterwards, so the result
     satisfies ``matrix * result == 0`` modulo the ideal, exactly.
     """
-    cols, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
-    vecs = [column_to_vec(c, ring) for c in cols]
-    syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees)
-    return [vec_to_column(v, len(cols), ring) for v in syz]
+    vecs, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
+    return [vec_to_column(v, len(vecs), ring) for v in _syzygy_vecs(vecs, ring, ambient_rank, row_degrees)]
 
 
 def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
@@ -562,14 +560,15 @@ class SubmodulePresentation:
 
     ``mode`` is "submodule" (the span of the columns inside the ambient free
     module) or "cokernel" (ambient modulo the span).  Length and dimension
-    queries answer for the cokernel interpretation.
+    queries answer for the cokernel interpretation.  The span is stored as
+    engine vectors (``vecs``); ``columns`` builds polynomials on each read.
     """
 
     __slots__ = (
         "ring",
         "ambient_rank",
         "row_degrees",
-        "columns",
+        "vecs",
         "mode",
         "_gb",
         "_tracked",
@@ -580,7 +579,7 @@ class SubmodulePresentation:
 
     def __init__(self, ring, columns, ambient_rank=None, row_degrees=None, mode="submodule"):
         self.ring = ring
-        self.columns, self.ambient_rank, self.row_degrees = _normalize_columns(
+        self.vecs, self.ambient_rank, self.row_degrees = _normalize_columns(
             columns, ring, ambient_rank, row_degrees
         )
         if mode not in ("submodule", "cokernel"):
@@ -594,16 +593,20 @@ class SubmodulePresentation:
 
     # -- basic structure -------------------------------------------------------
 
+    @property
+    def columns(self):
+        """The span as columns of polynomials, built on each read."""
+        return [vec_to_column(v, self.ambient_rank, self.ring) for v in self.vecs]
+
     def gb(self):
         if self._gb is None:
-            self._gb = groebner_basis(self.columns, self.ring, self.ambient_rank, self.row_degrees)
+            self._gb = _basis_of_vecs(self.vecs, self.ring, self.ambient_rank, self.row_degrees)
         return self._gb
 
     def _tracked_gb(self):
         if self._tracked is None:
-            vecs = [column_to_vec(col, self.ring) for col in self.columns]
             args = (self.ring, self.ambient_rank, self.row_degrees)
-            engine, _ = _run_engine(vecs, *args, n_tracked=len(vecs))
+            engine, _ = _run_engine(self.vecs, *args, n_tracked=len(self.vecs))
             self._tracked = GroebnerBasis(*args, *engine.reduced())
         return self._tracked
 
@@ -619,7 +622,8 @@ class SubmodulePresentation:
 
     def is_zero_submodule(self):
         """True when the span is contained in I * ambient."""
-        return all(self.ring.is_zero_mod(entry) for col in self.columns for entry in col)
+        ideal = _ideal_basis(self.ring, self.ambient_rank, self.row_degrees)
+        return not any(map(ideal.normal_form_vec, self.vecs))
 
     # -- lifts ------------------------------------------------------------------
 
@@ -634,7 +638,7 @@ class SubmodulePresentation:
         if self._tracked_gb().normal_form_vec(column_to_vec(column, self.ring), rep):
             return None
         p = self.ring.p
-        return vec_to_column({t: p - c for t, c in rep.items()}, len(self.columns), self.ring)
+        return vec_to_column({t: p - c for t, c in rep.items()}, len(self.vecs), self.ring)
 
     # -- generators ---------------------------------------------------------------
 
@@ -642,9 +646,9 @@ class SubmodulePresentation:
         """A minimal generating set of the span, lowest degree first (see
         ``_minimal_generator_indices``)."""
         if self._mingens is None:
-            vecs = [column_to_vec(col, self.ring) for col in self.columns]
-            kept = _minimal_generator_indices(vecs, self.ring, self.ambient_rank, self.row_degrees)
-            self._mingens = [self.columns[i] for i in kept]
+            ring, r = self.ring, self.ambient_rank
+            kept = _minimal_generator_indices(self.vecs, ring, r, self.row_degrees)
+            self._mingens = [vec_to_column(self.vecs[i], r, ring) for i in kept]
         return self._mingens
 
     # -- colon and saturation ----------------------------------------------------------
@@ -657,20 +661,15 @@ class SubmodulePresentation:
         return self.colon_by_elements([element])
 
     def colon_by_elements(self, elements):
-        """(N : (f_1, ..., f_k)): the columns of N after the colon generators
+        """(N : (f_1, ..., f_k)): the span of N after the colon generators
         that ``_colon_heads`` finds."""
-        elements = [self.ring.poly(f) for f in elements]
+        ring, r = self.ring, self.ambient_rank
+        elements = [ring.poly(f) for f in elements]
         if not elements or any(f.is_zero() for f in elements):
             raise ZeroDivisorQuery("colon by zero is rejected")
-        for f in elements:
-            if not f.is_homogeneous():
-                raise NotHomogeneous("colon element %s is not homogeneous" % f)
-        ring, r = self.ring, self.ambient_rank
-        vecs = [column_to_vec(col, ring) for col in self.columns]
-        elements = [column_to_vec([f], ring) for f in elements]
-        heads = _colon_heads(vecs, elements, ring, r, self.row_degrees)
-        out_cols = [vec_to_column(h, r, ring) for h in heads]
-        return SubmodulePresentation(ring, out_cols + self.columns, r, self.row_degrees, self.mode)
+        elements = _normalize_columns(elements, ring, 1, None)[0]
+        heads = _colon_heads(self.vecs, elements, ring, r, self.row_degrees)
+        return SubmodulePresentation(ring, heads + self.vecs, r, self.row_degrees, self.mode)
 
     def saturate(self):
         """(N : m^infinity), computed by iterating the colon with the variables.
@@ -685,9 +684,9 @@ class SubmodulePresentation:
         returned are that reduced basis.
         """
         ring, r, degs = self.ring, self.ambient_rank, self.row_degrees
-        variables = [column_to_vec([x], ring) for x in ring.gens()]
+        variables = _normalize_columns(ring.gens(), ring, 1, None)[0]
         ideal = _ideal_basis(ring, r, degs)
-        vecs = [column_to_vec(col, ring) for col in self.columns]
+        vecs = self.vecs
         gb = self.gb()
         while True:
             heads = _colon_heads(vecs, variables, ring, r, degs)
@@ -697,8 +696,7 @@ class SubmodulePresentation:
             vecs = [v for v in gb.vecs if ideal.normal_form_vec(v)]
         if gb is self.gb():
             return self
-        columns = [vec_to_column(v, r, ring) for v in vecs]
-        return SubmodulePresentation(ring, columns, r, degs, self.mode)
+        return SubmodulePresentation(ring, vecs, r, degs, self.mode)
 
     # -- numerical invariants -----------------------------------------------------------
 
@@ -706,8 +704,7 @@ class SubmodulePresentation:
         """Hilbert numerator of the cokernel, HS = N(t) / (1 - t)^n
         (``cokernel_numerator``); a fresh copy of the memoised value."""
         if self._numerator is None:
-            vecs = [column_to_vec(col, self.ring) for col in self.columns]
-            self._numerator = cokernel_numerator(vecs, self.ring, self.row_degrees)
+            self._numerator = cokernel_numerator(self.vecs, self.ring, self.row_degrees)
         return dict(self._numerator)
 
     def length(self):
@@ -729,7 +726,7 @@ class SubmodulePresentation:
         return "<%s presentation: ambient R^%d, %d generators over %r>" % (
             self.mode,
             self.ambient_rank,
-            len(self.columns),
+            len(self.vecs),
             self.ring,
         )
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .asymptotics import beta_sequence
 from .errors import InfiniteLength, NoParameterFound, NotMonomial, UnitIdeal, WrongDimension
-from .groebner import INFINITE, SubmodulePresentation, quotient_module
+from .groebner import INFINITE, SubmodulePresentation, _ideal_basis, quotient_module
 from .homology import coefficient_ring, homology_length, tor_length
 from .resolution import resolve
 from .ring import make_ring
@@ -47,19 +47,18 @@ def decide_beta_vanishing(module, i):
 
     True iff every entry of phi_{i+1} lies in H^0_m(R), i.e. the (i+1)-st
     syzygy has finite length; for free ambients this entrywise test agrees
-    with the module-level containment.
+    with the module-level containment.  The entries lie in H^0 + I = J iff
+    each stored column reduces to zero against J * G_i, whose basis is the
+    reduced basis of J copied to every position of G_i.
     """
-    _require_dim_one(module.ring)
+    ring = module.ring
+    _require_dim_one(ring)
     _require_finite_length(module)
     if i < 0:
         raise ValueError("index must be nonnegative")
     res = resolve(module, i + 1)
-    h0 = h0_ring(module.ring)
-    for col in res.matrix(i + 1):
-        for entry in col:
-            if not entry.is_zero() and not h0.contains([entry]):
-                return False
-    return True
+    basis = _ideal_basis(ring, res.rank(i), res.degrees(i), h0_ring(ring).gb().vecs)
+    return not any(map(basis.normal_form_vec, res.vectors(i + 1)))
 
 
 @dataclass
@@ -156,6 +155,7 @@ def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512
     _require_dim_one(ring)
     rng = random.Random(seed)
     h0 = h0_ring(ring)
+    h0_gens = [col[0] for col in h0.columns]
     candidates = list(ring.gens())
     for _ in range(attempts):
         coeffs = [rng.randrange(ring.p) for _ in range(ring.n)]
@@ -173,13 +173,13 @@ def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512
         tried.add(key)
         if quotient_module(ring, [y]).dimension() != 0:
             continue
-        n = _annihilating_power(ring, y, h0, annihilate, power_bound)
+        n = _annihilating_power(ring, y, h0_gens, annihilate, power_bound)
         if n is None:
             continue
         x = y**n
         flags = {
             "parameter": quotient_module(ring, [y]).dimension() == 0,
-            "kills_h0": all(ring.is_zero_mod(x * col[0]) for col in h0.columns),
+            "kills_h0": all(ring.is_zero_mod(x * g) for g in h0_gens),
             "h0_equals_colon": SubmodulePresentation(ring, [], 1).colon(x).same_span(h0)
             if not h0.is_zero_submodule()
             else SubmodulePresentation(ring, [], 1).colon(x).is_zero_submodule(),
@@ -193,26 +193,20 @@ def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512
     )
 
 
-def _annihilating_power(ring, y, h0, annihilate, bound):
+def _annihilating_power(ring, y, h0_gens, annihilate, bound):
     power = ring.one
     for n in range(1, bound + 1):
         power = power * y
-        if all(ring.is_zero_mod(power * col[0]) for col in h0.columns):
+        if all(ring.is_zero_mod(power * g) for g in h0_gens):
             if annihilate is None or _kills_module(ring, power, annihilate):
                 return n
     return None
 
 
 def _kills_module(ring, x, module):
-    span = SubmodulePresentation(
-        ring, module.columns, module.ambient_rank, module.row_degrees
-    )
-    for pos in range(module.ambient_rank):
-        col = [ring.zero] * module.ambient_rank
-        col[pos] = x
-        if not span.contains(col):
-            return False
-    return True
+    """x * ambient lies in the span of the module's relations."""
+    r = module.ambient_rank
+    return all(module.contains([x if k == pos else ring.zero for k in range(r)]) for pos in range(r))
 
 
 @dataclass
@@ -324,10 +318,9 @@ def syzygy_length_survey(module, i_max):
     d = ring.dim
     res = resolve(module, i_max + 2)
     mod_len = module.length()
-    rows = []
-    for i in range(i_max + 1):
-        syz = res.syzygy(i)
-        rows.append(SurveyRow(i, res.rank(i), syz.dimension, syz.length))
+    # Omega_0 .. Omega_{i_max+1}, each presented and measured once.
+    omega = [res.syzygy(i) for i in range(i_max + 2)]
+    rows = [SurveyRow(i, res.rank(i), omega[i].dimension, omega[i].length) for i in range(i_max + 1)]
     checks = []
 
     finite_m = mod_len is not INFINITE
@@ -375,10 +368,9 @@ def syzygy_length_survey(module, i_max):
         )
 
     for i in range(1, i_max + 1):
-        omega_next = res.syzygy(i + 1)
         gate = (
             finite_m
-            and omega_next.length is not INFINITE
+            and omega[i + 1].length is not INFINITE
             and infinite_pd
             and res.rank(i) >= res.rank(i - 1)
         )
@@ -391,8 +383,7 @@ def syzygy_length_survey(module, i_max):
                 )
             )
             continue
-        prev = res.syzygy(i - 1)
-        ok = prev.length is not INFINITE and d == 1
+        ok = omega[i - 1].length is not INFINITE and d == 1
         checks.append(
             GateReport(
                 True,
@@ -400,7 +391,7 @@ def syzygy_length_survey(module, i_max):
                 {
                     "law": "non-decreasing-betti-consequence",
                     "index": i,
-                    "previous_length": prev.length,
+                    "previous_length": omega[i - 1].length,
                     "ring_dim": d,
                 },
                 passed=ok,
@@ -414,8 +405,7 @@ def syzygy_length_survey(module, i_max):
     # nonzero H^0, so the vacuous (Cohen-Macaulay) case is excluded.
     if d == 1 and finite_m and buchsbaum_flag(ring) == "holds":
         for i in range(2, i_max + 1):
-            omega_next = res.syzygy(i + 1)
-            if omega_next.length is INFINITE:
+            if omega[i + 1].length is INFINITE:
                 continue
             ok = res.rank(i - 1) == 0
             checks.append(
@@ -473,10 +463,9 @@ def buchsbaum_flag(ring):
     h0 = h0_ring(ring)
     if h0.is_zero_submodule():
         return "vacuous"
-    for v in ring.gens():
-        for col in h0.columns:
-            if not ring.is_zero_mod(v * col[0]):
-                return "fails"
+    h0_gens = [col[0] for col in h0.columns]
+    if any(not ring.is_zero_mod(v * g) for v in ring.gens() for g in h0_gens):
+        return "fails"
     return "holds"
 
 

@@ -2,7 +2,8 @@
 
 A ``FreeComplex`` stores free modules G_0 .. G_L with maps phi_j : G_j ->
 G_{j-1} only as lists of engine column vectors; ``matrix(j)`` builds
-``Polynomial`` columns on demand.  ``resolve`` builds a minimal resolution
+``Polynomial`` columns on demand, and syzygy presentations take the stored
+vectors as they are.  ``resolve`` builds a minimal resolution
 one kernel at a time on vectors: syzygy generators of phi_j are pruned to a
 minimal generating set, which keeps every matrix entry inside the irrelevant
 ideal.  Syzygies use the image convention Omega_i = im(phi_i), with Omega_0 = M.
@@ -14,9 +15,9 @@ from .groebner import (
     SubmodulePresentation,
     _ideal_basis,
     _minimal_generator_indices,
+    _normalize_columns,
     _syzygy_vecs,
     column_degree,
-    column_to_vec,
     vec_to_column,
 )
 from .ring import _axpy
@@ -27,8 +28,9 @@ class FreeComplex:
 
     ``maps[j]`` (j = 1..L) lists the columns of phi_j as engine vectors,
     shared between complexes and never modified; the constructor also takes
-    a column as ``ranks[j-1]`` polynomials.  ``row_degrees[j]`` carries the
-    twists of G_j, so column c of phi_j has degree ``row_degrees[j][c]``.
+    a column as ``ranks[j-1]`` homogeneous polynomials (``_normalize_columns``).
+    ``row_degrees[j]`` carries the twists of G_j, so column c of phi_j has
+    degree ``row_degrees[j][c]``.
     """
 
     __slots__ = ("ring", "ranks", "row_degrees", "maps")
@@ -37,16 +39,12 @@ class FreeComplex:
         self.ring = ring
         self.ranks = list(ranks)
         self.row_degrees = [list(d) for d in row_degrees]
-        self.maps = [None] + [list(m) for m in maps]
+        self.maps = [None] + list(maps)
         for j in range(1, len(self.ranks)):
             mat = self.maps[j]
             if len(mat) != self.ranks[j]:
                 raise ValueError("phi_%d has %d columns, expected %d" % (j, len(mat), self.ranks[j]))
-            for c, col in enumerate(mat):
-                if not isinstance(col, dict):
-                    if len(col) != self.ranks[j - 1]:
-                        raise ValueError("phi_%d column length mismatch" % j)
-                    mat[c] = column_to_vec(col, ring)
+            self.maps[j] = _normalize_columns(mat, ring, self.ranks[j - 1], self.row_degrees[j - 1])[0]
 
     @property
     def length(self):
@@ -89,18 +87,23 @@ class FreeComplex:
         return True
 
     def check_homogeneous(self):
+        """Every term of column c of phi_j has degree ``row_degrees[j][c]``:
+        its own degree plus the twist of its row."""
+        layout = self.ring._layout
         for j in range(1, len(self.maps)):
-            for c, col in enumerate(self.matrix(j)):
-                deg = column_degree(col, self.row_degrees[j - 1])
-                if deg is not None and deg != self.row_degrees[j][c]:
+            rows, twists = self.row_degrees[j - 1], self.row_degrees[j]
+            for c, vec in enumerate(self.maps[j]):
+                degs = {layout.degree(t) + rows[-(t >> layout.top)] for t in vec}
+                if degs - {twists[c]}:
                     raise NotHomogeneous(
-                        "column %d of phi_%d has degree %s, twist says %d"
-                        % (c, j, deg, self.row_degrees[j][c])
+                        "column %d of phi_%d has degrees %s, twist says %d" % (c, j, sorted(degs), twists[c])
                     )
         return True
 
     def has_unit_entry(self):
-        return _find_unit([None] + [self.matrix(j) for j in range(1, len(self.maps))]) is not None
+        """Some entry has a nonzero constant term: a term of degree 0."""
+        degree = self.ring._layout.degree
+        return any(degree(t) == 0 for mat in self.maps[1:] for vec in mat for t in vec)
 
     def copy(self):
         return FreeComplex(self.ring, self.ranks, self.row_degrees, self.maps[1:])
@@ -225,7 +228,7 @@ def resolve(module, steps):
         ranks = [module.ambient_rank, len(cols)]
         degs = [list(module.row_degrees), [column_degree(c, module.row_degrees) or 0 for c in cols]]
         _split_units(ring, ranks, degs, [None, cols])
-        module._resolution = (ranks, degs, [[column_to_vec(c, ring) for c in cols]])
+        module._resolution = (ranks, degs, [_normalize_columns(cols, ring, ranks[0], degs[0])[0]])
     ranks, row_degrees, maps = module._resolution
     layout = ring._layout
     while len(maps) < steps and ranks[-1]:
@@ -249,40 +252,40 @@ class SyzygyPresentation:
     """Omega_i = im(phi_i) with its cached length and dimension.
 
     The numerical data comes from the isomorphism Omega_i = coker(phi_{i+1})
-    inside G_i, so a resolution through step i+1 is required.
+    inside G_i, so a resolution through step i+1 is required.  ``vecs`` are
+    the generators, the stored columns of phi_i (none for Omega_0 = M).
     """
 
-    __slots__ = ("index", "ambient_rank", "row_degrees", "generators", "presentation", "length", "dimension")
+    __slots__ = ("index", "ambient_rank", "row_degrees", "vecs", "presentation", "length", "dimension")
 
-    def __init__(self, index, ambient_rank, row_degrees, generators, presentation):
+    def __init__(self, index, ambient_rank, row_degrees, vecs, presentation):
         self.index = index
         self.ambient_rank = ambient_rank
         self.row_degrees = row_degrees
-        self.generators = generators
+        self.vecs = vecs
         self.presentation = presentation
         self.length = presentation.length()
         self.dimension = presentation.dimension()
+
+    @property
+    def generators(self):
+        """The generators as columns of polynomials, built on each read."""
+        return [vec_to_column(v, self.ambient_rank, self.presentation.ring) for v in self.vecs]
 
     def __repr__(self):
         lam = "oo" if self.length is INFINITE else self.length
         return "<syzygy %d: %d generators, length %s, dim %d>" % (
             self.index,
-            len(self.generators),
+            len(self.vecs),
             lam,
             self.dimension,
         )
 
 
 def _syzygy_from_resolution(res, i):
-    ring = res.ring
-    pres = SubmodulePresentation(
-        ring, res.matrix(i + 1), res.rank(i), res.degrees(i), "cokernel"
-    )
-    if i == 0:
-        ambient_rank, rowdegs, gens = res.rank(0), res.degrees(0), []
-    else:
-        ambient_rank, rowdegs, gens = res.rank(i - 1), res.degrees(i - 1), res.matrix(i)
-    return SyzygyPresentation(i, ambient_rank, rowdegs, gens, pres)
+    pres = SubmodulePresentation(res.ring, res.vectors(i + 1), res.rank(i), res.degrees(i), "cokernel")
+    j = max(i - 1, 0)
+    return SyzygyPresentation(i, res.rank(j), res.degrees(j), res.vectors(i), pres)
 
 
 def syzygy(module, i):

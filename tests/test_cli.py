@@ -282,3 +282,53 @@ def test_removed_flags_are_rejected(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         cli.main(["hk", "-i", str(path)] + flag)
     assert exc.value.code == 2
+
+
+def test_zero_flags_mean_zero():
+    env = cli.run("resolve", _problem(), {"steps": 0})
+    assert env["result"]["betti"] == [1] and env["result"]["matrices"] == []
+    env = cli.run("syz", _problem(), {"idx": 0})
+    assert [row["i"] for row in env["result"]["rows"]] == [0]
+    env = cli.run("syz", _problem(), {"steps": 0})
+    assert [row["i"] for row in env["result"]["rows"]] == [0]
+    env = cli.run("beta", _problem(), {"idx": 0, "exact": True})
+    assert env["result"]["index"] == 0
+    # Absent flags keep their defaults.
+    assert cli.run("resolve", _problem(), {"steps": None})["result"]["steps"] == 3
+    assert len(cli.run("hk", _problem(), {})["result"]["levels"]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("resolve", {"steps": -1}),
+        ("syz", {"idx": -1}),
+        ("syz", {"steps": -1}),
+        ("beta", {"idx": -1, "exact": True}),
+        ("beta", {"idx": -1}),
+        ("mu", {"idx": -1}),
+        ("diagnose1", {"idx": -1}),
+        ("hk", {"emax": 0}),
+        ("beta", {"idx": 1, "emax": 0}),
+        ("diagnose1", {"idx": 1, "emax": 0}),
+        ("verify", {"emax": -2}),
+    ],
+)
+def test_out_of_range_flags_are_parse_errors(tmp_path, command, flags):
+    with pytest.raises(ParseError):
+        cli.run(command, _problem(), flags)
+    path = tmp_path / "r1.fbr"
+    path.write_text(R1_PROBLEM)
+    argv = [command, "-i", str(path)]
+    for name, value in flags.items():
+        argv += ["--exact"] if name == "exact" else ["--%s" % name, str(value)]
+    assert cli.main(argv) == cli.PARSE_EXIT
+
+
+def test_main_passes_zero_flags(tmp_path, capsys):
+    path = tmp_path / "r1.fbr"
+    path.write_text(R1_PROBLEM)
+    assert cli.main(["resolve", "-i", str(path), "--steps", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["betti"] == [1]
+    assert cli.main(["hk", "-i", str(path), "--emax", "1"]) == 0
+    assert [level[0] for level in json.loads(capsys.readouterr().out)["result"]["levels"]] == [1]

@@ -18,7 +18,7 @@ from frobetti import (
     syzygy_generators,
 )
 from frobetti import groebner
-from frobetti.errors import AmbientMismatch, ResourceBound, ZeroDivisorQuery
+from frobetti.errors import AmbientMismatch, Overflow, ResourceBound, ZeroDivisorQuery
 from frobetti.frobenius import frobenius_power, twist_complex
 from frobetti.groebner import (
     column_degree,
@@ -1219,3 +1219,48 @@ def test_update_relies_on_pairs_of_two_ideal_elements(monkeypatch):
     assert [[str(e) for e in col] for col in gb.columns] == [
         ["0", "y*z"], ["0", "x*z"], ["0", "x*y"], ["0", "x^2"], ["x", "y"], ["y*z", "0"]
     ]
+
+
+# -- presentations hold their span as engine vectors ------------------------------
+
+
+def _strings(columns):
+    return [[str(e) for e in col] for col in columns]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_column_sets(twists=(-1, 2)), st.data())
+def test_presentation_from_vectors_matches_polynomial_columns(case, data):
+    """A presentation given its span as engine vectors answers as one given
+    the same columns as polynomials, and ``columns`` gives the columns back."""
+    ring, columns, rank, degrees = case
+    vecs = [column_to_vec(col, ring) for col in columns]
+    from_vecs = cokernel_presentation(ring, vecs, rank, degrees)
+    from_cols = cokernel_presentation(ring, columns, rank, degrees)
+    assert from_vecs.vecs == from_cols.vecs == vecs
+    assert from_vecs.columns == from_cols.columns == columns
+    assert from_vecs.numerator() == from_cols.numerator()
+    assert (from_vecs.gb().leads, from_vecs.gb().vecs) == (from_cols.gb().leads, from_cols.gb().vecs)
+    assert _strings(from_vecs.minimal_generators()) == _strings(from_cols.minimal_generators())
+    assert from_vecs.is_zero_submodule() == from_cols.is_zero_submodule()
+    t = data.draw(st.integers(1, 3))
+    other = [random_form(data.draw, ring, t - degrees[k]) for k in range(rank)]
+    for target in (columns[0], other):
+        a, b = from_vecs.lift(target), from_cols.lift(target)
+        assert (a is None) == (b is None) and (a is None or _strings([a]) == _strings([b]))
+    x = ring.gens()[data.draw(st.integers(0, ring.n - 1))]
+    for a, b in (
+        (from_vecs.colon(x), from_cols.colon(x)),
+        (from_vecs.saturate(), from_cols.saturate()),
+    ):
+        assert (a.vecs, a.columns, a.mode) == (b.vecs, b.columns, b.mode)
+
+
+def test_presentation_converts_its_columns_at_construction(R1):
+    # A too-wide exponent raises when the presentation is built, not when
+    # it is first used.
+    wide = R1.monomial((2**63, 0))
+    with pytest.raises(Overflow):
+        SubmodulePresentation(R1, [[wide]], 1)
+    with pytest.raises(AmbientMismatch):
+        SubmodulePresentation(R1, [{R1._layout.encode(0, (1, 0)): 1}])

@@ -159,3 +159,29 @@ def test_no_shared_mutable_module_state(path):
                 found.append("%s (line %d)" % (name, node.lineno))
     found += ["global (line %d)" % node.lineno for node in ast.walk(tree) if isinstance(node, ast.Global)]
     assert not found, "shared mutable state in %s: %s" % (path.name, ", ".join(found))
+
+
+# ``FreeComplex.matrix`` builds Polynomial columns on each call; the library
+# reads the stored vectors instead, except where Polynomial columns are the
+# point: the CLI payload, ``minimize`` (unit splitting on polynomials) and the
+# two reference routes of ``homology``.
+MATRIX_CALLERS = {
+    ("cli.py", "_serialize_resolution"),
+    ("resolution.py", "minimize"),
+    ("homology.py", "homology_presentation"),
+    ("homology.py", "degreewise_homology_oracle"),
+}
+
+
+def test_polynomial_matrices_are_built_only_where_needed():
+    found = set()
+    for path in MODULES:
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "matrix"
+                ):
+                    found.add((path.name, getattr(top, "name", "<module>")))
+    assert found <= MATRIX_CALLERS, "matrix() called from %s" % sorted(found - MATRIX_CALLERS)

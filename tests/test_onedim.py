@@ -14,6 +14,7 @@ from frobetti import (
     make_ring,
     minimal_primes_monomial,
     quotient_module,
+    resolve,
     syzygy_length_survey,
     tor_vanishing_vs_minimal_primes,
     xi_alternating_sum_check,
@@ -49,6 +50,26 @@ def test_decide_beta_vanishing_examples(R1, R2, R3, K1, K2):
     assert decide_beta_vanishing(K1, 0) is False
     assert decide_beta_vanishing(K2, 1) is True
     assert decide_beta_vanishing(K2, 0) is False
+
+
+def _entries_in_h0(module, i):
+    """The entry-by-entry reference: every entry of phi_{i+1} lies in H^0 + I."""
+    h0 = h0_ring(module.ring)
+    res = resolve(module, i + 1)
+    return all(entry.is_zero() or h0.contains([entry]) for col in res.matrix(i + 1) for entry in col)
+
+
+def test_decide_beta_vanishing_matches_entrywise_reference(R1, R3, R4, R5):
+    modules = [residue_field(ring) for ring in (R1, R3, R4, R5)]
+    modules += [quotient_module(R3, ["x+y"]), quotient_module(R4, ["x+y"])]
+    modules += [module for ring, module in random_instances(11, 30) if ring.dim == 1]
+    answers = set()
+    for module in modules:
+        for i in (0, 1, 2):
+            exact = decide_beta_vanishing(module, i)
+            assert exact == _entries_in_h0(module, i), (module.ring, i)
+            answers.add(exact)
+    assert answers == {True, False}
 
 
 def test_decide_beta_vanishing_guards(R5, K1):

@@ -16,7 +16,7 @@ from frobetti import (
     syzygy_generators,
     twist_complex,
 )
-from frobetti.errors import LiftFailure
+from frobetti.errors import LiftFailure, NotHomogeneous
 
 from conftest import R5_QUADRICS, composes_to_zero, residue_field
 
@@ -120,6 +120,29 @@ def test_check_complex_matches_polynomial_products():
     assert twist_complex(good, 1).check_complex()
     with pytest.raises(LiftFailure):
         twist_complex(bad, 1)
+
+
+def test_free_complex_checks_polynomial_columns_at_construction(R1):
+    # An inhomogeneous column given as polynomials is rejected at once; one
+    # given as a vector is stored as it is and caught by check_homogeneous.
+    with pytest.raises(NotHomogeneous):
+        FreeComplex(R1, [1, 1], [[0], [1]], [[[R1.poly("x + y^2")]]])
+    encode = R1._layout.encode
+    inhomogeneous = FreeComplex(R1, [1, 1], [[0], [1]], [[{encode(0, (1, 0)): 1, encode(0, (0, 2)): 1}]])
+    wrong_twist = FreeComplex(R1, [1, 1], [[0], [2]], [[[R1.poly("y")]]])
+    for C in (inhomogeneous, wrong_twist):
+        with pytest.raises(NotHomogeneous):
+            C.check_homogeneous()
+    assert FreeComplex(R1, [1, 1], [[0], [1]], [[[R1.poly("y")]]]).check_homogeneous()
+
+
+def test_syzygy_generators_are_the_columns_of_the_map(K1):
+    res = resolve(K1, 4)
+    for i in range(4):
+        omega = res.syzygy(i)
+        assert omega.generators == (res.matrix(i) if i else [])
+        assert omega.vecs == res.vectors(i)
+        assert "%d generators" % res.rank(i if i else -1) in repr(omega)
 
 
 def test_minimize_strips_identity_block(R1, K1):
