@@ -67,7 +67,8 @@ def _bracket_vec(vec, q, layout):
 
 
 def twist_complex(complex_, level):
-    """The complex (G_j, phi_j^[q]); for q > 1 the input's complex property is checked."""
+    """The complex (G_j, phi_j^[q]); for q > 1 the input's complex property
+    is checked, once per stored composition for a resolution from ``resolve``."""
     ring = complex_.ring
     lv = _level(ring, level)
     q = lv.q

@@ -16,13 +16,16 @@ vectors, colon problems are built and solved on vectors (``_colon_heads``),
 and saturation carries one reduced basis from round to round.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division and minimalisation scan only the list of the
-term's position.  Pairs are chosen when an element is appended, by the
-Gebauer-Moeller update (``_Engine._update``): the new lead deletes the queued
-pairs of its position that it makes redundant, and of its own pairs it
-queues only those whose lcm is minimal among theirs, one per lcm, and none
-whose lcm is that of a coprime pair.  A pair that is not queued counts as
-treated, so popping a pair only checks that it is still queued.  A queued
-pair carries the lcm of its two leads, which the S-vector reuses.  A Hilbert
+term's position.  Pairs are chosen when a run starts, for each element
+appended since the last run in turn, by the Gebauer-Moeller update
+(``_Engine._update``): the new lead deletes the queued pairs of its position
+that it makes redundant, and of its own pairs it queues only those whose lcm
+is minimal among theirs, one per lcm, and none whose lcm is that of a
+coprime pair.  An element appended after the last run is never paired.  A
+pair that is not queued counts as treated, so popping a pair only checks
+that it is still queued.  A queued pair carries the lcm of its two leads,
+which the S-vector reuses.  S-vectors are reduced untracked; a tracked run
+builds the representation only of a nonzero remainder.  A Hilbert
 numerator (length, dimension, Hilbert function) needs only the minimal leads
 of one engine run (``_Engine.minimal_leads``), so it takes no tail reduction
 and builds no ``GroebnerBasis``.
@@ -109,8 +112,15 @@ class _Engine:
     representation, and never paired with each other.  ``by_pos`` lists the
     leads per position in insertion order, for ``_reduce_vec``.
 
-    Pairs are chosen by the Gebauer-Moeller update (``_update``) when an
-    element is appended, never when they are popped.  ``queued`` holds, per
+    Pairs are chosen by the Gebauer-Moeller update (``_update``) when a run
+    starts, never when they are popped: ``unpaired`` lists the elements
+    appended since the last run with the number of their partners, and
+    ``run`` updates for them in the order they were appended, with the same
+    partners as an update at append time; a remainder inserted during a run
+    is paired at once.  So an element appended after the last run (the
+    candidates of the last degree of ``_minimal_generator_indices``) costs no
+    update.  A run builds a representation only for a nonzero remainder,
+    by reducing its S-vector a second time, tracked.  ``queued`` holds, per
     position, the live pairs as ``{(i, j): lcm}``; the heap ``pairs`` holds
     them as ``(degree, i, j, lcm)``, keyed by true degree, sum(lcm) plus the
     row degree of their position, so ``run(d)`` leaves a basis that is
@@ -133,6 +143,7 @@ class _Engine:
         self.single_pos = []
         self.pairs = []
         self.queued = {}
+        self.unpaired = []
         self.ideal = range(0)
 
     def seed(self, vec, index):
@@ -152,11 +163,14 @@ class _Engine:
         first = len(self.basis)
         self.ideal = range(first, first + ambient_rank * len(leads))
         for pos in range(ambient_rank):
-            earlier = list(self.by_pos.get(pos, ()))
+            earlier = len(self.by_pos.get(pos, ()))
             for vec, lead in zip(_ideal_vecs(self.ring, pos), leads):
                 self._append(vec, lead - (pos << top), {}, True, earlier)
 
-    def _insert(self, vec, rep):
+    def _insert(self, vec, rep, at_once=False):
+        """Append ``vec`` made monic, ``rep`` scaled with it; its pairs with
+        the earlier elements at its position are chosen at once if
+        ``at_once``, else when the next run starts."""
         lead = max(vec)
         layout = self.layout
         if lead & layout.guard:
@@ -169,26 +183,39 @@ class _Engine:
             rep = {t: (v * inv) % p for t, v in rep.items()}
         top = layout.top
         single = min(vec) >> top == lead >> top
-        self._append(vec, lead, rep, single, self.by_pos.get(-(lead >> top), ()))
+        n_partners = None if at_once else len(self.by_pos.get(-(lead >> top), ()))
+        self._append(vec, lead, rep, single, n_partners)
 
-    def _append(self, vec, lead, rep, single_pos, partners):
-        """Add the monic ``vec`` and queue the pairs with ``partners``, a list
-        of ``(lead, index)`` at its position, that ``_update`` keeps."""
+    def _append(self, vec, lead, rep, single_pos, n_partners):
+        """Add the monic ``vec``.  Its partners are the first ``n_partners``
+        elements listed at its position, and ``run`` pairs it with them
+        before it pops a pair; ``None`` pairs it at once with every element
+        listed there, which needs no copy of the list."""
         if len(self.basis) >= MAX_BASIS_SIZE:
             raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         new = len(self.basis)
-        pos = -(lead >> self.layout.top)
+        same_pos = self.by_pos.setdefault(-(lead >> self.layout.top), [])
         self.basis.append(vec)
         self.leads.append(lead)
         self.reps.append(rep)
         self.single_pos.append(single_pos)
-        if partners:
-            queued = self.queued.setdefault(pos, {})
-            shift = self.row_degrees[pos]
-            for d, i, m in self._update(new, partners, queued):
-                queued[(i, new)] = m
-                heapq.heappush(self.pairs, (d + shift, i, new, m))
-        self.by_pos.setdefault(pos, []).append((lead, new))
+        if n_partners is None:
+            self._pair(new, same_pos)
+        elif n_partners:
+            self.unpaired.append((new, n_partners))
+        same_pos.append((lead, new))
+
+    def _pair(self, new, partners):
+        """Queue the pairs of ``new`` with ``partners``, a list of ``(lead,
+        index)`` at its position, that ``_update`` keeps."""
+        if not partners:
+            return
+        pos = -(self.leads[new] >> self.layout.top)
+        queued = self.queued.setdefault(pos, {})
+        shift = self.row_degrees[pos]
+        for d, i, m in self._update(new, partners, queued):
+            queued[(i, new)] = m
+            heapq.heappush(self.pairs, (d + shift, i, new, m))
 
     def _update(self, new, partners, queued):
         """The Gebauer-Moeller update (Becker-Weispfenning, UPDATE) for the
@@ -247,21 +274,33 @@ class _Engine:
         return fresh
 
     def run(self, degree=INFINITE):
-        """Process the pairs of true degree at most ``degree``."""
+        """Pair the elements appended since the last run, in the order they
+        were appended, then process the pairs of true degree at most
+        ``degree``.  Each S-vector is reduced untracked; only a nonzero
+        remainder of a tracked engine has its representation built, by the
+        same reduction again with the S-vector's representation."""
         track = self.n_tracked > 0
         ring = self.ring
         pairs, queued, top = self.pairs, self.queued, self.layout.top
+        by_pos, basis, leads = self.by_pos, self.basis, self.leads
+        for new, n_partners in self.unpaired:
+            self._pair(new, by_pos[-(leads[new] >> top)][:n_partners])
+        self.unpaired = []
         while pairs and pairs[0][0] <= degree:
             _, i, j, lcm = heapq.heappop(pairs)
             if queued[-(lcm >> top)].pop((i, j), None) is None:
                 continue
-            vec = _spair(self.leads, self.basis, i, j, lcm, ring)
+            vec = _spair(leads, basis, i, j, lcm, ring)
             if not vec:
                 continue
-            rep = _spair(self.leads, self.reps, i, j, lcm, ring) if track else None
-            rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
-            if rem:
-                self._insert(rem, rep or {})
+            rem = _reduce_vec(vec, by_pos, basis, ring)
+            if not rem:
+                continue
+            rep = {}
+            if track:
+                rep = _spair(leads, self.reps, i, j, lcm, ring)
+                rem = _reduce_vec(vec, by_pos, basis, ring, rep, self.reps)
+            self._insert(rem, rep, at_once=True)
 
     def minimal_leads(self):
         """(kept, by_pos): the indices of the elements whose lead no other
@@ -418,11 +457,11 @@ def groebner_basis(gens, ring, ambient_rank=None, row_degrees=None):
 
 
 def reduced_ideal_groebner(gens, ring):
-    """Reduced Groebner basis of an ideal of the underlying polynomial ring."""
+    """Reduced Groebner basis of an ideal of the underlying polynomial ring,
+    as monic vectors at position 0, lowest lead first."""
     vecs = [column_to_vec([g], ring) for g in gens]
     engine, _ = _run_engine(vecs, ring, 1, (0,))
-    vecs, leads, _ = engine.reduced()
-    return [vec_to_column(v, 1, ring)[0] for v in vecs]
+    return engine.reduced()[0]
 
 
 def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):

@@ -17,7 +17,6 @@ from .groebner import (
     _minimal_generator_indices,
     _normalize_columns,
     _syzygy_vecs,
-    column_degree,
     vec_to_column,
 )
 from .ring import _axpy
@@ -72,18 +71,21 @@ class FreeComplex:
 
     def check_complex(self):
         """Every consecutive composition is zero modulo the defining ideal."""
+        return all(self._composes_to_zero(j) for j in range(1, self.length))
+
+    def _composes_to_zero(self, j):
+        """phi_j * phi_{j+1} is zero modulo the defining ideal."""
         ring = self.ring
         unit, top = ring._layout.unit, ring._layout.top
-        for j in range(1, self.length):
-            ideal = _ideal_basis(ring, self.rank(j - 1), self.degrees(j - 1))
-            for vec in self.maps[j + 1]:
-                image = {}
-                for t, c in vec.items():
-                    # t is c * x^m * e_r: add c * x^m times column r of phi_j.
-                    r = -(t >> top)
-                    _axpy(image, self.maps[j][r], -c, t - unit(r), ring)
-                if ideal.normal_form_vec(image):
-                    return False
+        ideal = _ideal_basis(ring, self.rank(j - 1), self.degrees(j - 1))
+        for vec in self.maps[j + 1]:
+            image = {}
+            for t, c in vec.items():
+                # t is c * x^m * e_r: add c * x^m times column r of phi_j.
+                r = -(t >> top)
+                _axpy(image, self.maps[j][r], -c, t - unit(r), ring)
+            if ideal.normal_form_vec(image):
+                return False
         return True
 
     def check_homogeneous(self):
@@ -188,11 +190,23 @@ class MinimalResolution(FreeComplex):
     kernel to a minimal generating set.
     """
 
-    __slots__ = ("module",)
+    __slots__ = ("module", "_checked")
 
-    def __init__(self, ring, ranks, row_degrees, maps, module):
+    def __init__(self, ring, ranks, row_degrees, maps, module, checked=None):
         super().__init__(ring, ranks, row_degrees, maps)
         self.module = module
+        self._checked = checked
+
+    def _composes_to_zero(self, j):
+        """As for any complex, but ``resolve`` hands over the set of the j
+        already checked on the module's stored maps (``checked``), so each
+        stored composition is checked once over all its resolutions."""
+        checked = self._checked
+        if checked is None:
+            return super()._composes_to_zero(j)
+        if j not in checked and super()._composes_to_zero(j):
+            checked.add(j)
+        return j in checked
 
     @property
     def betti(self):
@@ -214,28 +228,32 @@ def resolve(module, steps):
     each later map is a minimal generating set of the syzygies of the one
     before.  The ranks, twists and maps are kept on the module and extended
     on later calls; past a zero rank the resolution is padded with zeros.
-    The kept syzygy vectors are stored as they come, each twisted by the
-    degree of its lead.
+    The kept vectors are stored as they come, each twisted by the degree of
+    its lead, together with the set of the j whose composition phi_j *
+    phi_{j+1} ``check_complex`` has checked.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if module.mode != "cokernel":
         raise ValueError("resolve expects a cokernel presentation")
     ring = module.ring
-    if module._resolution is None:
-        # phi_1: the minimal generators with their unit entries split off.
-        cols = [list(c) for c in module.minimal_generators()]
-        ranks = [module.ambient_rank, len(cols)]
-        degs = [list(module.row_degrees), [column_degree(c, module.row_degrees) or 0 for c in cols]]
-        _split_units(ring, ranks, degs, [None, cols])
-        module._resolution = (ranks, degs, [_normalize_columns(cols, ring, ranks[0], degs[0])[0]])
-    ranks, row_degrees, maps = module._resolution
     layout = ring._layout
+    if module._resolution is None:
+        # phi_1: the minimal generators, with their unit entries split off on
+        # polynomial columns when some entry has a term of degree 0.
+        rank, rows = module.ambient_rank, list(module.row_degrees)
+        vecs = [module.vecs[i] for i in _minimal_generator_indices(module.vecs, ring, rank, rows)]
+        ranks, degs = [rank, len(vecs)], [rows, _twists(vecs, rows, layout)]
+        if any(layout.degree(t) == 0 for vec in vecs for t in vec):
+            cols = [vec_to_column(v, rank, ring) for v in vecs]
+            _split_units(ring, ranks, degs, [None, cols])
+            vecs = _normalize_columns(cols, ring, ranks[0], degs[0])[0]
+        module._resolution = (ranks, degs, [vecs], set())
+    ranks, row_degrees, maps, checked = module._resolution
     while len(maps) < steps and ranks[-1]:
         ker = _syzygy_vecs(maps[-1], ring, ranks[-2], row_degrees[-2])
         vecs = [ker[i] for i in _minimal_generator_indices(ker, ring, ranks[-1], row_degrees[-1])]
-        twists = row_degrees[-1]
-        row_degrees.append([layout.degree(t) + twists[-(t >> layout.top)] for t in map(max, vecs)])
+        row_degrees.append(_twists(vecs, row_degrees[-1], layout))
         maps.append(vecs)
         ranks.append(len(vecs))
     pad = steps + 1 - len(ranks)
@@ -245,7 +263,14 @@ def resolve(module, steps):
         row_degrees[: steps + 1] + [[]] * pad,
         maps[:steps] + [[]] * pad,
         module,
+        checked,
     )
+
+
+def _twists(vecs, row_degrees, layout):
+    """The degree of each nonzero homogeneous vector: its lead's degree plus
+    the twist of the lead's row."""
+    return [layout.degree(t) + row_degrees[-(t >> layout.top)] for t in map(max, vecs)]
 
 
 class SyzygyPresentation:

@@ -485,11 +485,14 @@ class Polynomial:
 class QuotientRing:
     """A standard-graded quotient R = F_p[x_1..x_n] / I.
 
-    ``ideal_groebner`` holds the reduced degrevlex Groebner basis of I.
     ``_layout`` is the ring's ``TermLayout``: every module term of the engine
-    over this ring is one int in it, so ``_gb_vecs`` holds the same basis as
-    monic vectors at position 0, ``_gb_lead_terms`` their leads and
-    ``_gb_leads`` the leads listed per position (``_lead_lists``).  ``dim``
+    over this ring is one int in it.  ``_gb_vecs`` holds the reduced
+    degrevlex Groebner basis of I as monic vectors at position 0,
+    ``_gb_lead_terms`` their leads and ``_gb_leads`` the leads listed per
+    position (``_lead_lists``); ``ideal_groebner`` builds the basis as
+    polynomials on each read.  The constructor takes the basis as monic
+    vectors, as ``make_ring`` hands them over, or as polynomials, which it
+    encodes and makes monic.  ``dim``
     is the Krull dimension, read off the Hilbert numerator of the
     leading-term ideal on first use, so it always matches the basis given.
     An empty ideal gives the polynomial ring itself.
@@ -500,7 +503,6 @@ class QuotientRing:
         "variables",
         "n",
         "ideal_gens",
-        "ideal_groebner",
         "_zero_exps",
         "_layout",
         "_gb_vecs",
@@ -520,15 +522,16 @@ class QuotientRing:
         self._zero_exps = (0,) * self.n
         self._layout = layout = TermLayout(self.n)
         self.ideal_gens = tuple(ideal_gens)
-        self.ideal_groebner = tuple(self.convert(g) for g in ideal_groebner)
         self._std_cache = {}
         self._inv_cache = {}
-        # _reduce_vec needs monic vectors; a basis given to the constructor may not be.
+        # _reduce_vec needs monic vectors; a basis given as polynomials may not be.
         self._gb_vecs = []
-        for g in self.ideal_groebner:
-            vec = {layout.encode(0, m): c for m, c in g.terms.items()}
-            inv = self.inverse(vec[max(vec)])
-            self._gb_vecs.append({t: (c * inv) % p for t, c in vec.items()})
+        for g in ideal_groebner:
+            if isinstance(g, Polynomial):
+                vec = {layout.encode(0, m): c for m, c in self.convert(g).terms.items()}
+                inv = self.inverse(vec[max(vec)])
+                g = {t: (c * inv) % p for t, c in vec.items()}
+            self._gb_vecs.append(g)
         self._gb_lead_terms = tuple(max(v) for v in self._gb_vecs)
         self._gb_leads = _lead_lists(self._gb_lead_terms, self)
         self._memo = {}
@@ -544,6 +547,12 @@ class QuotientRing:
     @property
     def dim(self):
         return numerator_dimension(self.numerator(), self.n)
+
+    @property
+    def ideal_groebner(self):
+        """The reduced Groebner basis of I as polynomials, built on each read."""
+        exps = self._layout.exps
+        return tuple(Polynomial(self, {exps(t): c for t, c in v.items()}) for v in self._gb_vecs)
 
     # -- element construction ---------------------------------------------------
 
@@ -657,10 +666,11 @@ def make_ring(p, variables, ideal_gens):
     """Build a validated quotient ring F_p[variables]/(ideal_gens).
 
     Generators may be text in the expression grammar or Polynomial values.
-    The reduced Groebner basis of the ideal is computed eagerly, so the
-    returned ring is ready for normal forms, standard-monomial counts, and
-    length queries; ``dim`` is read off the basis's leading terms by
-    :class:`QuotientRing` itself.
+    The reduced Groebner basis of the ideal is computed eagerly, as monic
+    engine vectors that the ring keeps as they are, so the returned ring is
+    ready for normal forms, standard-monomial counts, and length queries;
+    ``dim`` is read off the basis's leading terms by :class:`QuotientRing`
+    itself.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrime("characteristic %r is not a prime" % (p,))
@@ -687,7 +697,7 @@ def make_ring(p, variables, ideal_gens):
     from .groebner import reduced_ideal_groebner
 
     gb = reduced_ideal_groebner(gens, bare)
-    if any(not any(g.leading()[0]) for g in gb):
+    if any(bare._layout.degree(max(v)) == 0 for v in gb):
         raise UnitIdeal("1 lies in the ideal; the quotient ring is zero")
     return QuotientRing(p, variables, gens, gb)
 

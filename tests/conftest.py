@@ -1,8 +1,10 @@
+import heapq
+
 import pytest
 from hypothesis import strategies as st
 
-from frobetti import make_ring, quotient_module
-from frobetti.ring import Polynomial, monomial_divides, monomials_of_degree
+from frobetti import groebner, make_ring, quotient_module
+from frobetti.ring import Polynomial, _reduce_vec, monomial_divides, monomials_of_degree
 
 R5_QUADRICS = [
     "x^2",
@@ -71,6 +73,33 @@ def composes_to_zero(C):
         if not all(ring.is_zero_mod(entry) for col in prod for entry in col):
             return False
     return True
+
+
+class EagerEngine(groebner._Engine):
+    """The reference for ``groebner._Engine``: an element is paired with its
+    partners when it is appended, and every S-vector is reduced together
+    with its representation (empty in an untracked engine).  The engine must
+    pop the same pairs and keep the same basis and representations."""
+
+    def _append(self, vec, lead, rep, single_pos, n_partners):
+        same_pos = self.by_pos.get(-(lead >> self.layout.top), [])
+        partners = same_pos[: len(same_pos) if n_partners is None else n_partners]
+        super()._append(vec, lead, rep, single_pos, 0)
+        self._pair(len(self.basis) - 1, partners)
+
+    def run(self, degree=groebner.INFINITE):
+        pairs, queued, top, ring = self.pairs, self.queued, self.layout.top, self.ring
+        while pairs and pairs[0][0] <= degree:
+            _, i, j, lcm = heapq.heappop(pairs)
+            if queued[-(lcm >> top)].pop((i, j), None) is None:
+                continue
+            vec = groebner._spair(self.leads, self.basis, i, j, lcm, ring)
+            if not vec:
+                continue
+            rep = groebner._spair(self.leads, self.reps, i, j, lcm, ring)
+            rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
+            if rem:
+                self._insert(rem, rep, at_once=True)
 
 
 def brute_force_monomial_count(gens_exps, n, degree_cap):

@@ -38,6 +38,7 @@ from frobetti.ring import (
 )
 
 from conftest import (
+    EagerEngine,
     brute_force_monomial_count,
     decoded,
     random_form,
@@ -658,6 +659,46 @@ def test_minimal_generators_run_one_engine_per_call(monkeypatch, R5):
         assert (len(engines), len(runs)) == (1, 0)
 
 
+def test_last_degree_candidates_are_never_paired(monkeypatch, R5):
+    """The engine runs before the first candidate of each degree, and pairs
+    an element only when a run starts, so the candidates kept in the last
+    candidate degree are appended but never paired: they wait in
+    ``unpaired``, with I * ambient as partners, and no ``_update`` call
+    names them."""
+    engines, updated = [], []
+
+    class RecordingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+        def _update(self, new, partners, queued):
+            updated.append(new)
+            return super()._update(new, partners, queued)
+
+    kernels = _resolution_kernels(residue_field(R5), 2)
+    monkeypatch.setattr(groebner, "_Engine", RecordingEngine)
+    layout = R5._layout
+    last_kept = []
+    for columns, rank, degrees in kernels:
+        vecs = groebner._normalize_columns(columns, R5, rank, degrees)[0]
+        degree = {
+            i: layout.degree(max(v)) + degrees[-(max(v) >> layout.top)] for i, v in enumerate(vecs) if v
+        }
+        engines.clear()
+        updated.clear()
+        kept = groebner._minimal_generator_indices(vecs, R5, rank, degrees)
+        (engine,) = engines
+        last = [i for i in kept if degree[i] == max(degree.values())]
+        first_last = len(engine.basis) - len(last)
+        assert [new for new, _ in engine.unpaired] == list(range(first_last, len(engine.basis)))
+        assert max(updated, default=-1) < first_last
+        last_kept.append(len(last))
+    # All of phi_1 and phi_2 comes from one degree; ker phi_2 keeps none of
+    # its candidates of the highest degree.
+    assert last_kept == [5, 22, 0]
+
+
 def _true_degree(engine, degrees, i, j):
     decode = engine.layout.decode
     (pos, a), (_, b) = decode(engine.leads[i]), decode(engine.leads[j])
@@ -719,8 +760,10 @@ def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
     engine.seed_ideal(rank)
     ideal_elements = range(first, len(engine.basis))
     assert len(ideal_elements) == rank * len(ring.ideal_groebner)
-    # Nothing has been popped yet, so the heap holds every pair ever queued,
-    # those the update deleted again included.
+    # A run below every degree pairs the appended elements and pops nothing,
+    # so the heap holds every pair ever queued, those the update deleted
+    # again included.
+    engine.run(-INFINITE)
     queued = {(i, j) for _, i, j, _ in engine.pairs}
     assert not any(i in ideal_elements and j in ideal_elements for i, j in queued)
     engine.run()
@@ -1194,6 +1237,79 @@ def test_pair_update_queues_few_pairs_at_a_high_frobenius_level(monkeypatch):
     assert hk_sequence(cubic, ["x", "y", "z"], [3]).raw_values() == [264709]
     assert sum(counts) <= 9876 // 10
     assert len(reduced) <= 277
+
+
+def _items(vecs):
+    return [list(v.items()) for v in vecs]
+
+
+def _engine_outputs(ring, columns, rank, degrees):
+    """The reduced basis, the tracked basis with its representations, the
+    syzygy columns and the minimal generators of ``columns``, term order
+    within each vector included."""
+    pres = SubmodulePresentation(ring, columns, rank, degrees)
+    gb, tracked = pres.gb(), pres._tracked_gb()
+    syz = syzygy_generators(columns, ring, ambient_rank=rank, row_degrees=degrees)
+    return (
+        (gb.leads, _items(gb.vecs)),
+        (tracked.leads, _items(tracked.vecs), _items(tracked.reps)),
+        _strings(syz),
+        _strings(pres.minimal_generators()),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_sets(twists=(-1, 2)))
+def test_engine_matches_the_eager_reference(case):
+    """Pairing when a run starts, and building representations only for
+    nonzero remainders, changes no basis, representation, syzygy or
+    minimal generator against ``EagerEngine``."""
+    ring, columns, rank, degrees = case
+    outputs = _engine_outputs(ring, columns, rank, degrees)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_Engine", EagerEngine)
+        assert _engine_outputs(ring, columns, rank, degrees) == outputs
+
+
+@pytest.mark.parametrize(
+    "name, steps, formed, updates, eager_updates",
+    [("R5", 3, 511, 189, 216), ("R1", 8, 135, 139, 280)],
+)
+def test_resolve_work_counts(monkeypatch, request, name, steps, formed, updates, eager_updates):
+    """S-vectors formed in runs and ``_update`` calls of one resolution of
+    the residue field.  ``EagerEngine`` forms the same S-vectors, but it
+    also pairs the candidates of each kernel's last degree, which no run
+    reads."""
+    ring = request.getfixturevalue(name)
+    counts, running = {}, []
+    real_spair = groebner._spair
+
+    def counting_spair(leads, vecs, i, j, lcm, ring):
+        if running and vecs is running[-1].basis:
+            counts["formed"] += 1
+        return real_spair(leads, vecs, i, j, lcm, ring)
+
+    def counting(base):
+        class CountingEngine(base):
+            def _update(self, new, partners, queued):
+                counts["updates"] += 1
+                return super()._update(new, partners, queued)
+
+            def run(self, degree=INFINITE):
+                running.append(self)
+                try:
+                    super().run(degree)
+                finally:
+                    running.pop()
+
+        return CountingEngine
+
+    monkeypatch.setattr(groebner, "_spair", counting_spair)
+    for base, expected in ((groebner._Engine, updates), (EagerEngine, eager_updates)):
+        counts.update(formed=0, updates=0)
+        monkeypatch.setattr(groebner, "_Engine", counting(base))
+        resolve(residue_field(ring), steps)
+        assert (counts["formed"], counts["updates"]) == (formed, expected)
 
 
 def test_update_relies_on_pairs_of_two_ideal_elements(monkeypatch):

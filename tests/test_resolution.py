@@ -6,19 +6,23 @@ from frobetti import (
     INFINITE,
     FreeComplex,
     SubmodulePresentation,
+    beta_sequence,
     cokernel_presentation,
     homology_length,
     make_ring,
     minimize,
+    mu_sequence,
     quotient_module,
     resolve,
     syzygy,
     syzygy_generators,
     twist_complex,
 )
+from frobetti import groebner, resolution
 from frobetti.errors import LiftFailure, NotHomogeneous
+from frobetti.resolution import MinimalResolution
 
-from conftest import R5_QUADRICS, composes_to_zero, residue_field
+from conftest import EagerEngine, R5_QUADRICS, composes_to_zero, residue_field
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
 QUADRIC_FAMILIES = {
@@ -103,7 +107,7 @@ def test_betti_equal_tor_dimensions(R1, R2, R5, K1, K2):
             assert pres.length() == res.rank(j)
 
 
-def test_check_complex_matches_polynomial_products():
+def _good_and_bad_complexes():
     # Over k[x,y,z]/(xy - z^2) the composite of these non-monomial maps is
     # zero at position 0 and xy - z^2 at position 1, so the check must reduce
     # a position other than 0 against I.  Changing one entry breaks it.
@@ -114,12 +118,65 @@ def test_check_complex_matches_polynomial_products():
     degrees = [[0, 0], [1, 1], [2]]
     good = FreeComplex(ring, [2, 2, 1], degrees, [phi1, phi2])
     bad = FreeComplex(ring, [2, 2, 1], degrees, [[[P("z"), P("x + y")], phi1[1]], phi2])
+    return good, bad
+
+
+def test_check_complex_matches_polynomial_products():
+    good, bad = _good_and_bad_complexes()
     assert good.check_homogeneous() and bad.check_homogeneous()
     assert good.check_complex() and composes_to_zero(good)
     assert not bad.check_complex() and not composes_to_zero(bad)
     assert twist_complex(good, 1).check_complex()
     with pytest.raises(LiftFailure):
         twist_complex(bad, 1)
+
+
+def test_check_complex_runs_once_per_stored_step(monkeypatch, R1):
+    """``beta_sequence`` twists one stored resolution at levels 1 to 3, and
+    ``mu_sequence`` once more; each composition of the stored maps is
+    checked once.  A complex that ``resolve`` did not build is checked on
+    every call, so a non-complex raises ``LiftFailure`` every time."""
+    checked = []
+    real = FreeComplex._composes_to_zero
+
+    def recording(self, j):
+        checked.append(j)
+        return real(self, j)
+
+    module = residue_field(R1)
+    monkeypatch.setattr(FreeComplex, "_composes_to_zero", recording)
+    assert beta_sequence(module, 2, [1, 2, 3]).raw_values() == [13, 53, 253]
+    assert mu_sequence(module, 1, [1]).raw_values() == [7]
+    assert checked == [1, 2]
+    checked.clear()
+    _, bad = _good_and_bad_complexes()
+    bad_resolution = MinimalResolution(bad.ring, bad.ranks, bad.row_degrees, bad.maps[1:], None)
+    for C in (bad, bad, bad_resolution, bad_resolution):
+        with pytest.raises(LiftFailure):
+            twist_complex(C, 1)
+    assert checked == [1, 1, 1, 1]
+
+
+def test_phi1_splits_units_only_when_an_entry_is_a_unit(monkeypatch, R1):
+    """phi_1 goes through ``Polynomial`` columns and ``_split_units`` only
+    when a kept generator has a term of degree 0.  The column (1, x) of a
+    module with rows twisted by (1, 0) splits off, and leaves the
+    resolution of R/(y^2)."""
+    split = []
+    real = resolution._split_units
+
+    def recording(*args):
+        split.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(resolution, "_split_units", recording)
+    resolve(residue_field(R1), 3)
+    assert split == []
+    P = R1.poly
+    module = cokernel_presentation(R1, [[P("1"), P("x")], [P("0"), P("y^2")]], 2, (1, 0))
+    res = resolve(module, 3)
+    assert split == [1] and not res.has_unit_entry()
+    assert _resolution_data(res) == _resolution_data(resolve(quotient_module(R1, ["y^2"]), 3))
 
 
 def test_free_complex_checks_polynomial_columns_at_construction(R1):
@@ -241,14 +298,34 @@ def test_resolve_rejects_bad_input(R1, K1):
         resolve(sub, 2)
 
 
-def test_resolutions_match_pinned_digest():
-    # One sha256 over the Betti numbers, twists and matrix strings of R5's
-    # residue field over F_5 to step 4 and of the quadric families' residue
-    # fields over F_101 to step 3.  Any change to which syzygies the engine
-    # produces, or which of them are kept, moves it.
+def _pinned_resolutions():
+    """R5's residue field over F_5 to step 4 and the quadric families'
+    residue fields over F_101 to step 3, rings built afresh."""
     cases = [(make_ring(5, list("xyzuv"), R5_QUADRICS), 4)]
     cases += [(make_ring(101, list("xyzw"), gens), 3) for gens in QUADRIC_FAMILIES.values()]
+    return [resolve(residue_field(ring), steps) for ring, steps in cases]
+
+
+def test_resolutions_match_pinned_digest():
+    # One sha256 over the Betti numbers, twists and matrix strings of the
+    # pinned resolutions.  Any change to which syzygies the engine produces,
+    # or which of them are kept, moves it.
     digest = hashlib.sha256()
-    for ring, steps in cases:
-        digest.update(repr(_resolution_data(resolve(residue_field(ring), steps))).encode())
+    for res in _pinned_resolutions():
+        digest.update(repr(_resolution_data(res)).encode())
     assert digest.hexdigest() == "3aedf71ec40c3ed164758fd193d608a3d555e16469e065104f326eeaf5b68a06"
+
+
+def test_pinned_resolutions_match_the_eager_engine(monkeypatch):
+    """The engine and ``EagerEngine`` store the same vectors, term order
+    included, for every pinned resolution."""
+
+    def stored():
+        return [
+            (res.row_degrees, [[list(v.items()) for v in res.vectors(j)] for j in range(1, res.length + 1)])
+            for res in _pinned_resolutions()
+        ]
+
+    vectors = stored()
+    monkeypatch.setattr(groebner, "_Engine", EagerEngine)
+    assert stored() == vectors

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
+from frobetti import groebner
 from frobetti import ring as ring_module
 from frobetti.errors import (
     NotHomogeneous,
@@ -170,6 +172,31 @@ def test_nf_matches_rank_one_normal_form(R1, R5):
             assert scaled.nf(f).terms == expected
             g = f + _random_poly(ring, rng, max_terms=3, max_deg=2) * rng.choice(gens)
             assert ring.nf(g).terms == expected
+
+
+def test_make_ring_keeps_the_engine_basis(monkeypatch):
+    """``make_ring`` hands the monic vectors of ``reduced_ideal_groebner`` to
+    the ring as they are, and ``ideal_groebner`` builds polynomials from
+    them.  A basis given as polynomials that are not monic is encoded and
+    made monic, to the same vectors."""
+    returned = []
+    real = groebner.reduced_ideal_groebner
+
+    def recording(gens, ring):
+        returned.append(real(gens, ring))
+        return returned[-1]
+
+    monkeypatch.setattr(groebner, "reduced_ideal_groebner", recording)
+    ring = make_ring(7, list("xyz"), ["2*x^2 + y*z", "3*y^2 - x*z", "x*y"])
+    (vecs,) = returned
+    assert len(ring._gb_vecs) == len(vecs) and all(map(operator.is_, ring._gb_vecs, vecs))
+    exps = ring._layout.exps
+    assert [g.terms for g in ring.ideal_groebner] == [{exps(t): c for t, c in v.items()} for v in vecs]
+    assert all(g.leading()[1] == 1 for g in ring.ideal_groebner)
+    scaled = [g * 3 for g in ring.ideal_groebner]
+    again = QuotientRing(ring.p, ring.variables, ring.ideal_gens, scaled)
+    assert again._gb_vecs == ring._gb_vecs
+    assert [g.terms for g in again.ideal_groebner] == [g.terms for g in ring.ideal_groebner]
 
 
 def test_exponents_past_the_packed_width_raise_overflow():
