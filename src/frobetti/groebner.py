@@ -12,8 +12,9 @@ indices, so one multiply-subtract (``_axpy``) and one division loop
 ring's normal forms alike.  Columns of ``Polynomial`` appear only at the API
 boundary (``_normalize_columns`` in, ``vec_to_column`` out): presentations
 and complexes (:mod:`frobetti.resolution`) store their spans and maps as
-vectors, colon problems are built and solved on vectors (``_colon_heads``),
-and saturation carries one reduced basis from round to round.  The engine and
+vectors, a colon is the reduced basis of one untracked elimination run on
+vectors (``_colon_basis``), and saturation carries one reduced basis from
+round to round.  The engine and
 ``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
 index), ...]}``; division and minimalisation scan only the list of the
 term's position.  Pairs are chosen when a run starts, for each element
@@ -525,32 +526,49 @@ def _dedupe_vecs(vecs):
     return out
 
 
-def _colon_heads(vecs, elements, ring, r, row_degrees):
-    """Generators of (N : (f_1, ..., f_k)) modulo N, for N the span of
-    ``vecs`` in R^r and each f_i a homogeneous vector at position 0.
+def _colon_basis(vecs, elements, ring, r, row_degrees):
+    """Reduced Groebner basis of (N : (f_1, ..., f_k)) + I * R^r, for N the
+    span of ``vecs`` in R^r and each f_i a homogeneous vector at position 0,
+    by elimination in one untracked engine run.
 
-    They are the nonzero heads (first r coordinates) of the syzygies of the
-    block matrix [f_i * e_j | vecs moved to block i], whose row i * r + j
-    has degree row_degrees[j] + dmax - deg f_i (dmax the largest deg f_i):
-    a syzygy (h, c_1, ..., c_k) says f_i * h = -N c_i for every i.
+    Positions i * r + j (block i) hold the block matrix [f_i * e_j | vecs
+    moved to block i], with row degree row_degrees[j] + dmax - deg f_i (dmax
+    the largest deg f_i); column j also carries the tag e'_j at position
+    k * r + j, with row degree row_degrees[j] + dmax.  An element of the span
+    with no block terms is h * e' with f_i * h in N for every i, and every
+    such h arises.  Position-over-term puts the tag positions below every
+    block position, so the basis elements whose lead is at a tag position
+    have no block terms and form a Groebner basis of the colon; being part of
+    the reduced basis, moved back to positions 0..r-1 they are its reduced
+    basis.
     """
-    top = ring._layout.top
-    degs = [ring._layout.degree(max(f)) for f in elements]
+    layout = ring._layout
+    top, k = layout.top, len(elements)
+    degs = [layout.degree(max(f)) for f in elements]
     dmax = max(degs)
-    big_degrees = [row_degrees[pos] + dmax - d for d in degs for pos in range(r)]
-    matrix = [
-        {t - ((i * r + j) << top): c for i, f in enumerate(elements) for t, c in f.items()}
-        for j in range(r)
-    ]
-    for i in range(len(elements)):
+    tags = k * r
+    big_degrees = [row_degrees[j] + dmax - d for d in degs for j in range(r)]
+    big_degrees += [row_degrees[j] + dmax for j in range(r)]
+    matrix = []
+    for j in range(r):
+        col = {t - ((i * r + j) << top): c for i, f in enumerate(elements) for t, c in f.items()}
+        col[layout.unit(tags + j)] = 1
+        matrix.append(col)
+    for i in range(k):
         shift = (i * r) << top
         matrix += [{t - shift: c for t, c in v.items()} for v in vecs]
-    heads = []
-    for syz in _syzygy_vecs(matrix, ring, r * len(elements), big_degrees):
-        head = {t: c for t, c in syz.items() if -(t >> top) < r}
-        if head:
-            heads.append(head)
-    return heads
+    engine, _ = _run_engine(matrix, ring, tags + r, big_degrees)
+    shift = tags << top
+    kept_vecs, kept_leads = [], []
+    for vec, lead in zip(*engine.reduced()[:2]):
+        if -(lead >> top) >= tags:
+            kept_vecs.append({t + shift: c for t, c in vec.items()})
+            kept_leads.append(lead + shift)
+    colon = GroebnerBasis(ring, r, row_degrees, kept_vecs, kept_leads)
+    # N lies in N : (f_1, ..., f_k).
+    if any(map(colon.normal_form_vec, vecs)):
+        raise AssertionError("span generator failed to reduce to zero against its colon")
+    return colon
 
 
 def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
@@ -700,42 +718,43 @@ class SubmodulePresentation:
         return self.colon_by_elements([element])
 
     def colon_by_elements(self, elements):
-        """(N : (f_1, ..., f_k)): the span of N after the colon generators
-        that ``_colon_heads`` finds."""
-        ring, r = self.ring, self.ambient_rank
+        """(N : (f_1, ..., f_k)), spanned by the elements of its reduced basis
+        (``_colon_basis``) outside I * ambient; it carries that basis."""
+        ring = self.ring
         elements = [ring.poly(f) for f in elements]
         if not elements or any(f.is_zero() for f in elements):
             raise ZeroDivisorQuery("colon by zero is rejected")
         elements = _normalize_columns(elements, ring, 1, None)[0]
-        heads = _colon_heads(self.vecs, elements, ring, r, self.row_degrees)
-        return SubmodulePresentation(ring, heads + self.vecs, r, self.row_degrees, self.mode)
+        colon = _colon_basis(self.vecs, elements, ring, self.ambient_rank, self.row_degrees)
+        return _carrying_basis(_outside_ideal(colon), colon, self.mode)
 
     def saturate(self):
         """(N : m^infinity), computed by iterating the colon with the variables.
 
         The span is carried as engine vectors, together with one reduced
-        Groebner basis of it plus I * ambient.  Each round computes the colon
-        generators (``_colon_heads``).  As N lies in N : m, the loop stops once
-        every one of them reduces to zero against that basis; otherwise one
-        engine run over them and the span gives the next basis, whose elements
-        outside I * ambient are the next span, so the next colon problem is as
-        small as the span allows.  Unless N is already saturated, the columns
-        returned are that reduced basis.
+        Groebner basis of it plus I * ambient.  Each round takes the reduced
+        basis of the colon by the variables in one engine run
+        (``_colon_basis``).  As N lies in N : m, equal lead sets mean equal
+        modules, and the loop stops; otherwise the colon's basis is carried,
+        and its elements outside I * ambient are the next span, so the next
+        colon problem is as small as the span allows.  k rounds take k + 1
+        engine runs, counting the basis of the input.  Unless N is already
+        saturated, the columns returned are that reduced basis, which the
+        result carries.
         """
         ring, r, degs = self.ring, self.ambient_rank, self.row_degrees
         variables = _normalize_columns(ring.gens(), ring, 1, None)[0]
-        ideal = _ideal_basis(ring, r, degs)
         vecs = self.vecs
         gb = self.gb()
         while True:
-            heads = _colon_heads(vecs, variables, ring, r, degs)
-            if not any(map(gb.normal_form_vec, heads)):
+            colon = _colon_basis(vecs, variables, ring, r, degs)
+            if colon.leads == gb.leads:
                 break
-            gb = _basis_of_vecs(heads + vecs, ring, r, degs)
-            vecs = [v for v in gb.vecs if ideal.normal_form_vec(v)]
+            gb = colon
+            vecs = _outside_ideal(gb)
         if gb is self.gb():
             return self
-        return SubmodulePresentation(ring, vecs, r, degs, self.mode)
+        return _carrying_basis(vecs, gb, self.mode)
 
     # -- numerical invariants -----------------------------------------------------------
 
@@ -768,6 +787,20 @@ class SubmodulePresentation:
             len(self.vecs),
             self.ring,
         )
+
+
+def _outside_ideal(gb):
+    """The elements of the reduced basis ``gb`` outside I * ambient."""
+    ideal = _ideal_basis(gb.ring, gb.ambient_rank, gb.row_degrees)
+    return [v for v in gb.vecs if ideal.normal_form_vec(v)]
+
+
+def _carrying_basis(vecs, gb, mode="submodule"):
+    """The presentation of ``vecs`` that carries ``gb``, the reduced basis
+    of their span plus I * ambient, so its ``gb()`` runs no engine."""
+    out = SubmodulePresentation(gb.ring, vecs, gb.ambient_rank, gb.row_degrees, mode)
+    out._gb = gb
+    return out
 
 
 def cokernel_numerator(vecs, ring, row_degrees):

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 from .asymptotics import beta_sequence
 from .errors import InfiniteLength, NoParameterFound, NotMonomial, UnitIdeal, WrongDimension
-from .groebner import INFINITE, SubmodulePresentation, _ideal_basis, quotient_module
+from .groebner import (
+    INFINITE,
+    SubmodulePresentation,
+    _carrying_basis,
+    _ideal_basis,
+    _minimal_generator_indices,
+    quotient_module,
+)
 from .homology import coefficient_ring, homology_length, tor_length
 from .resolution import resolve
 from .ring import make_ring
@@ -22,12 +29,14 @@ from .ring import make_ring
 def h0_ring(ring):
     """H^0_m(R) = (I : m^infinity)/I as a rank-one submodule with generators in S.
 
-    They are minimal generators of the saturation's reduced basis, so monic.
+    They are minimal generators of the saturation's reduced basis, so monic;
+    their span is the saturation's, so the result carries its basis.
     """
     got = ring._memo.get("h0")
     if got is None:
         sat = SubmodulePresentation(ring, [], 1).saturate()
-        got = SubmodulePresentation(ring, sat.minimal_generators(), 1)
+        kept = _minimal_generator_indices(sat.vecs, ring, 1, sat.row_degrees)
+        got = _carrying_basis([sat.vecs[i] for i in kept], sat.gb())
         ring._memo["h0"] = got
     return got
 

@@ -102,6 +102,35 @@ class EagerEngine(groebner._Engine):
                 self._insert(rem, rep, at_once=True)
 
 
+def reference_colon_heads(vecs, elements, ring, r, row_degrees):
+    """The syzygy route to (N : (f_1, ..., f_k)), the reference for
+    ``groebner._colon_basis``: generators of the colon modulo N, for N the
+    span of ``vecs`` in R^r and each f_i a homogeneous vector at position 0.
+
+    They are the nonzero heads (first r coordinates) of the syzygies of the
+    block matrix [f_i * e_j | vecs moved to block i], whose row i * r + j
+    has degree row_degrees[j] + dmax - deg f_i (dmax the largest deg f_i):
+    a syzygy (h, c_1, ..., c_k) says f_i * h = -N c_i for every i.
+    """
+    top = ring._layout.top
+    degs = [ring._layout.degree(max(f)) for f in elements]
+    dmax = max(degs)
+    big_degrees = [row_degrees[pos] + dmax - d for d in degs for pos in range(r)]
+    matrix = [
+        {t - ((i * r + j) << top): c for i, f in enumerate(elements) for t, c in f.items()}
+        for j in range(r)
+    ]
+    for i in range(len(elements)):
+        shift = (i * r) << top
+        matrix += [{t - shift: c for t, c in v.items()} for v in vecs]
+    heads = []
+    for syz in groebner._syzygy_vecs(matrix, ring, r * len(elements), big_degrees):
+        head = {t: c for t, c in syz.items() if -(t >> top) < r}
+        if head:
+            heads.append(head)
+    return heads
+
+
 def brute_force_monomial_count(gens_exps, n, degree_cap):
     """Standard monomials of degree <= degree_cap of a monomial ideal, by raw enumeration.
 

@@ -28,6 +28,7 @@ from frobetti.groebner import (
     vec_to_column,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
+from frobetti.onedim import h0_ring
 from frobetti.ring import (
     Polynomial,
     _lead_lists,
@@ -42,6 +43,7 @@ from conftest import (
     brute_force_monomial_count,
     decoded,
     random_form,
+    reference_colon_heads,
     reference_numerator,
     residue_field,
     vec_key,
@@ -965,18 +967,78 @@ def test_saturate_matches_accumulating_reference(case):
     assert sat.saturate().same_span(sat)
 
 
+@st.composite
+def _colon_problems(draw):
+    """A ring from ``_quadric_ideals``; 0 to 3 columns of rank 1 or 2 with
+    linear or quadric entries; and the elements to take the colon by: the
+    variables, a random linear form, a random quadric, 1, or an element of
+    I.  Forms are strings, so ``@example`` can give a case."""
+    gens = draw(_quadric_ideals())
+    bare = make_ring(5, list("xyz"), [])
+    rank = draw(st.sampled_from([1, 2]))
+    columns = []
+    for _ in range(draw(st.integers(0, 3))):
+        d = draw(st.integers(1, 2))
+        columns.append([str(random_form(draw, bare, d)) if draw(st.booleans()) else "0" for _ in range(rank)])
+    kind = draw(st.sampled_from(["variables", "linear", "quadric", "one", "ideal"]))
+    if kind == "variables":
+        elements = ["x", "y", "z"]
+    elif kind == "linear":
+        elements = [str(random_form(draw, bare, 1))]
+    elif kind == "quadric":
+        elements = [str(random_form(draw, bare, 2))]
+    elif kind == "one":
+        elements = ["1"]
+    else:
+        elements = [draw(st.sampled_from(gens))]
+    return gens, columns, rank, elements
+
+
+class _NoEngine(groebner._Engine):
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("an engine was built")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_colon_problems())
+@example((["x^2", "x*y - x*z", "y*z"], [], 1, ["x", "y", "z"]))  # H^0 = (x)
+@example((["x^2", "x*y - x*z", "y*z"], [["y", "z"]], 2, ["x", "y", "z"]))
+@example((["x^2", "x*y - x*z", "y*z"], [["x*y"]], 1, ["x*y - x*z"]))  # by an element of I
+def test_colon_basis_matches_the_syzygy_reference(case):
+    """The elimination colon is the reduced basis of the syzygy route's
+    heads plus N, and a colon presentation carries it."""
+    gens, columns, rank, elements = case
+    ring = make_ring(5, list("xyz"), gens)
+    pres = SubmodulePresentation(ring, [[ring.poly(e) for e in col] for col in columns], rank)
+    fs = groebner._normalize_columns([ring.poly(f) for f in elements], ring, 1, None)[0]
+    args = (ring, rank, pres.row_degrees)
+    colon = groebner._colon_basis(pres.vecs, fs, *args)
+    heads = reference_colon_heads(pres.vecs, fs, *args)
+    expected = groebner._basis_of_vecs(heads + pres.vecs, *args)
+    assert (colon.vecs, colon.leads) == (expected.vecs, expected.leads)
+    result = pres.colon_by_elements(elements)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_Engine", _NoEngine)
+        gb = result.gb()
+    assert (gb.vecs, gb.leads) == (colon.vecs, colon.leads)
+
+
 def test_saturate_carries_reduced_basis():
     ring = make_ring(5, list("xyz"), ["x^2", "x*y - x*z", "y*z"])
     sat = SubmodulePresentation(ring, [], 1).saturate()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groebner, "_Engine", _NoEngine)
+        sat.gb()
     assert sat.same_span(ideal(ring, ["x"]))
     assert not any(all(map(ring.is_zero_mod, col)) for col in sat.columns)
     assert len(sat.columns) <= len(sat.gb())
 
 
-def test_saturation_runs_the_engine_twice_per_round(monkeypatch, R1, R5):
-    """k colon rounds take 2k engine runs: one basis of the input, k colon
-    syzygy runs and k - 1 bases of the growing span.  The zero submodule
-    saturates in three rounds over R5 and in two over R1."""
+def test_saturation_runs_the_engine_once_per_round(monkeypatch, R1, R5):
+    """k colon rounds take k + 1 engine runs: one basis of the input and one
+    elimination run per colon.  The zero submodule saturates in three rounds
+    over R5 and in two over R1.  H^0_m(R) adds one minimal-generator engine
+    and reads the saturation's basis, so its ``gb()`` runs none."""
     made = []
 
     class CountingEngine(groebner._Engine):
@@ -985,10 +1047,14 @@ def test_saturation_runs_the_engine_twice_per_round(monkeypatch, R1, R5):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(groebner, "_Engine", CountingEngine)
-    for ring, runs in ((R5, 6), (R1, 4)):
+    for ring, runs, h0_runs in ((R5, 4, 5), (R1, 3, 4)):
         made.clear()
         SubmodulePresentation(ring, [], 1).saturate()
         assert len(made) == runs
+        twin = make_ring(ring.p, list(ring.variables), [str(g) for g in ring.ideal_gens])
+        made.clear()
+        h0_ring(twin).gb()
+        assert len(made) == h0_runs
 
 
 def _shuffled_and_scaled(draw, columns, p):
