@@ -303,27 +303,34 @@ class _Engine:
                 rem = _reduce_vec(vec, by_pos, basis, ring, rep, self.reps)
             self._insert(rem, rep, at_once=True)
 
-    def minimal_leads(self):
+    def minimal_leads(self, first_pos=0):
         """(kept, by_pos): the indices of the elements whose lead no other
         lead divides, in lead order, and their leads per position as
         ``{pos: [(lead, index in kept), ...]}``.  These are the leads of the
-        reduced basis, so they alone give its Hilbert numerator."""
-        order = sorted(range(len(self.basis)), key=self.leads.__getitem__)
-        guard, top = self.layout.guard, self.layout.top
+        reduced basis, so they alone give its Hilbert numerator.  Only the
+        elements led at a position >= ``first_pos`` are visited: divisibility
+        never crosses positions, and higher positions sort first."""
+        guard, top, leads = self.layout.guard, self.layout.top, self.leads
         kept, by_pos = [], {}
-        for i in order:
-            lead = self.leads[i]
+        for i in sorted(range(len(leads)), key=leads.__getitem__):
+            lead = leads[i]
+            pos = -(lead >> top)
+            if pos < first_pos:
+                break
             b = lead | guard
-            same_pos = by_pos.setdefault(-(lead >> top), [])
+            same_pos = by_pos.setdefault(pos, [])
             if any((b - a) & guard == guard for a, _ in same_pos):
                 continue
             same_pos.append((lead, len(kept)))
             kept.append(i)
         return kept, by_pos
 
-    def reduced(self):
-        """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted."""
-        kept, by_pos = self.minimal_leads()
+    def reduced(self, first_pos=0):
+        """Minimalize and tail-reduce; returns (vecs, leads, reps) sorted.
+        With ``first_pos``, only the elements led at a position >= first_pos:
+        every term of such an element lies there too (position over term),
+        so only their leads can reduce its tail."""
+        kept, by_pos = self.minimal_leads(first_pos)
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
         reps = [dict(self.reps[i]) for i in kept]
@@ -540,7 +547,7 @@ def _colon_basis(vecs, elements, ring, r, row_degrees):
     block position, so the basis elements whose lead is at a tag position
     have no block terms and form a Groebner basis of the colon; being part of
     the reduced basis, moved back to positions 0..r-1 they are its reduced
-    basis.
+    basis.  Only they are minimalised and tail-reduced (``reduced(tags)``).
     """
     layout = ring._layout
     top, k = layout.top, len(elements)
@@ -559,12 +566,9 @@ def _colon_basis(vecs, elements, ring, r, row_degrees):
         matrix += [{t - shift: c for t, c in v.items()} for v in vecs]
     engine, _ = _run_engine(matrix, ring, tags + r, big_degrees)
     shift = tags << top
-    kept_vecs, kept_leads = [], []
-    for vec, lead in zip(*engine.reduced()[:2]):
-        if -(lead >> top) >= tags:
-            kept_vecs.append({t + shift: c for t, c in vec.items()})
-            kept_leads.append(lead + shift)
-    colon = GroebnerBasis(ring, r, row_degrees, kept_vecs, kept_leads)
+    tagged, tag_leads, _ = engine.reduced(tags)
+    kept_vecs = [{t + shift: c for t, c in vec.items()} for vec in tagged]
+    colon = GroebnerBasis(ring, r, row_degrees, kept_vecs, [lead + shift for lead in tag_leads])
     # N lies in N : (f_1, ..., f_k).
     if any(map(colon.normal_form_vec, vecs)):
         raise AssertionError("span generator failed to reduce to zero against its colon")

@@ -274,14 +274,16 @@ def lemma_h0_check(module, i):
     """Vanishing of Tor_i(M, R/H^0_m(R)) when the (i+1)-st syzygy is finite.
 
     Returns a vacuous report when the gate fails; otherwise asserts the
-    vanishing computed by tensoring the resolution with R/H^0.
+    vanishing computed by tensoring the resolution with R/H^0.  The
+    resolution runs through step i + 1, which both the syzygy's length and
+    Tor_i need.
     """
     ring = module.ring
     if module.dimension() > 0:
         return GateReport(False, "module length infinite")
     if i < 1:
         return GateReport(False, "index below 1")
-    res = resolve(module, i + 2)
+    res = resolve(module, i + 1)
     omega = res.syzygy(i + 1)
     if omega.length is INFINITE:
         return GateReport(False, "syzygy length infinite")
@@ -325,9 +327,10 @@ def syzygy_length_survey(module, i_max):
     """
     ring = module.ring
     d = ring.dim
-    res = resolve(module, i_max + 2)
+    res = resolve(module, i_max + 1)
     mod_len = module.length()
-    # Omega_0 .. Omega_{i_max+1}, each presented and measured once.
+    # Omega_0 .. Omega_{i_max+1}, each measured once from the Hilbert series
+    # of the resolution through step i_max + 1.
     omega = [res.syzygy(i) for i in range(i_max + 2)]
     rows = [SurveyRow(i, res.rank(i), omega[i].dimension, omega[i].length) for i in range(i_max + 1)]
     checks = []

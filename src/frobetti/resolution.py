@@ -3,23 +3,24 @@
 A ``FreeComplex`` stores free modules G_0 .. G_L with maps phi_j : G_j ->
 G_{j-1} only as lists of engine column vectors; ``matrix(j)`` builds
 ``Polynomial`` columns on demand, and syzygy presentations take the stored
-vectors as they are.  ``resolve`` builds a minimal resolution
-one kernel at a time on vectors: syzygy generators of phi_j are pruned to a
-minimal generating set, which keeps every matrix entry inside the irrelevant
-ideal.  Syzygies use the image convention Omega_i = im(phi_i), with Omega_0 = M.
+vectors as they are, with lengths and dimensions from Hilbert series alone.
+``resolve`` builds a minimal resolution one kernel at a time on vectors:
+syzygy generators of phi_j are pruned to a minimal generating set, which
+keeps every matrix entry inside the irrelevant ideal.  Syzygies use the
+image convention Omega_i = im(phi_i), with Omega_0 = M.
 """
 
 from .errors import NotHomogeneous
 from .groebner import (
     INFINITE,
-    SubmodulePresentation,
     _ideal_basis,
     _minimal_generator_indices,
     _normalize_columns,
     _syzygy_vecs,
+    numerator_length,
     vec_to_column,
 )
-from .ring import _axpy
+from .ring import _axpy, numerator_dimension
 
 
 class FreeComplex:
@@ -212,8 +213,31 @@ class MinimalResolution(FreeComplex):
     def betti(self):
         return tuple(self.ranks)
 
+    def syzygy_numerator(self, i):
+        """Hilbert numerator of Omega_i, HS = N(t) / (1 - t)^n, with no engine
+        run: HS(M) for i = 0, and for i >= 1 the exact sequence 0 -> Omega_i
+        -> G_{i-1} -> Omega_{i-1} -> 0 (exact for i <= ``length``) gives
+        N(Omega_i) = sum over the twists tw of G_{i-1} of t^tw * N(R), minus
+        N(Omega_{i-1})."""
+        if not 0 <= i <= self.length:
+            raise ValueError("syzygy %d needs a resolution through step %d" % (i, i))
+        num, ring_num = self.module.numerator(), self.ring.numerator()
+        for twists in self.row_degrees[:i]:
+            free = {}
+            for tw in twists:
+                for d, c in ring_num.items():
+                    free[d + tw] = free.get(d + tw, 0) + c
+            for d, c in num.items():
+                free[d] = free.get(d, 0) - c
+            num = {d: c for d, c in free.items() if c}
+        return num
+
     def syzygy(self, i):
-        return _syzygy_from_resolution(self, i)
+        """Omega_i with its generators, the stored columns of phi_i, in G_{i-1}."""
+        j = max(i - 1, 0)
+        return SyzygyPresentation(
+            i, self.ring, self.rank(j), self.degrees(j), self.vectors(i), self.syzygy_numerator(i)
+        )
 
     def __repr__(self):
         return "<minimal resolution, betti %s>" % (self.betti,)
@@ -274,28 +298,29 @@ def _twists(vecs, row_degrees, layout):
 
 
 class SyzygyPresentation:
-    """Omega_i = im(phi_i) with its cached length and dimension.
+    """Omega_i = im(phi_i) with its length and dimension.
 
-    The numerical data comes from the isomorphism Omega_i = coker(phi_{i+1})
-    inside G_i, so a resolution through step i+1 is required.  ``vecs`` are
-    the generators, the stored columns of phi_i (none for Omega_0 = M).
+    ``vecs`` are the generators, the stored columns of phi_i (none for
+    Omega_0 = M), in the free module of rank ``ambient_rank`` with twists
+    ``row_degrees``; the length and dimension are read off the Hilbert
+    numerator ``numerator`` (``MinimalResolution.syzygy_numerator``).
     """
 
-    __slots__ = ("index", "ambient_rank", "row_degrees", "vecs", "presentation", "length", "dimension")
+    __slots__ = ("index", "ring", "ambient_rank", "row_degrees", "vecs", "length", "dimension")
 
-    def __init__(self, index, ambient_rank, row_degrees, vecs, presentation):
+    def __init__(self, index, ring, ambient_rank, row_degrees, vecs, numerator):
         self.index = index
+        self.ring = ring
         self.ambient_rank = ambient_rank
         self.row_degrees = row_degrees
         self.vecs = vecs
-        self.presentation = presentation
-        self.length = presentation.length()
-        self.dimension = presentation.dimension()
+        self.length = numerator_length(numerator, ring.n)
+        self.dimension = numerator_dimension(numerator, ring.n)
 
     @property
     def generators(self):
         """The generators as columns of polynomials, built on each read."""
-        return [vec_to_column(v, self.ambient_rank, self.presentation.ring) for v in self.vecs]
+        return [vec_to_column(v, self.ambient_rank, self.ring) for v in self.vecs]
 
     def __repr__(self):
         lam = "oo" if self.length is INFINITE else self.length
@@ -307,15 +332,9 @@ class SyzygyPresentation:
         )
 
 
-def _syzygy_from_resolution(res, i):
-    pres = SubmodulePresentation(res.ring, res.vectors(i + 1), res.rank(i), res.degrees(i), "cokernel")
-    j = max(i - 1, 0)
-    return SyzygyPresentation(i, res.rank(j), res.degrees(j), res.vectors(i), pres)
-
-
 def syzygy(module, i):
-    """Presentation of the i-th syzygy (image convention) of the module."""
+    """The i-th syzygy (image convention) of the module, from its
+    resolution through step i."""
     if i < 0:
         raise ValueError("syzygy index must be nonnegative")
-    res = resolve(module, i + 1)
-    return res.syzygy(i)
+    return resolve(module, i).syzygy(i)

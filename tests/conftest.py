@@ -131,6 +131,14 @@ def reference_colon_heads(vecs, elements, ring, r, row_degrees):
     return heads
 
 
+def reference_syzygy_numerator(res, i):
+    """The cokernel route to the Hilbert numerator of Omega_i, the reference
+    for ``MinimalResolution.syzygy_numerator``: Omega_i = coker(phi_{i+1})
+    inside G_i, measured by one engine run (needs the resolution through
+    step i + 1)."""
+    return groebner.cokernel_numerator(res.vectors(i + 1), res.ring, res.degrees(i))
+
+
 def brute_force_monomial_count(gens_exps, n, degree_cap):
     """Standard monomials of degree <= degree_cap of a monomial ideal, by raw enumeration.
 

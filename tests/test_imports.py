@@ -185,3 +185,16 @@ def test_polynomial_matrices_are_built_only_where_needed():
                 ):
                     found.add((path.name, getattr(top, "name", "<module>")))
     assert found <= MATRIX_CALLERS, "matrix() called from %s" % sorted(found - MATRIX_CALLERS)
+
+
+def test_syzygy_numbers_run_no_engine():
+    """Syzygy lengths and dimensions come from the resolution's Hilbert
+    series (``MinimalResolution.syzygy_numerator``): ``resolution.py`` builds
+    no presentation and measures no cokernel, either of which runs an engine."""
+    tree = ast.parse((SRC / "resolution.py").read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"SubmodulePresentation", "cokernel_numerator"}

@@ -19,6 +19,7 @@ from frobetti import (
     tor_vanishing_vs_minimal_primes,
     xi_alternating_sum_check,
 )
+from frobetti import cli, groebner
 from frobetti.errors import InfiniteLength, NotMonomial, WrongDimension
 from frobetti.homology import coefficient_ring
 from frobetti.onedim import random_instances
@@ -225,6 +226,43 @@ def test_survey_finite_syzygy_module(R1):
     assert survey.module_length is INFINITE
     assert survey.rows[1].length == 1 and survey.rows[1].dim == 0
     assert survey.rows[2].length is INFINITE
+
+
+# The base ideals of the benchmark's one-dimensional families over F_5, and
+# the engines ``fb syz --idx 3`` builds on their residue fields.  It built
+# 20, 19 and 21 when each syzygy's length took an engine run of its own and
+# the survey resolved one step further.
+ONEDIM_SYZ3_ENGINES = {
+    "x^2, x*y, x*z, y*z": 13,
+    "x^2 - x*y, x*z, y*z": 12,
+    "x^2, x*y - x*z, y*z": 14,
+}
+
+
+def test_syzygy_survey_resolves_only_what_it_reads(monkeypatch, R1):
+    """A survey to i_max reads Omega_0 .. Omega_{i_max+1}, so it resolves
+    through step i_max + 1, and a syzygy of a stored resolution runs no
+    engine once the module's Hilbert numerator is known."""
+    made = []
+
+    class CountingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_Engine", CountingEngine)
+    module = residue_field(R1)
+    syzygy_length_survey(module, 3)
+    assert len(module._resolution[2]) == 4
+    made.clear()
+    res = resolve(module, 4)
+    assert [res.syzygy(i).dimension for i in range(5)] == [0, 1, 1, 1, 1]
+    assert made == []
+    for gens, engines in ONEDIM_SYZ3_ENGINES.items():
+        problem = cli.parse_problem("char: 5\nvars: x, y, z\nideal: %s\n" % gens)
+        made.clear()
+        cli.run("syz", problem, {"idx": 3})
+        assert len(made) == engines, gens
 
 
 def test_survey_random_instances():

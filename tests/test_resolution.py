@@ -20,9 +20,12 @@ from frobetti import (
 )
 from frobetti import groebner, resolution
 from frobetti.errors import LiftFailure, NotHomogeneous
+from frobetti.groebner import numerator_length
+from frobetti.onedim import random_instances
 from frobetti.resolution import MinimalResolution
+from frobetti.ring import numerator_dimension
 
-from conftest import EagerEngine, R5_QUADRICS, composes_to_zero, residue_field
+from conftest import EagerEngine, R5_QUADRICS, composes_to_zero, reference_syzygy_numerator, residue_field
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
 QUADRIC_FAMILIES = {
@@ -255,6 +258,27 @@ def test_syzygy_dimension_law(R1, R3, K1, K3):
             s = res.syzygy(i)
             assert not (0 < s.dimension < d)
             assert (s.length is INFINITE) == (s.dimension > 0)
+
+
+def test_syzygy_numbers_match_the_cokernel_reference(R1, R3, R5, K1, K3):
+    """The Hilbert numerator of Omega_i from the exact sequences of the
+    resolution equals that of coker(phi_{i+1}) in G_i, for i = 0..4: on
+    residue fields, a finite-pd module (zero syzygies past its pd), a module
+    whose phi_1 splits off a unit, and random dimension-one instances."""
+    P = R1.poly
+    modules = [K1, K3, residue_field(R5), quotient_module(R1, ["x"]), quotient_module(R3, ["x+y"])]
+    modules.append(cokernel_presentation(R1, [[P("1"), P("x")], [P("0"), P("y^2")]], 2, (1, 0)))
+    modules += [module for ring, module in random_instances(11, 30) if ring.dim == 1]
+    for module in modules:
+        res = resolve(module, 5)
+        n = module.ring.n
+        for i in range(5):
+            num = reference_syzygy_numerator(res, i)
+            assert res.syzygy_numerator(i) == num, (module, i)
+            omega = syzygy(module, i)
+            assert (omega.length, omega.dimension) == (numerator_length(num, n), numerator_dimension(num, n))
+    with pytest.raises(ValueError):
+        resolve(K1, 2).syzygy(3)
 
 
 def test_resolve_zero_module(R1):
