@@ -11,9 +11,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfiniteLength, MissingMultiplicities, NotPrimary
-from .frobenius import frobenius_power
-from .groebner import quotient_module
+from .frobenius import _level, frobenius_step
+from .groebner import cokernel_numerator, numerator_length, quotient_module
 from .homology import ext_length, tor_length
+from .ring import _reduce_vec
 
 
 @dataclass(frozen=True)
@@ -85,13 +86,23 @@ def _sequence(kind, index, ring, e_range, raw_at):
 
 
 def hk_sequence(ring, ideal_gens, e_range):
-    """Levels lambda(R/J^[q]) with the first-difference multiplicity estimate."""
-    gens = [ring.poly(g) for g in ideal_gens]
-    if quotient_module(ring, gens).dimension() > 0:
+    """Levels lambda(R/J^[q]) with the first-difference multiplicity estimate.
+
+    The generators of J^[q] are carried from level to level as vectors
+    reduced modulo I, NF(g) at level 0 and one ``frobenius_step`` against
+    the ring's basis from each level to the next; each length is the
+    numerator of one engine run over them."""
+    module = quotient_module(ring, [ring.poly(g) for g in ideal_gens])
+    if module.dimension() > 0:
         raise NotPrimary("the ideal is not irrelevant-primary; lengths would be infinite")
+    by_pos, basis = ring._gb_leads, ring._gb_vecs
+    levels = [[_reduce_vec(v, by_pos, basis, ring) for v in module.vecs]]
 
     def raw_at(e):
-        return quotient_module(ring, [frobenius_power(g, e) for g in gens]).length()
+        _level(ring, e)  # rejects e < 0 and q >= MAX_EXPONENT
+        while len(levels) <= e:
+            levels.append(frobenius_step(levels[-1], ring, by_pos, basis))
+        return numerator_length(cokernel_numerator(levels[e], ring, (0,)), ring.n)
 
     return _sequence("hk", 0, ring, e_range, raw_at)
 

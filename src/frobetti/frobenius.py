@@ -6,11 +6,18 @@ complex scale the twists by q and map each column term t of x^e * e_pos to
 q*t - (q-1)*unit(pos), that of x^(q*e) * e_pos, as the encoding is affine.
 As bracket power is a ring endomorphism of S over F_p and I^[q] lies in I,
 phi^[q] psi^[q] = (phi psi)^[q] lies in I when phi psi does: a twist checks its input.
+
+``twist_complex`` is the literal bracket power.  Lengths read the twisted
+maps reduced modulo I one Frobenius step at a time instead: h = r modulo I
+gives h^[p] = r^[p] modulo I^[p], which lies in I, so NF(h^[p^e]) =
+NF(NF(h^[p^(e-1)])^[p]): e normal forms of small exponents replace one of
+exponents near q (``frobenius_step``, ``frobenius_vectors``).
 """
 
 from .errors import LiftFailure, Overflow
+from .groebner import _ideal_basis
 from .resolution import FreeComplex
-from .ring import MAX_EXPONENT, Polynomial
+from .ring import MAX_EXPONENT, Polynomial, _reduce_vec
 
 
 class BracketLevel:
@@ -80,3 +87,30 @@ def twist_complex(complex_, level):
     maps = [[_bracket_vec(v, q, layout) for v in mat] for mat in complex_.maps[1:]]
     degrees = [[q * d for d in degs] for degs in complex_.row_degrees]
     return FreeComplex(ring, complex_.ranks, degrees, maps)
+
+
+def frobenius_step(vecs, ring, by_pos, basis):
+    """NF(v^[p]) of each vector v against the monic ``basis`` of I times a
+    free module, its leads listed per position in ``by_pos``."""
+    p, layout = ring.p, ring._layout
+    return [_reduce_vec(_bracket_vec(v, p, layout), by_pos, basis, ring) for v in vecs]
+
+
+def frobenius_vectors(res, j, e):
+    """The columns of phi_j^[q] of a resolution from ``resolve``, reduced
+    modulo I * G_{j-1}: NF(v) at level 0, and level e one ``frobenius_step``
+    from level e - 1.  Every level is kept beside the module's stored
+    resolution, keyed by (j, e), so a sequence over e = 1..k and every Tor
+    and Ext spot that reads phi_j share one step per level."""
+    if not 0 <= j <= res.length:
+        raise ValueError("phi_%d is not a map of this resolution" % j)
+    _level(res.ring, e)  # rejects e < 0 and q >= MAX_EXPONENT
+    memo = res._frobenius
+    if (j, e) not in memo:
+        ideal = _ideal_basis(res.ring, res.rank(j - 1), res.degrees(j - 1))
+        if e == 0:
+            memo[(j, 0)] = [ideal.normal_form_vec(v) for v in res.vectors(j)]
+        else:
+            below = frobenius_vectors(res, j, e - 1)
+            memo[(j, e)] = frobenius_step(below, res.ring, ideal.by_pos, ideal.vecs)
+    return memo[(j, e)]

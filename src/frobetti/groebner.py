@@ -53,9 +53,9 @@ from .ring import (
     Polynomial,
     _axpy,
     _lead_lists,
+    _numerator,
     _order_at_one,
     _reduce_vec,
-    hilbert_numerator,
     numerator_dimension,
 )
 
@@ -810,13 +810,16 @@ def _carrying_basis(vecs, gb, mode="submodule"):
 def cokernel_numerator(vecs, ring, row_degrees):
     """Hilbert numerator of the cokernel of ``vecs`` in the free module with
     twists ``row_degrees``: the numerators of the positions' lead-term ideals
-    (minimal leads of one engine run), each shifted by its row degree."""
+    (minimal leads of one engine run, so ``_numerator`` takes them without
+    minimalising), each shifted by its row degree."""
     engine, _ = _run_engine(vecs, ring, len(row_degrees), row_degrees)
     by_pos = engine.minimal_leads()[1]
+    layout = ring._layout
+    mask, degree = layout.mask, layout.degree
     num = {}
     for pos, shift in enumerate(row_degrees):
-        leads = [t for t, _ in by_pos.get(pos, ())]
-        for d, c in hilbert_numerator(leads, ring._layout).items():
+        gens = sorted((degree(t), t & mask) for t, _ in by_pos.get(pos, ()))
+        for d, c in _numerator(gens, layout).items():
             num[d + shift] = num.get(d + shift, 0) + c
     return {d: c for d, c in num.items() if c}
 

@@ -3,11 +3,19 @@
 Lengths come from Hilbert series.  At a spot G' -a-> G -b-> G'' of a graded
 complex, HS(ker b / im a) = HS(coker a) + HS(coker b) - HS(G''), as every
 term is additive on short exact sequences.  Each term is a Hilbert numerator
-read off the minimal leads of one engine run, so a Tor or Ext length needs
-one run for each of two twisted cokernels, and no reduced basis, syzygies,
-minimal generators or lifts.  The runs take the complex's column vectors as
-stored, over R or R/P alike: ``coefficient_ring`` keeps the variables, so
-both share a ``TermLayout``.
+read off the minimal leads of one engine run, so a homology length needs
+one run for each of two cokernels, and no reduced basis, syzygies, minimal
+generators or lifts.  The runs take column vectors as they are, over R or
+R/P alike: ``coefficient_ring`` keeps the variables, so both share a
+``TermLayout``.
+
+Tor and Ext lengths read the maps of the module's stored resolution twisted
+one Frobenius step at a time and reduced modulo I
+(``frobenius.frobenius_vectors``), which span the same modules as the
+literal bracket powers of ``twist_complex``.  Each twisted cokernel
+numerator is memoised beside the stored resolution, by map, level, Tor or
+Ext side and coefficient ring, so the spots and levels of a sequence, and
+the sequences of ``verify_laws``, share it.
 
 The subquotient route is kept as the presentation of H and as the reference
 route of the tests: H = ker(out)/im(in) is presented on the kernel
@@ -18,7 +26,7 @@ internal degree at a time and is kept fully independent of both.
 """
 
 from .errors import InfiniteLength, LiftFailure
-from .frobenius import twist_complex
+from .frobenius import _level, frobenius_vectors
 from .groebner import (
     SubmodulePresentation,
     cokernel_numerator,
@@ -48,19 +56,18 @@ def _target_ring(C, ring):
     return ring or C.ring
 
 
-def _spot_length(ring, degs, in_vecs, out_vecs, out_degs):
-    """Length of ker(out)/im(in) at the free module with twists ``degs``.
+def _spot_length(ring, in_num, out_num, out_degs):
+    """Length of ker(out)/im(in) at a free module G of positive rank.
 
-    ``in_vecs`` are the images of the incoming map, ``out_vecs`` the columns
-    of the outgoing map into the free module with twists ``out_degs``.  The
-    maps must compose to zero; the length is the Hilbert-series identity
-    N(coker in) + N(coker out) - N(target of out), read at t = 1.
+    ``in_num`` is the Hilbert numerator of coker(in), ``out_num`` that of the
+    cokernel of the outgoing map into the free module with twists
+    ``out_degs`` (unread when there is none).  The maps must compose to
+    zero; the length is N(coker in) + N(coker out) - N(target of out), read
+    at t = 1.
     """
-    if not degs:
-        return 0
-    num = cokernel_numerator(in_vecs, ring, degs)
+    num = dict(in_num)
     if out_degs:
-        for d, c in cokernel_numerator(out_vecs, ring, out_degs).items():
+        for d, c in out_num.items():
             num[d] = num.get(d, 0) + c
         free = ring.numerator()
         for shift in out_degs:
@@ -129,7 +136,11 @@ def homology_presentation(C, i, ring=None):
 
 def _complex_length(C, i, ring):
     """Length of H_i(C) over ``ring`` for a complex C, by Hilbert series."""
-    return _spot_length(ring, C.degrees(i), C.vectors(i + 1), C.vectors(i), C.degrees(i - 1))
+    degs, out_degs = C.degrees(i), C.degrees(i - 1)
+    if not degs:
+        return 0
+    out_num = cokernel_numerator(C.vectors(i), ring, out_degs) if out_degs else None
+    return _spot_length(ring, cokernel_numerator(C.vectors(i + 1), ring, degs), out_num, out_degs)
 
 
 def homology_length(C, i, ring=None):
@@ -146,9 +157,42 @@ def homology_length(C, i, ring=None):
     return _complex_length(C, i, target)
 
 
-def _twisted_resolution(module, steps, e):
-    res = resolve(module, steps)
-    return twist_complex(res, e)
+def _twisted_numerator(res, j, e, ring, side):
+    """N(coker phi_j^[q]) in G_{j-1} (``side`` "tor"), or N(coker of its
+    transpose) in G_j^* with twists negated ("ext"), over ``ring``; memoised
+    beside the module's stored resolution by (j, e, side, ring)."""
+    memo = res._frobenius
+    key = (j, e, side, ring)
+    num = memo.get(key)
+    if num is None:
+        q = ring.p**e
+        vecs = frobenius_vectors(res, j, e)
+        if side == "tor":
+            num = cokernel_numerator(vecs, ring, [q * d for d in res.degrees(j - 1)])
+        else:
+            # columns of phi_j^T: G_{j-1}^* -> G_j^*; the term at position r
+            # of column c moves to position c of column r.
+            top = ring._layout.top
+            dual = [{} for _ in range(res.rank(j - 1))]
+            for c, vec in enumerate(vecs):
+                for t, v in vec.items():
+                    r = -(t >> top)
+                    dual[r][t + ((r - c) << top)] = v
+            num = cokernel_numerator(dual, ring, [-q * d for d in res.degrees(j)])
+        memo[key] = num
+    return num
+
+
+def _resolution_for(module, i, e, coefficients):
+    """The resolution through step i + 1 that Tor_i and Ext^i at level e
+    read, and the coefficient ring; for e > 0 the stored compositions are
+    checked, once over all the module's resolutions."""
+    lv = _level(module.ring, e)
+    res = resolve(module, i + 1)
+    if lv.q > 1 and not res.check_complex():
+        raise LiftFailure("consecutive maps do not compose to zero; not a complex")
+    ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
+    return res, ring
 
 
 def tor_length(module, i, e, coefficients="R"):
@@ -156,43 +200,40 @@ def tor_length(module, i, e, coefficients="R"):
 
     ``coefficients`` is "R" or a list of generators of a homogeneous prime
     containing the defining ideal (primality is the caller's responsibility).
-    The length is the homology of the bracket-powered minimal resolution,
-    read off the Hilbert series of two twisted cokernels (see the module
-    docstring), so no twist module and no subquotient is ever materialized.
+    The length is the homology at G_i of the bracket-powered minimal
+    resolution, read off the Hilbert series of coker phi_{i+1}^[q] and coker
+    phi_i^[q] (see the module docstring).  Their columns are the stored maps
+    reduced modulo I one Frobenius step at a time, and both numerators are
+    memoised beside the stored resolution, so no twist module and no
+    subquotient is ever materialized.
     """
     if module.dimension() > 0:
         raise InfiniteLength("tor_length requires a finite-length module")
-    twisted = _twisted_resolution(module, i + 1, e)
-    ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
-    return _complex_length(twisted, i, ring)
+    res, ring = _resolution_for(module, i, e, coefficients)
+    if not res.degrees(i):
+        return 0
+    q = ring.p**e
+    out_degs = [q * d for d in res.degrees(i - 1)]
+    out_num = _twisted_numerator(res, i, e, ring, "tor") if out_degs else None
+    return _spot_length(ring, _twisted_numerator(res, i + 1, e, ring, "tor"), out_num, out_degs)
 
 
 def ext_length(module, i, e, coefficients="R"):
     """lambda(Ext^i(M, e-th twist of N)) via the transposed bracket complex.
 
     H^i of G_{i-1}^* -> G_i^* -> G_{i+1}^* (twists negated) is read off the
-    Hilbert series of coker phi_i^T and coker phi_{i+1}^T, as for Tor.
+    Hilbert series of coker (phi_i^[q])^T and coker (phi_{i+1}^[q])^T, on the
+    same stepwise twisted columns and memo as ``tor_length``.
     """
     if module.dimension() > 0:
         raise InfiniteLength("ext_length requires a finite-length module")
-    twisted = _twisted_resolution(module, i + 1, e)
-    ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
-
-    def dual(j):
-        # columns of phi_j^T: G_{j-1}^* -> G_j^*; the term at position r of
-        # column c moves to position c of column r.
-        top = ring._layout.top
-        out = [{} for _ in range(twisted.rank(j - 1))]
-        for c, vec in enumerate(twisted.vectors(j)):
-            for t, v in vec.items():
-                r = -(t >> top)
-                out[r][t + ((r - c) << top)] = v
-        return out
-
-    def twists(j):
-        return [-d for d in twisted.degrees(j)]
-
-    return _spot_length(ring, twists(i), dual(i), dual(i + 1), twists(i + 1))
+    res, ring = _resolution_for(module, i, e, coefficients)
+    if not res.degrees(i):
+        return 0
+    q = ring.p**e
+    out_degs = [-q * d for d in res.degrees(i + 1)]
+    out_num = _twisted_numerator(res, i + 1, e, ring, "ext") if out_degs else None
+    return _spot_length(ring, _twisted_numerator(res, i, e, ring, "ext"), out_num, out_degs)
 
 
 # -- degreewise linear-algebra oracle ------------------------------------------

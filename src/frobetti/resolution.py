@@ -188,15 +188,19 @@ class MinimalResolution(FreeComplex):
 
     ``betti`` equals the ranks; minimality means no matrix entry has a
     nonzero constant term, which ``resolve`` guarantees by pruning each
-    kernel to a minimal generating set.
+    kernel to a minimal generating set.  ``_frobenius`` is the memo of the
+    Frobenius twists of the maps and of their cokernel numerators
+    (``frobenius.frobenius_vectors``, ``homology``), which ``resolve`` keeps
+    beside the module's stored maps.
     """
 
-    __slots__ = ("module", "_checked")
+    __slots__ = ("module", "_checked", "_frobenius")
 
-    def __init__(self, ring, ranks, row_degrees, maps, module, checked=None):
+    def __init__(self, ring, ranks, row_degrees, maps, module, checked=None, frobenius=None):
         super().__init__(ring, ranks, row_degrees, maps)
         self.module = module
         self._checked = checked
+        self._frobenius = {} if frobenius is None else frobenius
 
     def _composes_to_zero(self, j):
         """As for any complex, but ``resolve`` hands over the set of the j
@@ -254,7 +258,8 @@ def resolve(module, steps):
     on later calls; past a zero rank the resolution is padded with zeros.
     The kept vectors are stored as they come, each twisted by the degree of
     its lead, together with the set of the j whose composition phi_j *
-    phi_{j+1} ``check_complex`` has checked.
+    phi_{j+1} ``check_complex`` has checked and the memo of Frobenius twists
+    (``MinimalResolution._frobenius``).
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
@@ -272,8 +277,8 @@ def resolve(module, steps):
             cols = [vec_to_column(v, rank, ring) for v in vecs]
             _split_units(ring, ranks, degs, [None, cols])
             vecs = _normalize_columns(cols, ring, ranks[0], degs[0])[0]
-        module._resolution = (ranks, degs, [vecs], set())
-    ranks, row_degrees, maps, checked = module._resolution
+        module._resolution = (ranks, degs, [vecs], set(), {})
+    ranks, row_degrees, maps, checked, frobenius = module._resolution
     while len(maps) < steps and ranks[-1]:
         ker = _syzygy_vecs(maps[-1], ring, ranks[-2], row_degrees[-2])
         vecs = [ker[i] for i in _minimal_generator_indices(ker, ring, ranks[-1], row_degrees[-1])]
@@ -288,6 +293,7 @@ def resolve(module, steps):
         maps[:steps] + [[]] * pad,
         module,
         checked,
+        frobenius,
     )
 
 

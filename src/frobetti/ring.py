@@ -16,10 +16,10 @@ and the one division loop for vectors; the Buchberger engine in
 :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial is a
 vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
 heap and tests them against the leads of their position only
-(``_lead_lists``).  ``hilbert_numerator`` reads the same lead terms, as
-``(degree, packed exponents)`` pairs, so lengths, dimensions and Hilbert
-functions never decode a term.  Exponent tuples remain only at the API
-boundary.
+(``_lead_lists``).  Hilbert numerators (``_numerator``) read the same lead
+terms, as ``(degree, packed exponents)`` pairs, so lengths, dimensions and
+Hilbert functions never decode a term.  Exponent tuples remain only at the
+API boundary.
 """
 
 import sys
@@ -83,12 +83,10 @@ def hilbert_numerator(terms, layout):
 
     N is returned as ``{degree: coeff}`` without zero coefficients.  This is
     the Bayer-Stillman pivot recursion N(L) = N(L + (x_i^k)) + t^k N(L : x_i^k),
-    down to pairwise coprime generators, where N = prod (1 - t^deg g).  The
-    pivot variable x_i occurs in the most generators and k is the median
-    exponent of x_i among those that are not pure powers, so the depth grows
-    with the logarithm of the exponents.  Generators are ``(degree, packed
-    exponents)`` pairs (the low bits of a term, see ``TermLayout``), so a
-    colon by x_i^k is a subtraction of fields.
+    with the base cases and pivot of Bigatti ("Computation of Hilbert-Poincare
+    series", J. Pure Appl. Algebra 119, 1997), see ``_numerator``.
+    Generators are ``(degree, packed exponents)`` pairs (the low bits of a
+    term, see ``TermLayout``), so a colon by x_i^k is a subtraction of fields.
     """
     guard, mask, degree = layout.guard, layout.mask, layout.degree
     gens = _minimal_pairs([(degree(t), t & mask) for t in terms], guard)
@@ -99,21 +97,56 @@ _FIELD = (1 << 64) - 1
 
 
 def _numerator(gens, layout):
-    """``hilbert_numerator`` of minimal ``(degree, packed exponents)`` pairs."""
+    """``hilbert_numerator`` of minimal ``(degree, packed exponents)`` pairs.
+
+    A generator whose variables occur in no other generator splits off as
+    the factor 1 - t^deg.  When the others use at most two variables, they
+    form a staircase g_1, ..., g_m, ordered by the exponent of one variable,
+    and N = 1 - sum t^deg g_k + sum t^deg lcm(g_k, g_k+1).  Otherwise the
+    pivot variable x_i, among those in two or more generators, has the
+    fewest distinct nonzero exponents (ties go to the most generators), and
+    k is the median exponent of x_i among the generators that are not pure
+    powers, so the depth grows with the logarithm of the exponents.
+    """
     guard = layout.guard
     ones = guard >> 63
     # Field i of the sum counts the generators with a nonzero exponent i.
     counts = layout.exps(sum((((g | guard) - ones) & guard) >> 63 for _, g in gens))
-    if max(counts) <= 1:
-        num = {0: 1}
-        for d, _ in gens:
+    shared = sum(_FIELD << 64 * i for i, c in enumerate(counts) if c > 1)
+    rest = [(d, g) for d, g in gens if g & shared]
+    num = _shared_numerator(rest, counts, layout) if rest else {0: 1}
+    for d, g in gens:
+        if not g & shared:
             out = dict(num)
             for j, c in num.items():
                 out[j + d] = out.get(j + d, 0) - c
             num = {j: c for j, c in out.items() if c}
-        return num
-    i = counts.index(max(counts))
-    at = 64 * i
+    return num
+
+
+def _shared_numerator(gens, counts, layout):
+    """``_numerator`` of minimal generators that each share a variable with
+    another; ``counts`` holds the number of generators using each variable."""
+    guard = layout.guard
+    ones = guard >> 63
+    used = 0
+    for _, g in gens:
+        used |= ((g | guard) - ones) & guard
+    fields = [64 * i for i, u in enumerate(layout.exps(used >> 63)) if u]
+    if len(fields) == 2:
+        a, b = fields
+        stairs = sorted(((g >> a) & _FIELD, (g >> b) & _FIELD) for _, g in gens)
+        num = {0: 1}
+        for x, y in stairs:
+            num[x + y] = num.get(x + y, 0) - 1
+        for (_, y), (x, _) in zip(stairs, stairs[1:]):
+            num[x + y] = num.get(x + y, 0) + 1
+        return {d: c for d, c in num.items() if c}
+    at = min(
+        (len({e for _, g in gens if (e := (g >> 64 * i) & _FIELD)}), -c, 64 * i)
+        for i, c in enumerate(counts)
+        if c > 1
+    )[2]
     exps = sorted(e for d, g in gens if 0 < (e := (g >> at) & _FIELD) < d)
     k = exps[len(exps) // 2]
     pivot = k << at
@@ -539,9 +572,12 @@ class QuotientRing:
         self.one = Polynomial(self, {self._zero_exps: 1})
 
     def numerator(self):
-        """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised."""
+        """Hilbert numerator of R = S/I, HS(R) = N(t) / (1 - t)^n; memoised.
+        The leads of a reduced basis are minimal, so ``_numerator`` takes them."""
         if "numerator" not in self._memo:
-            self._memo["numerator"] = hilbert_numerator(self._gb_lead_terms, self._layout)
+            layout = self._layout
+            gens = sorted((layout.degree(t), t & layout.mask) for t in self._gb_lead_terms)
+            self._memo["numerator"] = _numerator(gens, layout)
         return self._memo["numerator"]
 
     @property

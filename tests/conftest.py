@@ -3,7 +3,8 @@ import heapq
 import pytest
 from hypothesis import strategies as st
 
-from frobetti import groebner, make_ring, quotient_module
+from frobetti import FreeComplex, groebner, make_ring, quotient_module, twist_complex
+from frobetti.homology import _complex_length
 from frobetti.ring import Polynomial, _reduce_vec, monomial_divides, monomials_of_degree
 
 R5_QUADRICS = [
@@ -139,6 +140,36 @@ def reference_syzygy_numerator(res, i):
     return groebner.cokernel_numerator(res.vectors(i + 1), res.ring, res.degrees(i))
 
 
+def reference_tor_length(res, i, e, ring):
+    """The literal route to lambda(Tor_i), the reference for ``tor_length``:
+    the homology at G_i of ``twist_complex(res, e)``, whose maps are the
+    bracket powers of the stored maps, unreduced, over ``ring``."""
+    return _complex_length(twist_complex(res, e), i, ring)
+
+
+def reference_ext_length(res, i, e, ring):
+    """The literal route to lambda(Ext^i), the reference for ``ext_length``:
+    the homology at G_i^* of the transpose of ``twist_complex(res, e)``,
+    G_{i-1}^* -> G_i^* -> G_{i+1}^* with twists negated, written as the
+    complex G_{i+1}^* <- G_i^* <- G_{i-1}^* and measured at its middle."""
+    tw = twist_complex(res, e)
+    top = ring._layout.top
+
+    def transpose(j):
+        # the term at position r of column c of phi_j moves to position c of column r
+        out = [{} for _ in range(tw.rank(j - 1))]
+        for c, vec in enumerate(tw.vectors(j)):
+            for t, v in vec.items():
+                r = -(t >> top)
+                out[r][t + ((r - c) << top)] = v
+        return out
+
+    ranks = [tw.rank(i + 1), tw.rank(i), tw.rank(i - 1)]
+    twists = [[-d for d in tw.degrees(j)] for j in (i + 1, i, i - 1)]
+    dual = FreeComplex(ring, ranks, twists, [transpose(i + 1), transpose(i)])
+    return _complex_length(dual, 1, ring)
+
+
 def brute_force_monomial_count(gens_exps, n, degree_cap):
     """Standard monomials of degree <= degree_cap of a monomial ideal, by raw enumeration.
 
@@ -170,8 +201,10 @@ def reference_minimalize(gens):
 def reference_numerator(gens, n):
     """N(t) with HS(S/L) = N(t) / (1 - t)^n for the monomial ideal L of the
     exponent tuples ``gens``: the former pivot recursion of
-    ``ring.hilbert_numerator`` on tuples, with the same pivot rule, each node
-    re-minimalising its generators."""
+    ``ring.hilbert_numerator`` on tuples, each node re-minimalising its
+    generators.  Its pivot occurs in the most generators, it splits off
+    only pairwise coprime generators, and it has no staircase rule, so it
+    shares none of the rules of ``ring._numerator``."""
     gens = reference_minimalize(gens)
     counts = [sum(1 for g in gens if g[i]) for i in range(n)]
     if max(counts, default=0) <= 1:

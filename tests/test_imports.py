@@ -198,3 +198,18 @@ def test_syzygy_numbers_run_no_engine():
         if isinstance(node, ast.Call)
     }
     assert not called & {"SubmodulePresentation", "cokernel_numerator"}
+
+
+def test_lengths_read_stepwise_twists():
+    """Tor, Ext and hk lengths read the maps and generators twisted one
+    Frobenius step at a time (``frobenius.frobenius_vectors`` and
+    ``frobenius_step``): ``homology.py`` and ``asymptotics.py`` call neither
+    ``twist_complex(`` nor ``frobenius_power(``, the literal bracket powers."""
+    for name in ("homology.py", "asymptotics.py"):
+        tree = ast.parse((SRC / name).read_text())
+        called = {
+            node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+        }
+        assert not called & {"twist_complex", "frobenius_power"}, name

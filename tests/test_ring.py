@@ -2,7 +2,7 @@ import operator
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frobetti import QuotientRing, groebner_basis, make_ring, poly_parse
@@ -299,8 +299,25 @@ def test_minimalize_monomials_matches_the_reference(gens):
     assert sorted(decoded, key=lambda e: (sum(e), e)) == reference_minimalize(gens)
 
 
+# The minimal leads of (x, y, z)^[81] over the F_3 cone x^2 + y^2 + z^2, the
+# last level of its hk sequence over e = 1..4 (checked against the engine in
+# ``test_numerator_of_the_cone_leads_takes_three_nodes``).
+CONE_LEADS_E4 = (
+    [(2, 0, 0), (0, 0, 81)]
+    + [(0, 41 + k, 80 - 2 * k) for k in range(41)]
+    + [(1, 40 + k, 80 - 2 * k) for k in range(41)]
+)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_monomial_lists(8))
+# A two-variable staircase of 41 generators inside three variables.
+@example([(k, 40 - k, 0) for k in range(41)])
+# x^2 and w^5 split off; the rest is a staircase in y, z after minimalising.
+@example([(2, 0, 0, 0), (0, 0, 0, 5), (0, 3, 1, 0), (0, 1, 2, 0), (0, 2, 2, 0)])
+# Four shared variables: the pivot is x, whose only nonzero exponent is 1.
+@example([(1, 1, 0, 0), (1, 0, 1, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 3), (0, 2, 0, 2)])
+@example(CONE_LEADS_E4)
 def test_hilbert_numerator_on_packed_terms_matches_the_reference(gens):
     """The packed recursion gives the reference's numerator, and every node
     of it receives minimal generators, as the reference's nodes do after
@@ -317,3 +334,27 @@ def test_hilbert_numerator_on_packed_terms_matches_the_reference(gens):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ring_module, "_numerator", checked)
         assert hilbert_numerator(terms, layout) == reference_numerator(gens, n)
+
+
+def test_numerator_of_the_cone_leads_takes_three_nodes(monkeypatch):
+    """The cone's 84 leads at e = 4 take three ``_numerator`` nodes: the
+    pivot x has the fewest distinct exponents, and both of its branches
+    split off a power of x and leave a staircase in y, z.  The former rule
+    (pivot on the variable in the most generators, coprime base case only)
+    took 163 nodes."""
+    cone = make_ring(3, list("xyz"), ["x^2 + y^2 + z^2"])
+    vecs = [groebner.column_to_vec([cone.poly(v + "^81")], cone) for v in "xyz"]
+    engine, _ = groebner._run_engine(vecs, cone, 1, (0,))
+    leads = [t for t, _ in engine.minimal_leads()[1][0]]
+    assert sorted(map(cone._layout.exps, leads)) == sorted(CONE_LEADS_E4)
+    nodes = []
+    real = ring_module._numerator
+
+    def counting(gens, layout):
+        nodes.append(len(gens))
+        return real(gens, layout)
+
+    monkeypatch.setattr(ring_module, "_numerator", counting)
+    num = hilbert_numerator(leads, cone._layout)
+    assert nodes == [84, 43, 43]
+    assert num == reference_numerator(CONE_LEADS_E4, 3)
