@@ -39,7 +39,7 @@ from .errors import (
     ZeroDivisorQuery,
     ZeroModule,
 )
-from .groebner import INFINITE, cokernel_presentation, quotient_module
+from .groebner import INFINITE, cokernel_presentation, quotient_module, vec_to_strings
 from .onedim import (
     decide_beta_vanishing,
     diagnose_onedim,
@@ -357,7 +357,7 @@ def _serialize_resolution(res):
         "ranks": list(res.ranks),
         "row_degrees": [list(d) for d in res.row_degrees],
         "matrices": [
-            [[str(entry) for entry in col] for col in res.matrix(j)]
+            [vec_to_strings(v, res.rank(j - 1), res.ring) for v in res.vectors(j)]
             for j in range(1, res.length + 1)
         ],
     }

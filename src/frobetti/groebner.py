@@ -56,6 +56,7 @@ from .ring import (
     _numerator,
     _order_at_one,
     _reduce_vec,
+    format_terms,
     numerator_dimension,
 )
 
@@ -76,6 +77,22 @@ def vec_to_column(vec, rank, ring):
         pos, m = decode(t)
         comps[pos][m] = c
     return [Polynomial(ring, t) for t in comps]
+
+
+def vec_to_strings(vec, rank, ring):
+    """The entries of ``vec_to_column(vec, rank, ring)`` as ``str`` prints
+    them, built with no ``Polynomial``: within a position integer order is
+    degrevlex, so the terms are printed in descending int order.  Most
+    entries of a resolution's maps are zero, and they cost one list slot."""
+    comps = {}
+    decode = ring._layout.decode
+    for t in sorted(vec, reverse=True):
+        pos, m = decode(t)
+        comps.setdefault(pos, []).append((m, vec[t]))
+    out = ["0"] * rank
+    for pos, terms in comps.items():
+        out[pos] = format_terms(terms, ring.variables)
+    return out
 
 
 def column_degree(col, row_degrees):
@@ -118,18 +135,19 @@ class _Engine:
     appended since the last run with the number of their partners, and
     ``run`` updates for them in the order they were appended, with the same
     partners as an update at append time; a remainder inserted during a run
-    is paired at once.  So an element appended after the last run (the
-    candidates of the last degree of ``_minimal_generator_indices``) costs no
-    update.  A run builds a representation only for a nonzero remainder,
-    by reducing its S-vector a second time, tracked.  ``queued`` holds, per
-    position, the live pairs as ``{(i, j): lcm}``; the heap ``pairs`` holds
-    them as ``(degree, i, j, lcm)``, keyed by true degree, sum(lcm) plus the
-    row degree of their position, so ``run(d)`` leaves a basis that is
-    complete up to degree d.  A pair the update deletes stays on the heap and
-    is skipped when popped, since it is no longer in ``queued``.  Every pair
-    of two elements at one position that is not queued counts as treated:
-    it was processed, the update dropped it, or both elements come from
-    ``seed_ideal``.
+    is paired at once.  So an element appended after the last run costs no
+    update: in ``_minimal_generator_indices`` that is every candidate kept
+    after its last run, which comes only when a candidate's remainder against
+    the basis at hand is nonzero.  A run builds a representation only for a
+    nonzero remainder, by reducing its S-vector a second time, tracked.
+    ``queued`` holds, per position, the live pairs as ``{(i, j): lcm}``; the
+    heap ``pairs`` holds them as ``(degree, i, j, lcm)``, keyed by true
+    degree, sum(lcm) plus the row degree of their position, so ``run(d)``
+    leaves a basis that is complete up to degree d.  A pair the update
+    deletes stays on the heap and is skipped when popped, since it is no
+    longer in ``queued``.  Every pair of two elements at one position that
+    is not queued counts as treated: it was processed, the update dropped
+    it, or both elements come from ``seed_ideal``.
     """
 
     def __init__(self, ring, row_degrees, n_tracked=0):
@@ -582,14 +600,21 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
     Candidates are visited greedily, lowest degree first and, within a
     degree, larger leading term first; a candidate is kept unless it lies in
     the R-span of the kept vectors plus I * ambient.  One engine, seeded with
-    I * ambient, holds a basis of that span: before the first candidate of
-    degree d it processes only the pairs of degree <= d, so its basis is a
-    Groebner basis up to degree d, and no basis is rebuilt.  A candidate is
-    kept iff its normal form against that basis is nonzero, and the normal
-    form is then inserted.  It is fully reduced, so its pairs have degree >
-    d; by graded Nakayama, with R_0 = F_p, the engine then spans (kept of
-    degree < d) * R + I * ambient plus the F_p-span of the degree-d vectors
-    kept so far, which is the span in degree d.
+    I * ambient, holds a basis of that span, and no basis is rebuilt.  Each
+    candidate is reduced first against the basis at hand: every element of
+    it lies in the span, so a zero remainder proves membership, and the
+    candidate is dropped with no run.  A nonzero remainder decides only
+    against a Groebner basis up to the candidate's degree d, so the first
+    one of degree d runs the engine on the pairs of degree <= d, and is
+    reduced again if the run added an element.  A candidate is kept iff its
+    remainder is nonzero, and the remainder is then inserted.  It is fully
+    reduced, so its pairs have degree > d and the basis stays complete up to
+    degree d; by graded Nakayama, with R_0 = F_p, the engine then spans
+    (kept of degree < d) * R + I * ambient plus the F_p-span of the degree-d
+    vectors kept so far, which is the span in degree d.  A degree whose
+    candidates all reduce to zero at hand processes no pair: its pairs stay
+    queued, and the elements appended since the last run stay unpaired,
+    until a later run.
     """
     layout = ring._layout
     ranked = []
@@ -603,13 +628,16 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
     ranked.sort(key=lambda t: t[0])
     engine = _Engine(ring, row_degrees)
     engine.seed_ideal(ambient_rank)
+    by_pos, basis = engine.by_pos, engine.basis
     kept = []
-    degree = None
+    complete = None
     for deg, _, index in ranked:
-        if deg != degree:
-            degree = deg
+        rem = _reduce_vec(vecs[index], by_pos, basis, ring)
+        if rem and deg != complete:
+            complete, size = deg, len(basis)
             engine.run(deg)
-        rem = _reduce_vec(vecs[index], engine.by_pos, engine.basis, ring)
+            if len(basis) > size:
+                rem = _reduce_vec(rem, by_pos, basis, ring)
         if rem:
             engine._insert(rem, {})
             kept.append(index)

@@ -61,6 +61,22 @@ def drl_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def format_terms(terms, names):
+    """The polynomial whose ``(exponents, coefficient)`` pairs ``terms``
+    lists, largest monomial first, printed in the variables ``names``: "0"
+    when there are none."""
+    parts = []
+    for m, c in terms:
+        factors = [str(c)] if c != 1 or not any(m) else []
+        for name, e in zip(names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append("%s^%d" % (name, e))
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0"
+
+
 def monomial_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -494,22 +510,9 @@ class Polynomial:
     # -- printing ----------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.ring.variables
-        parts = []
-        for m in sorted(self.terms, key=drl_key, reverse=True):
-            c = self.terms[m]
-            factors = []
-            if c != 1 or not any(m):
-                factors.append(str(c))
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append("%s^%d" % (name, e))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        terms = self.terms
+        ordered = ((m, terms[m]) for m in sorted(terms, key=drl_key, reverse=True))
+        return format_terms(ordered, self.ring.variables)
 
     def __repr__(self):
         return "<%s over F_%d[%s]>" % (self, self.ring.p, ",".join(self.ring.variables))

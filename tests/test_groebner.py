@@ -26,6 +26,7 @@ from frobetti.groebner import (
     numerator_dimension,
     numerator_length,
     vec_to_column,
+    vec_to_strings,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.onedim import h0_ring
@@ -621,8 +622,30 @@ def _column_sets(draw, ranks=(2, 1), twists=(0, 1)):
     return ring, [columns[i] for i in order], rank, degrees
 
 
+def _rank_two_case(p, variables, ideal_gens, columns):
+    """(ring, columns, 2, (0, 0)) of columns written "f g, f' g', ..."."""
+    ring = make_ring(p, list(variables), ideal_gens)
+    cols = [[ring.poly(e) for e in col.split()] for col in columns.split(", ")]
+    return ring, cols, 2, (0, 0)
+
+
+# Degree 1 keeps (y, x) and (x, 0), whose S-vector is (0, x^2).  In degree
+# 2, (xy, x^2) = x (y, x) leaves (0, x^2) against the basis at hand, so the
+# engine runs, adds that S-vector, and (xy, x^2) reduces to zero; (0, x^2)
+# then reduces to zero at hand, and (0, xy) and (0, y^2) are kept.  In degree
+# 3 every candidate reduces to zero at hand.  Over F_7[x,y,z]/(xz) the same
+# run comes, and degree 2 keeps (z^2, yz) and (0, z^2) around (0, x^2) and
+# (0, xz), which lies in I * ambient.
+MIXED_DEGREE_CASES = [
+    _rank_two_case(5, "xy", [], "y x, x 0, 0 y^2, x*y x^2, 0 x^2, x^3 y^3, 0 x*y, x*y^2 0"),
+    _rank_two_case(7, "xyz", ["x*z"], "y x, x 0, 0 z^2, z^2 y*z, x*y x^2, 0 x*z, 0 x^2, y*z^2 x*y*z, z^3 0"),
+]
+
+
 @settings(max_examples=50, deadline=None)
 @given(_column_sets())
+@example(MIXED_DEGREE_CASES[0])
+@example(MIXED_DEGREE_CASES[1])
 def test_minimal_generators_match_greedy_on_random_columns(case):
     ring, columns, rank, degrees = case
     _assert_same_mingens(ring, columns, rank, degrees)
@@ -661,13 +684,31 @@ def test_minimal_generators_run_one_engine_per_call(monkeypatch, R5):
         assert (len(engines), len(runs)) == (1, 0)
 
 
+def _mingens_cases(R5):
+    """R5's residue field and the kernels of phi_1 and phi_2, each kept in
+    one degree, and the kernel of phi_1^[25] over the F_5 cubic, which has
+    many candidate degrees and keeps columns in few of them."""
+    cases = [(R5,) + kernel for kernel in _resolution_kernels(residue_field(R5), 2)]
+    cubic = make_ring(5, list("xyz"), ["x^3 + y^3 + z^3"])
+    twisted = twist_complex(resolve(residue_field(cubic), 2), 2)
+    kernel = syzygy_generators(
+        twisted.matrix(1), cubic, ambient_rank=twisted.rank(0), row_degrees=twisted.degrees(0)
+    )
+    cases.append((cubic, kernel, twisted.rank(1), twisted.degrees(1)))
+    return cases
+
+
 def test_last_degree_candidates_are_never_paired(monkeypatch, R5):
-    """The engine runs before the first candidate of each degree, and pairs
-    an element only when a run starts, so the candidates kept in the last
-    candidate degree are appended but never paired: they wait in
+    """Each candidate is reduced against the basis at hand first, and
+    ``run(d)`` comes only right after a degree-d candidate leaves a nonzero
+    remainder there, once per degree; so a degree whose candidates all
+    reduce to zero against the basis at hand processes no pair.  An element
+    is paired only when a run starts, so the candidates kept after the last
+    run (those of the last candidate degree among them) wait in
     ``unpaired``, with I * ambient as partners, and no ``_update`` call
     names them."""
-    engines, updated = [], []
+    engines, updated, events, running = [], [], [], []
+    real_spair, real_reduce = groebner._spair, groebner._reduce_vec
 
     class RecordingEngine(groebner._Engine):
         def __init__(self, *args, **kwargs):
@@ -678,27 +719,56 @@ def test_last_degree_candidates_are_never_paired(monkeypatch, R5):
             updated.append(new)
             return super()._update(new, partners, queued)
 
-    kernels = _resolution_kernels(residue_field(R5), 2)
+        def run(self, degree=INFINITE):
+            running.append(["run", degree, 0])
+            super().run(degree)
+            events.append(running.pop() + [len(self.basis)])
+
+    def recording_spair(*args):
+        running[-1][2] += 1
+        return real_spair(*args)
+
+    def recording_reduce(vec, *args):
+        rem = real_reduce(vec, *args)
+        if not running:
+            events.append(["reduce", degree_of(vec), bool(rem)])
+        return rem
+
+    cases = _mingens_cases(R5)
     monkeypatch.setattr(groebner, "_Engine", RecordingEngine)
-    layout = R5._layout
-    last_kept = []
-    for columns, rank, degrees in kernels:
-        vecs = groebner._normalize_columns(columns, R5, rank, degrees)[0]
-        degree = {
-            i: layout.degree(max(v)) + degrees[-(max(v) >> layout.top)] for i, v in enumerate(vecs) if v
-        }
+    monkeypatch.setattr(groebner, "_spair", recording_spair)
+    monkeypatch.setattr(groebner, "_reduce_vec", recording_reduce)
+    seen = []
+    for ring, columns, rank, degrees in cases:
+        layout = ring._layout
+
+        def degree_of(vec):
+            lead = max(vec)
+            return layout.degree(lead) + degrees[-(lead >> layout.top)]
+
+        vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
         engines.clear()
         updated.clear()
-        kept = groebner._minimal_generator_indices(vecs, R5, rank, degrees)
+        events.clear()
+        kept = groebner._minimal_generator_indices(vecs, ring, rank, degrees)
         (engine,) = engines
-        last = [i for i in kept if degree[i] == max(degree.values())]
-        first_last = len(engine.basis) - len(last)
-        assert [new for new, _ in engine.unpaired] == list(range(first_last, len(engine.basis)))
-        assert max(updated, default=-1) < first_last
-        last_kept.append(len(last))
-    # All of phi_1 and phi_2 comes from one degree; ker phi_2 keeps none of
-    # its candidates of the highest degree.
-    assert last_kept == [5, 22, 0]
+        runs = [k for k, event in enumerate(events) if event[0] == "run"]
+        for k in runs:
+            assert events[k - 1] == ["reduce", events[k][1], True]
+        run_degrees = [events[k][1] for k in runs]
+        assert run_degrees == sorted(set(run_degrees))
+        last_run = events[runs[-1]][3]
+        assert [new for new, _ in engine.unpaired] == list(range(last_run, len(engine.basis)))
+        assert max(updated, default=-1) < last_run
+        formed = sum(events[k][2] for k in runs)
+        seen.append((run_degrees, formed, len(kept), len(engine.basis) - last_run))
+    # R5 keeps every candidate in the degree of its first run, and each
+    # higher-degree candidate reduces to zero against the basis at hand.
+    # Running before every candidate degree would also run ker phi_2 at
+    # degree 4 (410 S-vectors) and the cubic's kernel at all 21 of its
+    # candidate degrees (the same 22 S-vectors).
+    assert seen[:3] == [([1], 0, 5, 5), ([2], 0, 22, 22), ([3], 0, 96, 96)]
+    assert seen[3] == ([38, 39, 40, 43, 45, 47, 48, 49, 50], 22, 4, 0)
 
 
 def _true_degree(engine, degrees, i, j):
@@ -1339,13 +1409,16 @@ def test_engine_matches_the_eager_reference(case):
 
 @pytest.mark.parametrize(
     "name, steps, formed, updates, eager_updates",
-    [("R5", 3, 511, 189, 216), ("R1", 8, 135, 139, 280)],
+    [("R5", 3, 101, 93, 216), ("R1", 8, 135, 139, 280)],
 )
 def test_resolve_work_counts(monkeypatch, request, name, steps, formed, updates, eager_updates):
     """S-vectors formed in runs and ``_update`` calls of one resolution of
     the residue field.  ``EagerEngine`` forms the same S-vectors, but it
-    also pairs the candidates of each kernel's last degree, which no run
-    reads."""
+    also pairs every kept candidate when it is appended, which no run reads
+    once a degree's candidates all reduce to zero against the basis at hand.
+    R5 formed 511 S-vectors in 189 updates while the minimal generators ran
+    the engine before every candidate degree; R1's forced runs are all
+    needed, so its counts did not move."""
     ring = request.getfixturevalue(name)
     counts, running = {}, []
     real_spair = groebner._spair
@@ -1408,6 +1481,17 @@ def test_update_relies_on_pairs_of_two_ideal_elements(monkeypatch):
 
 def _strings(columns):
     return [[str(e) for e in col] for col in columns]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_column_sets(twists=(-1, 2)))
+def test_vec_to_strings_prints_as_polynomial_columns(case):
+    """``vec_to_strings`` prints each entry as ``str`` prints the polynomial
+    that ``vec_to_column`` builds, constants and zero entries included."""
+    ring, columns, rank, _ = case
+    for col in columns:
+        vec = column_to_vec(col, ring)
+        assert vec_to_strings(vec, rank, ring) == [str(e) for e in vec_to_column(vec, rank, ring)]
 
 
 @settings(max_examples=30, deadline=None)

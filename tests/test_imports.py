@@ -163,10 +163,10 @@ def test_no_shared_mutable_module_state(path):
 
 # ``FreeComplex.matrix`` builds Polynomial columns on each call; the library
 # reads the stored vectors instead, except where Polynomial columns are the
-# point: the CLI payload, ``minimize`` (unit splitting on polynomials) and the
-# two reference routes of ``homology``.
+# point: ``minimize`` (unit splitting on polynomials) and the two reference
+# routes of ``homology``.  The CLI payload prints the stored vectors
+# (``vec_to_strings``).
 MATRIX_CALLERS = {
-    ("cli.py", "_serialize_resolution"),
     ("resolution.py", "minimize"),
     ("homology.py", "homology_presentation"),
     ("homology.py", "degreewise_homology_oracle"),

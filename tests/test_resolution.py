@@ -25,7 +25,14 @@ from frobetti.onedim import random_instances
 from frobetti.resolution import MinimalResolution
 from frobetti.ring import numerator_dimension
 
-from conftest import EagerEngine, R5_QUADRICS, composes_to_zero, reference_syzygy_numerator, residue_field
+from conftest import (
+    EagerEngine,
+    R5_QUADRICS,
+    composes_to_zero,
+    decoded,
+    reference_syzygy_numerator,
+    residue_field,
+)
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
 QUADRIC_FAMILIES = {
@@ -353,3 +360,48 @@ def test_pinned_resolutions_match_the_eager_engine(monkeypatch):
     vectors = stored()
     monkeypatch.setattr(groebner, "_Engine", EagerEngine)
     assert stored() == vectors
+
+
+def test_r5_over_f101_to_step_4_matches_pinned_vectors(R5):
+    """One sha256 over the twists and the stored vectors, terms decoded in
+    stored order, of R5's residue field over F_101 to step 4."""
+    res = resolve(residue_field(R5), 4)
+    data = (res.row_degrees, [[decoded(R5, v) for v in res.vectors(j)] for j in range(1, 5)])
+    digest = hashlib.sha256(repr(data).encode()).hexdigest()
+    assert digest == "a4c28f11edce149aef22ed6cd39a4f4854bb8909c1a9fc6b4837fb639a64e1e3"
+
+
+def test_minimal_generator_runs_form_no_s_vector_on_r5(monkeypatch, R5):
+    """Resolving R5's residue field to step 4 forms no S-vector in the
+    minimal-generator engines: each kernel keeps its candidates in the degree
+    of its first run, and every higher-degree candidate reduces to zero
+    against the basis at hand.  Running before every candidate degree would
+    form 2,217 there."""
+    formed, inside, running = [], [], []
+    real_spair, real_mingens = groebner._spair, resolution._minimal_generator_indices
+
+    class RecordingEngine(groebner._Engine):
+        def run(self, degree=INFINITE):
+            running.append(self)
+            try:
+                super().run(degree)
+            finally:
+                running.pop()
+
+    def recording_spair(leads, vecs, *args):
+        if inside and running and vecs is running[-1].basis:
+            formed.append(1)
+        return real_spair(leads, vecs, *args)
+
+    def recording_mingens(*args):
+        inside.append(1)
+        try:
+            return real_mingens(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(groebner, "_Engine", RecordingEngine)
+    monkeypatch.setattr(groebner, "_spair", recording_spair)
+    monkeypatch.setattr(resolution, "_minimal_generator_indices", recording_mingens)
+    assert resolve(residue_field(R5), 4).betti == (1, 5, 22, 96, 418)
+    assert len(formed) == 0
