@@ -11,10 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InfiniteLength, MissingMultiplicities, NotPrimary
-from .frobenius import _level, frobenius_step
-from .groebner import cokernel_numerator, numerator_length, quotient_module
+from .groebner import quotient_module
 from .homology import ext_length, tor_length
-from .ring import _reduce_vec
 
 
 @dataclass(frozen=True)
@@ -88,23 +86,12 @@ def _sequence(kind, index, ring, e_range, raw_at):
 def hk_sequence(ring, ideal_gens, e_range):
     """Levels lambda(R/J^[q]) with the first-difference multiplicity estimate.
 
-    The generators of J^[q] are carried from level to level as vectors
-    reduced modulo I, NF(g) at level 0 and one ``frobenius_step`` against
-    the ring's basis from each level to the next; each length is the
-    numerator of one engine run over them."""
+    R/J^[q] is Tor_0(R/J, eR), so a level is ``tor_length(R/J, 0, e)`` and
+    the limit is e_HK(J, R) = beta^F_0(R/J)."""
     module = quotient_module(ring, [ring.poly(g) for g in ideal_gens])
     if module.dimension() > 0:
         raise NotPrimary("the ideal is not irrelevant-primary; lengths would be infinite")
-    by_pos, basis = ring._gb_leads, ring._gb_vecs
-    levels = [[_reduce_vec(v, by_pos, basis, ring) for v in module.vecs]]
-
-    def raw_at(e):
-        _level(ring, e)  # rejects e < 0 and q >= MAX_EXPONENT
-        while len(levels) <= e:
-            levels.append(frobenius_step(levels[-1], ring, by_pos, basis))
-        return numerator_length(cokernel_numerator(levels[e], ring, (0,)), ring.n)
-
-    return _sequence("hk", 0, ring, e_range, raw_at)
+    return _sequence("hk", 0, ring, e_range, lambda e: tor_length(module, 0, e))
 
 
 def _homology_sequence(kind, length_fn, module, i, e_range, coefficients):
@@ -159,15 +146,14 @@ def verify_laws(
     e_range=range(1, 4),
     indices=(0, 1),
     nzd=None,
-    tolerance=DEFAULT_TOLERANCE,
 ):
     """Check the limit laws on a finite-length module.
 
     * vanishing of mu below the ring dimension,
     * Tor/Ext duality beta_i ~ mu_{d+i},
     * additivity over supplied minimal primes with local multiplicities
-      (both estimate-level within tolerance and exact termwise agreement of
-      stabilized first differences),
+      (both estimate-level within ``DEFAULT_TOLERANCE`` and exact termwise
+      agreement of stabilized first differences),
     * the nonzerodivisor inequality when a quotient fixture is supplied as
       ``nzd=(module_over_quotient,)``.
     """
@@ -179,7 +165,7 @@ def verify_laws(
     # (a) mu vanishing below the dimension.
     for i in range(d):
         seq = mu_sequence(module, i, e_range)
-        ok = seq.estimate is not None and abs(seq.estimate) <= tolerance
+        ok = seq.estimate is not None and abs(seq.estimate) <= DEFAULT_TOLERANCE
         report.add(
             "mu_%d vanishes (below dim)" % i,
             ok,
@@ -193,7 +179,7 @@ def verify_laws(
         ok = (
             b.estimate is not None
             and seq.estimate is not None
-            and abs(b.estimate - seq.estimate) <= tolerance
+            and abs(b.estimate - seq.estimate) <= DEFAULT_TOLERANCE
         )
         report.add(
             "duality beta_%d = mu_%d" % (i, d + i),
@@ -217,7 +203,7 @@ def verify_laws(
                 seq = beta_sequence(module, i, e_range, coefficients=list(gens))
                 parts.append((seq, mult))
             rhs_estimate = sum((mult * s.estimate for s, mult in parts), Fraction(0))
-            est_ok = lhs.estimate is not None and abs(lhs.estimate - rhs_estimate) <= tolerance
+            est_ok = lhs.estimate is not None and abs(lhs.estimate - rhs_estimate) <= DEFAULT_TOLERANCE
             lhs_diffs = lhs.differences()
             rhs_diffs = [
                 sum((mult * s.differences()[k] for s, mult in parts), Fraction(0))
@@ -244,7 +230,7 @@ def verify_laws(
             ok = (
                 b.estimate is not None
                 and over.estimate is not None
-                and b.estimate <= over.estimate + tolerance
+                and b.estimate <= over.estimate + DEFAULT_TOLERANCE
             )
             report.add(
                 "nzd inequality beta_%d" % i,

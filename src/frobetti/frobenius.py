@@ -11,13 +11,13 @@ phi^[q] psi^[q] = (phi psi)^[q] lies in I when phi psi does: a twist checks its 
 maps reduced modulo I one Frobenius step at a time instead: h = r modulo I
 gives h^[p] = r^[p] modulo I^[p], which lies in I, so NF(h^[p^e]) =
 NF(NF(h^[p^(e-1)])^[p]): e normal forms of small exponents replace one of
-exponents near q (``frobenius_step``, ``frobenius_vectors``).
+exponents near q (``frobenius_step``, ``frobenius_vectors``), each one the
+ring's ``nf_vec``.  Tor, Ext and Hilbert-Kunz lengths all read them.
 """
 
 from .errors import LiftFailure, Overflow
-from .groebner import _ideal_basis
 from .resolution import FreeComplex
-from .ring import MAX_EXPONENT, Polynomial, _reduce_vec
+from .ring import MAX_EXPONENT, Polynomial
 
 
 class BracketLevel:
@@ -89,11 +89,10 @@ def twist_complex(complex_, level):
     return FreeComplex(ring, complex_.ranks, degrees, maps)
 
 
-def frobenius_step(vecs, ring, by_pos, basis):
-    """NF(v^[p]) of each vector v against the monic ``basis`` of I times a
-    free module, its leads listed per position in ``by_pos``."""
+def frobenius_step(vecs, ring):
+    """NF(v^[p]) of each vector v modulo I times its free module."""
     p, layout = ring.p, ring._layout
-    return [_reduce_vec(_bracket_vec(v, p, layout), by_pos, basis, ring) for v in vecs]
+    return [ring.nf_vec(_bracket_vec(v, p, layout)) for v in vecs]
 
 
 def frobenius_vectors(res, j, e):
@@ -107,10 +106,8 @@ def frobenius_vectors(res, j, e):
     _level(res.ring, e)  # rejects e < 0 and q >= MAX_EXPONENT
     memo = res._frobenius
     if (j, e) not in memo:
-        ideal = _ideal_basis(res.ring, res.rank(j - 1), res.degrees(j - 1))
         if e == 0:
-            memo[(j, 0)] = [ideal.normal_form_vec(v) for v in res.vectors(j)]
+            memo[(j, 0)] = [res.ring.nf_vec(v) for v in res.vectors(j)]
         else:
-            below = frobenius_vectors(res, j, e - 1)
-            memo[(j, e)] = frobenius_step(below, res.ring, ideal.by_pos, ideal.vecs)
+            memo[(j, e)] = frobenius_step(frobenius_vectors(res, j, e - 1), res.ring)
     return memo[(j, e)]

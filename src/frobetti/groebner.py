@@ -38,6 +38,7 @@ no ideal that adds nothing, so the same run works over S.
 They are untracked, so syzygies and lifts come out in the original generator
 coordinates, and no pair of two of them is queued: by Buchberger's criterion
 the reduced basis of I already gives their S-vector a standard representation.
+A normal form modulo I * ambient alone is the ring's ``nf_vec``, with no copy.
 """
 
 import heapq
@@ -439,18 +440,10 @@ def _normalize_columns(columns, ring, ambient_rank, row_degrees):
     return vecs, ambient_rank, row_degrees
 
 
-def _ideal_vecs(ring, pos, gens=None):
-    """g * e_pos for each g in ``gens``, monic vectors at position 0 (by
-    default the reduced basis of I), in order."""
+def _ideal_vecs(ring, pos):
+    """g * e_pos for each g in the reduced basis of I, in order."""
     shift = pos << ring._layout.top
-    return [{t - shift: c for t, c in g.items()} for g in (ring._gb_vecs if gens is None else gens)]
-
-
-def _ideal_basis(ring, ambient_rank, row_degrees, gens=None):
-    """J * ambient as a ``GroebnerBasis``, built without an engine run, for
-    the ideal J of S whose reduced basis is ``gens`` (I by default)."""
-    vecs = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos, gens)]
-    return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, [max(v) for v in vecs])
+    return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
 
 
 def _run_engine(vecs, ring, ambient_rank, row_degrees, n_tracked=0):
@@ -514,7 +507,10 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     syz_vecs = [{unit(idx): 1} for idx in zero_indices]
 
     # Columns of (Id - T U): each original generator minus its expression in
-    # the reduced basis.  Untracked (ideal) generators contribute relations too.
+    # the reduced basis.  A copy g * e_k of I * G has no coordinates, so its
+    # division steps leave in ``rep`` a combination of generators equal to
+    # -g * e_k: a relation modulo I * G (without them the residue field of
+    # F_5[x,y]/(x^2, xy) resolves to step 2 as (1, 2, 1), not (1, 2, 3)).
     ideal = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
     for idx, vec in enumerate(gens + ideal):
         if not vec:
@@ -711,8 +707,7 @@ class SubmodulePresentation:
 
     def is_zero_submodule(self):
         """True when the span is contained in I * ambient."""
-        ideal = _ideal_basis(self.ring, self.ambient_rank, self.row_degrees)
-        return not any(map(ideal.normal_form_vec, self.vecs))
+        return not any(map(self.ring.nf_vec, self.vecs))
 
     # -- lifts ------------------------------------------------------------------
 
@@ -823,8 +818,7 @@ class SubmodulePresentation:
 
 def _outside_ideal(gb):
     """The elements of the reduced basis ``gb`` outside I * ambient."""
-    ideal = _ideal_basis(gb.ring, gb.ambient_rank, gb.row_degrees)
-    return [v for v in gb.vecs if ideal.normal_form_vec(v)]
+    return [v for v in gb.vecs if gb.ring.nf_vec(v)]
 
 
 def _carrying_basis(vecs, gb, mode="submodule"):

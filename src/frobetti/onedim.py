@@ -17,13 +17,12 @@ from .groebner import (
     INFINITE,
     SubmodulePresentation,
     _carrying_basis,
-    _ideal_basis,
     _minimal_generator_indices,
     quotient_module,
 )
 from .homology import coefficient_ring, homology_length, tor_length
 from .resolution import resolve
-from .ring import make_ring
+from .ring import _reduce_vec, make_ring
 
 
 def h0_ring(ring):
@@ -57,8 +56,8 @@ def decide_beta_vanishing(module, i):
     True iff every entry of phi_{i+1} lies in H^0_m(R), i.e. the (i+1)-st
     syzygy has finite length; for free ambients this entrywise test agrees
     with the module-level containment.  The entries lie in H^0 + I = J iff
-    each stored column reduces to zero against J * G_i, whose basis is the
-    reduced basis of J copied to every position of G_i.
+    each stored column reduces to zero against J * G_i, read from the one
+    lead list of J's reduced basis at every position (``_reduce_vec``).
     """
     ring = module.ring
     _require_dim_one(ring)
@@ -66,8 +65,9 @@ def decide_beta_vanishing(module, i):
     if i < 0:
         raise ValueError("index must be nonnegative")
     res = resolve(module, i + 1)
-    basis = _ideal_basis(ring, res.rank(i), res.degrees(i), h0_ring(ring).gb().vecs)
-    return not any(map(basis.normal_form_vec, res.vectors(i + 1)))
+    gb = h0_ring(ring).gb()
+    leads = gb.by_pos.get(0, [])
+    return not any(_reduce_vec(v, leads, gb.vecs, ring) for v in res.vectors(i + 1))
 
 
 @dataclass
@@ -154,15 +154,18 @@ class ParameterChoice:
         return all(self.flags.values())
 
 
-def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512):
+POWER_BOUND = 512
+
+
+def choose_parameter(ring, annihilate=None, attempts=50):
     """A parameter x = y^n with H^0_m(R) = 0 : x, optionally killing a module.
 
-    Variables are tried first, then seeded random linear forms.  Every flag
-    is re-verified by Groebner computations rather than trusted from the
-    construction.
+    Variables are tried first, then random linear forms of seed 0, with
+    n <= ``POWER_BOUND``.  Every flag is re-verified by Groebner computations
+    rather than trusted from the construction.
     """
     _require_dim_one(ring)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     h0 = h0_ring(ring)
     h0_gens = [col[0] for col in h0.columns]
     candidates = list(ring.gens())
@@ -182,7 +185,7 @@ def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512
         tried.add(key)
         if quotient_module(ring, [y]).dimension() != 0:
             continue
-        n = _annihilating_power(ring, y, h0_gens, annihilate, power_bound)
+        n = _annihilating_power(ring, y, h0_gens, annihilate)
         if n is None:
             continue
         x = y**n
@@ -202,9 +205,9 @@ def choose_parameter(ring, annihilate=None, attempts=50, seed=0, power_bound=512
     )
 
 
-def _annihilating_power(ring, y, h0_gens, annihilate, bound):
+def _annihilating_power(ring, y, h0_gens, annihilate):
     power = ring.one
-    for n in range(1, bound + 1):
+    for n in range(1, POWER_BOUND + 1):
         power = power * y
         if all(ring.is_zero_mod(power * g) for g in h0_gens):
             if annihilate is None or _kills_module(ring, power, annihilate):

@@ -13,7 +13,6 @@ image convention Omega_i = im(phi_i), with Omega_0 = M.
 from .errors import NotHomogeneous
 from .groebner import (
     INFINITE,
-    _ideal_basis,
     _minimal_generator_indices,
     _normalize_columns,
     _syzygy_vecs,
@@ -78,14 +77,13 @@ class FreeComplex:
         """phi_j * phi_{j+1} is zero modulo the defining ideal."""
         ring = self.ring
         unit, top = ring._layout.unit, ring._layout.top
-        ideal = _ideal_basis(ring, self.rank(j - 1), self.degrees(j - 1))
         for vec in self.maps[j + 1]:
             image = {}
             for t, c in vec.items():
                 # t is c * x^m * e_r: add c * x^m times column r of phi_j.
                 r = -(t >> top)
                 _axpy(image, self.maps[j][r], -c, t - unit(r), ring)
-            if ideal.normal_form_vec(image):
+            if ring.nf_vec(image):
                 return False
         return True
 

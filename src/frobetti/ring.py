@@ -16,10 +16,11 @@ and the one division loop for vectors; the Buchberger engine in
 :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial is a
 vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
 heap and tests them against the leads of their position only
-(``_lead_lists``).  Hilbert numerators (``_numerator``) read the same lead
-terms, as ``(degree, packed exponents)`` pairs, so lengths, dimensions and
-Hilbert functions never decode a term.  Exponent tuples remain only at the
-API boundary.
+(``_lead_lists``), or against one lead list at every position, as
+:meth:`QuotientRing.nf_vec` reduces modulo I * G.  Hilbert numerators
+(``_numerator``) read the same lead terms, as ``(degree, packed exponents)``
+pairs, so lengths, dimensions and Hilbert functions never decode a term.
+Exponent tuples remain only at the API boundary.
 """
 
 import sys
@@ -325,8 +326,11 @@ def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     ``by_pos`` holds the leads of ``basis`` per position, as ``_lead_lists``
     builds them; each step clears the largest term by the first basis vector
     in its position's list whose lead divides it, and no other position's
-    leads are scanned.  A term is pushed (negated) onto a heap when it enters
-    the working vector, and popped terms that were cancelled are skipped.
+    leads are scanned.  A list ``[(lead, index), ...]`` of leads at position
+    0 serves every position: the test reads only the exponent fields, and
+    ``t - lead`` moves the basis vector to t's position (the encoding is
+    affine).  A term is pushed (negated) onto a heap when it enters the
+    working vector, and popped terms that were cancelled are skipped.
     Each division step ``vec -= c * x^shift * basis[i]`` is applied to ``rep``
     as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
     representation of ``vec`` ends as that of the remainder.  Terms introduced
@@ -336,6 +340,7 @@ def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     p = ring.p
     layout = ring._layout
     guard, top = layout.guard, layout.top
+    leads_at = by_pos.get if isinstance(by_pos, dict) else lambda _pos, _none: by_pos
     work = dict(vec)
     heap = [-t for t in work]
     heapify(heap)
@@ -348,7 +353,7 @@ def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
         if t & guard:
             raise layout.overflow(t)
         b = t | guard
-        for a, i in by_pos.get(-(t >> top), ()):
+        for a, i in leads_at(-(t >> top), ()):
             if (b - a) & guard == guard:
                 shift = t - a
                 for u, v in basis[i].items():
@@ -524,11 +529,11 @@ class QuotientRing:
     ``_layout`` is the ring's ``TermLayout``: every module term of the engine
     over this ring is one int in it.  ``_gb_vecs`` holds the reduced
     degrevlex Groebner basis of I as monic vectors at position 0,
-    ``_gb_lead_terms`` their leads and ``_gb_leads`` the leads listed per
-    position (``_lead_lists``); ``ideal_groebner`` builds the basis as
-    polynomials on each read.  The constructor takes the basis as monic
-    vectors, as ``make_ring`` hands them over, or as polynomials, which it
-    encodes and makes monic.  ``dim``
+    ``_gb_lead_terms`` their leads and ``_gb_leads`` one lead list that
+    serves every position, so ``nf_vec`` reduces modulo I * G with no copy
+    of I; ``ideal_groebner`` builds the basis as polynomials on each read.
+    The constructor takes the basis as monic vectors, as ``make_ring`` hands
+    them over, or as polynomials, which it encodes and makes monic.  ``dim``
     is the Krull dimension, read off the Hilbert numerator of the
     leading-term ideal on first use, so it always matches the basis given.
     An empty ideal gives the polynomial ring itself.
@@ -569,7 +574,7 @@ class QuotientRing:
                 g = {t: (c * inv) % p for t, c in vec.items()}
             self._gb_vecs.append(g)
         self._gb_lead_terms = tuple(max(v) for v in self._gb_vecs)
-        self._gb_leads = _lead_lists(self._gb_lead_terms, self)
+        self._gb_leads = [(t, i) for i, t in enumerate(self._gb_lead_terms)]
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})
@@ -655,9 +660,12 @@ class QuotientRing:
         if not poly.terms or not self._gb_vecs:
             return self.convert(poly)
         encode, exps = self._layout.encode, self._layout.exps
-        vec = {encode(0, m): c for m, c in poly.terms.items()}
-        rem = _reduce_vec(vec, self._gb_leads, self._gb_vecs, self)
+        rem = self.nf_vec({encode(0, m): c for m, c in poly.terms.items()})
         return Polynomial(self, {exps(t): c for t, c in rem.items()})
+
+    def nf_vec(self, vec):
+        """Normal form of the engine vector ``vec`` modulo I * G, a new dict."""
+        return _reduce_vec(vec, self._gb_leads, self._gb_vecs, self)
 
     def is_zero_mod(self, poly):
         return not self.nf(poly).terms

@@ -204,7 +204,11 @@ def test_lengths_read_stepwise_twists():
     """Tor, Ext and hk lengths read the maps and generators twisted one
     Frobenius step at a time (``frobenius.frobenius_vectors`` and
     ``frobenius_step``): ``homology.py`` and ``asymptotics.py`` call neither
-    ``twist_complex(`` nor ``frobenius_power(``, the literal bracket powers."""
+    ``twist_complex(`` nor ``frobenius_power(``, the literal bracket powers.
+    hk is the Tor_0 length of R/J, so ``asymptotics.py`` twists, measures
+    and reduces nothing itself: it calls none of ``frobenius_step(``,
+    ``cokernel_numerator(`` and ``_reduce_vec(``."""
+    own = {"asymptotics.py": {"frobenius_step", "cokernel_numerator", "_reduce_vec"}}
     for name in ("homology.py", "asymptotics.py"):
         tree = ast.parse((SRC / name).read_text())
         called = {
@@ -212,4 +216,20 @@ def test_lengths_read_stepwise_twists():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
         }
-        assert not called & {"twist_complex", "frobenius_power"}, name
+        assert not called & ({"twist_complex", "frobenius_power"} | own.get(name, set())), name
+
+
+def test_ideal_copies_are_laid_out_only_inside_the_engine():
+    """A normal form modulo I * G reads the ring's one basis of I at every
+    position (``QuotientRing.nf_vec``); the copies g * e_k of ``_ideal_vecs(``
+    are built only where they are engine elements (``_Engine.seed_ideal``)
+    or reduced for the relations they carry (``_syzygy_vecs``)."""
+    found = set()
+    for path in MODULES:
+        for label, fn in _definitions(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ideal_vecs"
+                for node in ast.walk(fn)
+            ):
+                found.add((path.name, label))
+    assert found == {("groebner.py", "_Engine.seed_ideal"), ("groebner.py", "_syzygy_vecs")}
