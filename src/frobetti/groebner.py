@@ -14,22 +14,24 @@ boundary (``_normalize_columns`` in, ``vec_to_column`` out): presentations
 and complexes (:mod:`frobetti.resolution`) store their spans and maps as
 vectors, a colon is the reduced basis of one untracked elimination run on
 vectors (``_colon_basis``), and saturation carries one reduced basis from
-round to round.  The engine and
-``GroebnerBasis`` keep their leads in one list per position, ``{pos: [(lead,
-index), ...]}``; division and minimalisation scan only the list of the
-term's position.  Pairs are chosen when a run starts, for each element
-appended since the last run in turn, by the Gebauer-Moeller update
+round to round.  The engine and ``GroebnerBasis`` keep their leads in one
+``LeadList`` per position, ``{pos: [(lead, index), ...]}``; division and
+minimalisation read only the list of the term's position, by a scan while it
+is short and from its divisor index once it is long, and both find the same
+first divisor.  Pairs are chosen when a run starts, for each element appended
+since the last run in turn, by the Gebauer-Moeller update
 (``_Engine._update``): the new lead deletes the queued pairs of its position
 that it makes redundant, and of its own pairs it queues only those whose lcm
 is minimal among theirs, one per lcm, and none whose lcm is that of a
-coprime pair.  An element appended after the last run is never paired.  A
-pair that is not queued counts as treated, so popping a pair only checks
-that it is still queued.  A queued pair carries the lcm of its two leads,
-which the S-vector reuses.  S-vectors are reduced untracked; a tracked run
-builds the representation only of a nonzero remainder.  A Hilbert
-numerator (length, dimension, Hilbert function) needs only the minimal leads
-of one engine run (``_Engine.minimal_leads``), so it takes no tail reduction
-and builds no ``GroebnerBasis``.
+coprime pair; it tests exponent words and encodes only the lcms it keeps.
+An element appended after the last run is never paired.  A pair that is not
+queued counts as treated, so popping a pair only checks that it is still
+queued.  A queued pair carries the lcm of its two leads, which the S-vector
+reuses.  S-vectors are reduced untracked; a tracked run builds the
+representation only of a nonzero remainder.  A Hilbert numerator (length,
+dimension, Hilbert function) needs only the minimal leads of one engine run
+(``_Engine.minimal_leads``), so it takes no tail reduction and builds no
+``GroebnerBasis``.
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
@@ -51,6 +53,7 @@ from .errors import (
     ZeroDivisorQuery,
 )
 from .ring import (
+    LeadList,
     Polynomial,
     _axpy,
     _lead_lists,
@@ -129,7 +132,8 @@ class _Engine:
     coordinates; the elements of I * ambient that ``seed_ideal`` adjoins
     (indices ``ideal``) are untracked, projected away from every
     representation, and never paired with each other.  ``by_pos`` lists the
-    leads per position in insertion order, for ``_reduce_vec``.
+    leads per position in insertion order as ``LeadList``s, for
+    ``_reduce_vec``.
 
     Pairs are chosen by the Gebauer-Moeller update (``_update``) when a run
     starts, never when they are popped: ``unpaired`` lists the elements
@@ -214,7 +218,10 @@ class _Engine:
         if len(self.basis) >= MAX_BASIS_SIZE:
             raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         new = len(self.basis)
-        same_pos = self.by_pos.setdefault(-(lead >> self.layout.top), [])
+        pos = -(lead >> self.layout.top)
+        same_pos = self.by_pos.get(pos)
+        if same_pos is None:
+            same_pos = self.by_pos[pos] = LeadList()
         self.basis.append(vec)
         self.leads.append(lead)
         self.reps.append(rep)
@@ -253,12 +260,28 @@ class _Engine:
         Returns the kept pairs that are not coprime (product criterion) as
         ``(degree of lcm, i, lcm)``.  Coprime means the lcm is the product of
         the leads and both elements live only at their lead position; the
-        product criterion does not hold for module elements otherwise.
+        product criterion does not hold for module elements otherwise.  All
+        pairs are at one position, so these tests read only the exponent
+        words of the lcms (``lcm_exps``, the packed exponents without tie and
+        degree fields); the encoded lcm, with its degree, is built only for
+        the pairs returned.
         """
         layout = self.layout
-        lcm, guard = layout.lcm, layout.guard
+        guard, mask = layout.guard, layout.mask
         leads = self.leads
         h = leads[new]
+        h_exps = h & mask
+        h_guarded = h_exps | guard
+
+        def lcm_exps(a):
+            # Field i of d is 2^63 + h_i - a_i, its guard bit set iff h_i >= a_i;
+            # keep - (keep >> 63) masks the low 63 bits of those fields, which
+            # hold max(h_i - a_i, 0).
+            a &= mask
+            d = h_guarded - a
+            keep = d & guard
+            return a + (d & (keep - (keep >> 63)))
+
         if queued:
             ideal = self.ideal
             ideal_new = new in ideal
@@ -266,30 +289,34 @@ class _Engine:
                 (i, j)
                 for (i, j), m in queued.items()
                 if ((m | guard) - h) & guard == guard
-                and (lcm(leads[i], h) != m or ideal_new and i in ideal)
-                and (lcm(leads[j], h) != m or ideal_new and j in ideal)
+                and (lcm_exps(leads[i]) != m & mask or ideal_new and i in ideal)
+                and (lcm_exps(leads[j]) != m & mask or ideal_new and j in ideal)
             ]
             for key in dead:
                 del queued[key]
         single = self.single_pos
         single_new = single[new]
-        # Integer order on one position is degree first, so a proper divisor
-        # sorts first; a + h_times is the term a * h, as the encoding is affine.
-        h_times = h - layout.unit(-(h >> layout.top))
+        # Integer order on exponent words is lexicographic (last variable
+        # first), so a proper divisor sorts first; the lcm is the product iff
+        # its exponents are the sums.  lcm_exps is inlined in this, the hot loop.
         records = []
         for a, i in partners:
-            m = lcm(a, h)
-            records.append((m, not (single_new and single[i] and m == a + h_times), i))
+            a_exps = a & mask
+            d = h_guarded - a_exps
+            keep = d & guard
+            w = a_exps + (d & (keep - (keep >> 63)))
+            records.append((w, not (single_new and single[i] and w == a_exps + h_exps), i, a))
         records.sort()
         kept, fresh = [], []
-        for m, not_coprime, i in records:
-            b = m | guard
+        for w, not_coprime, i, a in records:
+            b = w | guard
             for k in kept:
                 if (b - k) & guard == guard:
                     break
             else:
-                kept.append(m)
+                kept.append(w)
                 if not_coprime:
+                    m = layout.lcm(a, h)
                     fresh.append((layout.degree(m), i, m))
         return fresh
 
@@ -325,20 +352,23 @@ class _Engine:
     def minimal_leads(self, first_pos=0):
         """(kept, by_pos): the indices of the elements whose lead no other
         lead divides, in lead order, and their leads per position as
-        ``{pos: [(lead, index in kept), ...]}``.  These are the leads of the
+        ``{pos: LeadList [(lead, index in kept), ...]}``, which also answer
+        the divisibility test of each later lead.  These are the leads of the
         reduced basis, so they alone give its Hilbert numerator.  Only the
         elements led at a position >= ``first_pos`` are visited: divisibility
         never crosses positions, and higher positions sort first."""
-        guard, top, leads = self.layout.guard, self.layout.top, self.leads
+        layout = self.layout
+        top, leads = layout.top, self.leads
         kept, by_pos = [], {}
         for i in sorted(range(len(leads)), key=leads.__getitem__):
             lead = leads[i]
             pos = -(lead >> top)
             if pos < first_pos:
                 break
-            b = lead | guard
-            same_pos = by_pos.setdefault(pos, [])
-            if any((b - a) & guard == guard for a, _ in same_pos):
+            same_pos = by_pos.get(pos)
+            if same_pos is None:
+                same_pos = by_pos[pos] = LeadList()
+            elif same_pos.first_divisor(lead, layout) is not None:
                 continue
             same_pos.append((lead, len(kept)))
             kept.append(i)
@@ -369,7 +399,8 @@ class GroebnerBasis:
 
     ``columns`` lists the basis elements as columns of polynomials; the
     internal vector form, with its leads listed per position (``by_pos``,
-    built once) for ``_reduce_vec``, drives normal forms and membership tests.
+    ``LeadList``s built once) for ``_reduce_vec``, drives normal forms and
+    membership tests.
     """
 
     __slots__ = ("ring", "ambient_rank", "row_degrees", "vecs", "leads", "by_pos", "reps")
@@ -488,10 +519,13 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):
 
     Over a quotient ring the relations of the defining ideal are adjoined
     before the Schreyer pass and projected away afterwards, so the result
-    satisfies ``matrix * result == 0`` modulo the ideal, exactly.
+    satisfies ``matrix * result == 0`` modulo the ideal, exactly.  Columns
+    whose entries all lie in the ideal are zero over the ring and are left
+    out.
     """
     vecs, ambient_rank, row_degrees = _normalize_columns(columns, ring, ambient_rank, row_degrees)
-    return [vec_to_column(v, len(vecs), ring) for v in _syzygy_vecs(vecs, ring, ambient_rank, row_degrees)]
+    syz = _syzygy_vecs(vecs, ring, ambient_rank, row_degrees)
+    return [vec_to_column(v, len(vecs), ring) for v in syz if ring.nf_vec(v)]
 
 
 def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):

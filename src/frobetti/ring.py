@@ -17,14 +17,18 @@ and the one division loop for vectors; the Buchberger engine in
 vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
 heap and tests them against the leads of their position only
 (``_lead_lists``), or against one lead list at every position, as
-:meth:`QuotientRing.nf_vec` reduces modulo I * G.  Hilbert numerators
-(``_numerator``) read the same lead terms, as ``(degree, packed exponents)``
-pairs, so lengths, dimensions and Hilbert functions never decode a term.
+:meth:`QuotientRing.nf_vec` reduces modulo I * G.  A lead list
+(``LeadList``) is scanned while it is short; once it is long, its divisor
+index of per-variable bitsets finds the same first divisor.  Hilbert
+numerators (``_numerator``) read the same lead terms, as ``(degree, packed
+exponents)`` pairs, so lengths, dimensions and Hilbert functions never
+decode a term.
 Exponent tuples remain only at the API boundary.
 """
 
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heappush
 from math import comb
 from struct import Struct
@@ -311,31 +315,99 @@ def _axpy(target, vec, c, shift, ring):
             target.pop(t, None)
 
 
+# Lead lists of at least this many entries carry a divisor index (``LeadList``);
+# shorter ones are scanned, which costs less than the index's lookups.
+LEAD_INDEX_LENGTH = 32
+
+
+class LeadList(list):
+    """``[(lead, index), ...]`` in insertion order, for ``_reduce_vec`` and
+    minimalisation.  Entries are only ever appended.  A query on a list of
+    at least ``LEAD_INDEX_LENGTH`` entries answers from a divisor index,
+    which it first extends by the entries appended since the last such
+    query, so building and appending cost what they cost on a plain list.
+
+    For each variable the index keeps the sorted distinct exponents of the
+    leads and, for each of them, the bitset of the entries whose exponent is
+    at most that value (0 comes first, for none).  The entries whose lead
+    divides a term t are then the AND of one bitset per variable, each found
+    by one ``bisect``, and the lowest set bit is the first divisor in list
+    order: the entry that a scan of the list finds.  Only exponent fields
+    are read, so a list of leads at position 0 serves every position.
+    """
+
+    # The index, built on the first query that needs it: the number of
+    # entries it holds, and per variable the exponents and their bitsets.
+    _size = 0
+    _values = _sets = None
+
+    def _index(self, layout):
+        """Add the entries appended since the last indexed query."""
+        if self._sets is None:
+            n = len(layout.exps(self[0][0]))
+            self._values = [[] for _ in range(n)]
+            self._sets = [[0] for _ in range(n)]
+        for k in range(self._size, len(self)):
+            bit = 1 << k
+            for e, values, sets in zip(layout.exps(self[k][0]), self._values, self._sets):
+                j = bisect_left(values, e)
+                if j == len(values) or values[j] != e:
+                    values.insert(j, e)
+                    sets.insert(j + 1, sets[j])
+                for m in range(j + 1, len(sets)):
+                    sets[m] |= bit
+        self._size = len(self)
+
+    def first_divisor(self, t, layout):
+        """The first entry whose lead divides the term ``t`` of ``layout``,
+        or None."""
+        if len(self) < LEAD_INDEX_LENGTH:
+            guard = layout.guard
+            b = t | guard
+            for entry in self:
+                if (b - entry[0]) & guard == guard:
+                    return entry
+            return None
+        if self._size < len(self):
+            self._index(layout)
+        hits = -1
+        for e, values, sets in zip(layout.exps(t), self._values, self._sets):
+            hits &= sets[bisect_right(values, e)]
+            if not hits:
+                return None
+        return self[(hits & -hits).bit_length() - 1]
+
+
 def _lead_lists(leads, ring):
-    """``{position: [(lead, index), ...]}`` of a list of lead terms, in list order."""
+    """``{position: LeadList}`` of a list of lead terms, in list order."""
     top = ring._layout.top
     by_pos = {}
     for i, t in enumerate(leads):
-        by_pos.setdefault(-(t >> top), []).append((t, i))
+        pos = -(t >> top)
+        if pos not in by_pos:
+            by_pos[pos] = LeadList()
+        by_pos[pos].append((t, i))
     return by_pos
 
 
 def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     """Full normal form of ``vec`` against a list of monic basis vectors.
 
-    ``by_pos`` holds the leads of ``basis`` per position, as ``_lead_lists``
-    builds them; each step clears the largest term by the first basis vector
-    in its position's list whose lead divides it, and no other position's
-    leads are scanned.  A list ``[(lead, index), ...]`` of leads at position
-    0 serves every position: the test reads only the exponent fields, and
-    ``t - lead`` moves the basis vector to t's position (the encoding is
-    affine).  A term is pushed (negated) onto a heap when it enters the
-    working vector, and popped terms that were cancelled are skipped.
-    Each division step ``vec -= c * x^shift * basis[i]`` is applied to ``rep``
-    as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that starts as the
-    representation of ``vec`` ends as that of the remainder.  Terms introduced
-    by a step are strictly smaller than the term being cleared, so a single
-    descending sweep terminates.
+    ``by_pos`` holds the leads of ``basis`` per position as ``LeadList``s,
+    as ``_lead_lists`` builds them; each step clears the largest term by the
+    first basis vector in its position's list whose lead divides it, and no
+    other position's leads are read.  A list shorter than
+    ``LEAD_INDEX_LENGTH`` is scanned, a longer one answers from its divisor
+    index, which finds the same first divisor.  One ``LeadList`` of leads at
+    position 0 serves every position: the test reads only the exponent
+    fields, and ``t - lead`` moves the basis vector to t's position (the
+    encoding is affine).  A term is pushed (negated) onto a heap when it
+    enters the working vector, and popped terms that were cancelled are
+    skipped.  Each division step ``vec -= c * x^shift * basis[i]`` is
+    applied to ``rep`` as ``rep -= c * x^shift * reps[i]``, so a ``rep`` that
+    starts as the representation of ``vec`` ends as that of the remainder.
+    Terms introduced by a step are strictly smaller than the term being
+    cleared, so a single descending sweep terminates.
     """
     p = ring.p
     layout = ring._layout
@@ -352,25 +424,33 @@ def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
             continue
         if t & guard:
             raise layout.overflow(t)
-        b = t | guard
-        for a, i in leads_at(-(t >> top), ()):
-            if (b - a) & guard == guard:
-                shift = t - a
-                for u, v in basis[i].items():
-                    u += shift
-                    old = work.get(u)
-                    nc = ((old or 0) - c * v) % p
-                    if nc:
-                        work[u] = nc
-                        if old is None:
-                            heappush(heap, -u)
-                    elif old is not None:
-                        del work[u]
-                if rep is not None:
-                    _axpy(rep, reps[i], c, shift, ring)
-                break
+        leads = leads_at(-(t >> top), ())
+        if len(leads) < LEAD_INDEX_LENGTH:
+            b = t | guard
+            for found in leads:
+                if (b - found[0]) & guard == guard:
+                    break
+            else:
+                found = None
         else:
+            found = leads.first_divisor(t, layout)
+        if found is None:
             rem[t] = work.pop(t)
+            continue
+        a, i = found
+        shift = t - a
+        for u, v in basis[i].items():
+            u += shift
+            old = work.get(u)
+            nc = ((old or 0) - c * v) % p
+            if nc:
+                work[u] = nc
+                if old is None:
+                    heappush(heap, -u)
+            elif old is not None:
+                del work[u]
+        if rep is not None:
+            _axpy(rep, reps[i], c, shift, ring)
     return rem
 
 
@@ -574,7 +654,7 @@ class QuotientRing:
                 g = {t: (c * inv) % p for t, c in vec.items()}
             self._gb_vecs.append(g)
         self._gb_lead_terms = tuple(max(v) for v in self._gb_vecs)
-        self._gb_leads = [(t, i) for i, t in enumerate(self._gb_lead_terms)]
+        self._gb_leads = LeadList((t, i) for i, t in enumerate(self._gb_lead_terms))
         self._memo = {}
         self.zero = Polynomial(self, {})
         self.one = Polynomial(self, {self._zero_exps: 1})

@@ -1,11 +1,20 @@
 import heapq
+from math import comb
 
 import pytest
 from hypothesis import strategies as st
 
-from frobetti import FreeComplex, groebner, make_ring, quotient_module, twist_complex
+from frobetti import FreeComplex, groebner, make_ring, onedim, quotient_module, twist_complex
+from frobetti import ring as ring_module
 from frobetti.homology import _complex_length
-from frobetti.ring import Polynomial, _reduce_vec, monomial_divides, monomials_of_degree
+from frobetti.ring import (
+    LeadList,
+    Polynomial,
+    _axpy,
+    _reduce_vec,
+    monomial_divides,
+    monomials_of_degree,
+)
 
 R5_QUADRICS = [
     "x^2",
@@ -101,6 +110,173 @@ class EagerEngine(groebner._Engine):
             rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
             if rem:
                 self._insert(rem, rep, at_once=True)
+
+
+def reference_reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
+    """The division loop that scans every lead list, the reference for
+    ``ring._reduce_vec``: each term is tested against the leads of its
+    position (or of the one list given for every position) in list order,
+    and cleared by the first that divides it."""
+    p = ring.p
+    layout = ring._layout
+    guard, top = layout.guard, layout.top
+    leads_at = by_pos.get if isinstance(by_pos, dict) else lambda _pos, _none: by_pos
+    work = dict(vec)
+    heap = [-t for t in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        t = -heapq.heappop(heap)
+        c = work.get(t)
+        if c is None:
+            continue
+        if t & guard:
+            raise layout.overflow(t)
+        b = t | guard
+        for a, i in leads_at(-(t >> top), ()):
+            if (b - a) & guard == guard:
+                shift = t - a
+                for u, v in basis[i].items():
+                    u += shift
+                    old = work.get(u)
+                    nc = ((old or 0) - c * v) % p
+                    if nc:
+                        work[u] = nc
+                        if old is None:
+                            heapq.heappush(heap, -u)
+                    elif old is not None:
+                        del work[u]
+                if rep is not None:
+                    _axpy(rep, reps[i], c, shift, ring)
+                break
+        else:
+            rem[t] = work.pop(t)
+    return rem
+
+
+def reference_first_divisor(self, t, layout):
+    """``LeadList.first_divisor`` by a scan of the whole list."""
+    guard = layout.guard
+    b = t | guard
+    return next((entry for entry in self if (b - entry[0]) & guard == guard), None)
+
+
+def reference_update(self, new, partners, queued):
+    """The Gebauer-Moeller update on encoded lcms, the reference for
+    ``groebner._Engine._update``: every partner's lcm is built with its
+    degree field by ``TermLayout.lcm`` and sorted in term order, and the B
+    criterion compares encoded lcms."""
+    layout = self.layout
+    lcm, guard = layout.lcm, layout.guard
+    leads = self.leads
+    h = leads[new]
+    if queued:
+        ideal = self.ideal
+        ideal_new = new in ideal
+        dead = [
+            (i, j)
+            for (i, j), m in queued.items()
+            if ((m | guard) - h) & guard == guard
+            and (lcm(leads[i], h) != m or ideal_new and i in ideal)
+            and (lcm(leads[j], h) != m or ideal_new and j in ideal)
+        ]
+        for key in dead:
+            del queued[key]
+    single = self.single_pos
+    single_new = single[new]
+    h_times = h - layout.unit(-(h >> layout.top))
+    records = []
+    for a, i in partners:
+        m = lcm(a, h)
+        records.append((m, not (single_new and single[i] and m == a + h_times), i))
+    records.sort()
+    kept, fresh = [], []
+    for m, not_coprime, i in records:
+        b = m | guard
+        for k in kept:
+            if (b - k) & guard == guard:
+                break
+        else:
+            kept.append(m)
+            if not_coprime:
+                fresh.append((layout.degree(m), i, m))
+    return fresh
+
+
+def use_reference_kernels(patch):
+    """Install, with the ``MonkeyPatch`` ``patch``, the scanning division
+    loop in every module that calls it, the scanning ``first_divisor`` and
+    the update on encoded lcms."""
+    for module in (groebner, ring_module, onedim):
+        patch.setattr(module, "_reduce_vec", reference_reduce_vec)
+    patch.setattr(LeadList, "first_divisor", reference_first_divisor)
+    patch.setattr(groebner._Engine, "_update", reference_update)
+
+
+def engine_trace(compute):
+    """``(answer, pairs, engines)`` of ``compute()``: every S-vector formed,
+    as ``(i, j, lcm)`` in order (pairs popped in runs, their tracked
+    representations and the Schreyer pass), and each engine built, in order,
+    as its basis, leads and representations, terms in stored order, and the
+    longest of its lead lists."""
+    pairs, engines = [], []
+    real_spair = groebner._spair
+
+    class RecordingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    def recording_spair(leads, vecs, i, j, lcm, ring):
+        pairs.append((i, j, lcm))
+        return real_spair(leads, vecs, i, j, lcm, ring)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_Engine", RecordingEngine)
+        patch.setattr(groebner, "_spair", recording_spair)
+        answer = compute()
+    stored = [
+        (
+            [list(v.items()) for v in e.basis],
+            e.leads,
+            [list(r.items()) for r in e.reps],
+            max(map(len, e.by_pos.values()), default=0),
+        )
+        for e in engines
+    ]
+    return answer, pairs, stored
+
+
+def diagonal_hk(p, degrees, q):
+    """lambda(R/m^[q]) for R = F_p[x_1, x_2, x_3]/(x_1^d_1 + x_2^d_2 +
+    x_3^d_3), by the Han-Monsky splitting, the reference for ``hk_sequence``
+    on diagonal hypersurfaces.
+
+    With X_i = x_i^d_i, S/m^[q] is the sum over 0 <= r_i < d_i of x^r times
+    F_p[X]/(X_i^a_i), a_i = ceil((q - r_i) / d_i), and f = X_1 + X_2 + X_3
+    respects it; eliminating X_3, each summand contributes D(a_1, a_2, a_3)
+    = lambda(F_p[X, Y]/(X^a, Y^b, (X + Y)^c)), measured by
+    ``cokernel_numerator`` over F_p[X, Y].
+    """
+    plane = make_ring(p, ["X", "Y"], [])
+    encode = plane._layout.encode
+    memo = {}
+
+    def D(a, b, c):
+        key = tuple(sorted((a, b, c)))
+        if key not in memo:
+            binomial = {encode(0, (c - k, k)): comb(c, k) % p for k in range(c + 1)}
+            gens = [{encode(0, (a, 0)): 1}, {encode(0, (0, b)): 1}]
+            gens.append({t: v for t, v in binomial.items() if v})
+            num = groebner.cokernel_numerator(gens, plane, (0,))
+            memo[key] = groebner.numerator_length(num, 2)
+        return memo[key]
+
+    def ranks(d):
+        return [-(-(q - r) // d) for r in range(d)]
+
+    d1, d2, d3 = degrees
+    return sum(D(a, b, c) for a in ranks(d1) for b in ranks(d2) for c in ranks(d3))
 
 
 def reference_colon_heads(vecs, elements, ring, r, row_degrees):

@@ -29,8 +29,10 @@ from frobetti.groebner import (
     vec_to_strings,
 )
 from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
-from frobetti.onedim import h0_ring
+from frobetti.onedim import decide_beta_vanishing, h0_ring
 from frobetti.ring import (
+    LEAD_INDEX_LENGTH,
+    LeadList,
     Polynomial,
     _lead_lists,
     _reduce_vec,
@@ -43,10 +45,12 @@ from conftest import (
     EagerEngine,
     brute_force_monomial_count,
     decoded,
+    engine_trace,
     random_form,
     reference_colon_heads,
     reference_numerator,
     residue_field,
+    use_reference_kernels,
     vec_key,
 )
 
@@ -1383,6 +1387,74 @@ def test_pair_update_queues_few_pairs_at_a_high_frobenius_level(monkeypatch):
     assert hk_sequence(cubic, ["x", "y", "z"], [3]).raw_values() == [264709]
     assert sum(counts) <= 9876 // 10
     assert len(reduced) <= 277
+
+
+@pytest.mark.parametrize("p, form, e", [(3, "x^2 + y^2 + z^2", 4), (5, "x^3 + y^3 + z^3", 3)])
+def test_hk_engines_match_the_reference_kernels(p, form, e):
+    """hk at a high Frobenius level, with its lead lists past the cutover:
+    the engines pop the same pairs and store the same basis, leads and
+    representations as engines on the scanning division loop, the scanning
+    first divisor and the update on encoded lcms."""
+
+    def compute():
+        ring = make_ring(p, list("xyz"), [form])
+        return hk_sequence(ring, list("xyz"), [e]).raw_values()
+
+    answer, pairs, engines = engine_trace(compute)
+    assert max(longest for *_, longest in engines) >= LEAD_INDEX_LENGTH
+    with pytest.MonkeyPatch.context() as patch:
+        use_reference_kernels(patch)
+        assert engine_trace(compute) == (answer, pairs, engines)
+
+
+def test_every_lead_list_carries_the_divisor_index(monkeypatch, R1):
+    """The lead lists of engines, of reduced bases, of minimal leads and of
+    the ring's basis of I are ``LeadList``s, so a long one answers from its
+    index rather than by a scan."""
+    lists = []
+
+    class RecordingEngine(groebner._Engine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lists.append(self.by_pos)
+
+        def minimal_leads(self, first_pos=0):
+            kept, by_pos = super().minimal_leads(first_pos)
+            lists.append(by_pos)
+            return kept, by_pos
+
+    class RecordingBasis(groebner.GroebnerBasis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            lists.append(self.by_pos)
+
+    monkeypatch.setattr(groebner, "_Engine", RecordingEngine)
+    monkeypatch.setattr(groebner, "GroebnerBasis", RecordingBasis)
+    cone = make_ring(3, list("xyz"), ["x^2 + y^2 + z^2"])
+    hk_sequence(cone, list("xyz"), [4])
+    assert decide_beta_vanishing(residue_field(R1), 1) is False
+    SubmodulePresentation(R1, [[R1.poly("y^2")], [R1.poly("x + y")]]).saturate()
+    lead_lists = [lead_list for by_pos in lists for lead_list in by_pos.values()]
+    assert {type(lead_list) for lead_list in lead_lists} == {LeadList}
+    assert max(map(len, lead_lists)) >= LEAD_INDEX_LENGTH
+    for ring in (cone, R1, h0_ring(R1).ring):
+        assert type(ring._gb_leads) is LeadList
+
+
+def test_syzygy_generators_leave_out_columns_that_are_zero_over_the_ring():
+    """The kernel of (x^25, y^25, z^25) over the F_5 cubic: 23 of the 65
+    syzygies of the Schreyer pass have every entry in I; the others are
+    returned, and each is a syzygy over R."""
+    ring = make_ring(5, list("xyz"), ["x^3 + y^3 + z^3"])
+    cols = [[ring.poly(v + "^25")] for v in "xyz"]
+    vecs = [column_to_vec(col, ring) for col in cols]
+    assert len(groebner._syzygy_vecs(vecs, ring, 1, (0,))) == 65
+    syz = syzygy_generators(cols, ring, ambient_rank=1)
+    assert len(syz) == 42
+    for col in syz:
+        assert not all(ring.is_zero_mod(entry) for entry in col)
+        image = sum((c * g[0] for c, g in zip(col, cols)), ring.zero)
+        assert ring.is_zero_mod(image)
 
 
 def _items(vecs):

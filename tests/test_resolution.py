@@ -30,8 +30,10 @@ from conftest import (
     R5_QUADRICS,
     composes_to_zero,
     decoded,
+    engine_trace,
     reference_syzygy_numerator,
     residue_field,
+    use_reference_kernels,
 )
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
@@ -360,6 +362,21 @@ def test_pinned_resolutions_match_the_eager_engine(monkeypatch):
     vectors = stored()
     monkeypatch.setattr(groebner, "_Engine", EagerEngine)
     assert stored() == vectors
+
+
+def test_pinned_resolutions_match_the_reference_kernels():
+    """The engines of the pinned resolutions pop the same pairs and store
+    the same basis, leads and representations as engines on the scanning
+    division loop, the scanning first divisor and the update on encoded
+    lcms."""
+
+    def compute():
+        return [_resolution_data(res) for res in _pinned_resolutions()]
+
+    traced = engine_trace(compute)
+    with pytest.MonkeyPatch.context() as patch:
+        use_reference_kernels(patch)
+        assert engine_trace(compute) == traced
 
 
 def test_r5_over_f101_to_step_4_matches_pinned_vectors(R5):

@@ -17,6 +17,8 @@ from frobetti.errors import (
     UnknownVariable,
 )
 from frobetti.ring import (
+    LEAD_INDEX_LENGTH,
+    LeadList,
     TermLayout,
     _minimal_pairs,
     _reduce_vec,
@@ -25,7 +27,7 @@ from frobetti.ring import (
     monomial_divides,
 )
 
-from conftest import reference_minimalize, reference_numerator, vec_key
+from conftest import reference_first_divisor, reference_minimalize, reference_numerator, vec_key
 
 
 def test_make_ring_fixtures(R1, R2, R5):
@@ -270,6 +272,56 @@ def test_tracked_representation_past_the_packed_width_raises_overflow():
     with pytest.raises(Overflow) as err:
         _reduce_vec({encode(0, (2**62, 0)): 1}, by_pos, [{x: 1}], ring, {}, reps)
     assert "exponent %d does not fit" % 2**63 in str(err.value)
+
+
+@st.composite
+def _growing_lead_lists(draw):
+    """Lead lists over 1-5 variables that grow past ``LEAD_INDEX_LENGTH``,
+    with repeated exponents (each variable takes a few values, 0 and
+    2^62 - 1 among them), and a query term after most appends (None for
+    none): a lead times a monomial, or a monomial.  Either the leads sit at
+    one of several positions, each with its own list, and a query is made at
+    the position of a list, or one list of leads at position 0 serves every
+    position."""
+    n = draw(st.integers(1, 5))
+    every_pos = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    pools = [
+        [0, 2**62 - 1][: rng.randint(1, 2)] + rng.sample(range(1, 7), rng.randint(0, 3))
+        for _ in range(n)
+    ]
+
+    def monomial():
+        return tuple(rng.choice(pool) for pool in pools)
+
+    size = rng.randint(LEAD_INDEX_LENGTH - 2, 3 * LEAD_INDEX_LENGTH)
+    leads = [(0 if every_pos else rng.randint(0, 2), monomial()) for _ in range(size)]
+    queries = []
+    for k in range(size):
+        pos, e = rng.choice(leads[: k + 1]) if rng.random() < 0.5 else (rng.randint(0, 3), ())
+        e = tuple(min(a + b, 2**62 - 1) for a, b in zip(e or (0,) * n, monomial()))
+        queries.append((rng.randint(0, 3) if every_pos else pos, e) if rng.random() < 0.7 else None)
+    return TermLayout(n), every_pos, leads, queries
+
+
+@settings(max_examples=60, deadline=None)
+@given(_growing_lead_lists())
+def test_divisor_index_finds_the_first_divisor_of_the_scan(case):
+    """As a list grows, the first divisor a ``LeadList`` returns is the
+    first entry whose lead divides the term, as a scan finds it, before and
+    after the list reaches ``LEAD_INDEX_LENGTH`` and answers from its index,
+    however many entries were appended since its last query."""
+    layout, every_pos, leads, queries = case
+    by_pos = {}
+    for k, ((pos, e), query) in enumerate(zip(leads, queries)):
+        by_pos.setdefault(pos, LeadList()).append((layout.encode(pos, e), k))
+        if query is None:
+            continue
+        qpos, qe = query
+        listed = by_pos[0] if every_pos else by_pos.get(qpos, LeadList())
+        t = layout.encode(qpos, qe)
+        assert listed.first_divisor(t, layout) == reference_first_divisor(listed, t, layout)
+        assert (listed._sets is not None) == (len(listed) >= LEAD_INDEX_LENGTH)
 
 
 def _monomial_lists(max_size):
