@@ -194,15 +194,28 @@ def parse_problem(text):
     return ProblemFile(p, variables, ideal_gens, module_kind, module_data, rowdegs, minprimes, localmult)
 
 
-def canonical_problem_text(problem, ring):
-    """Deterministic re-serialization used for the content digest."""
+def canonical_problem_text(problem, ring, module):
+    """Deterministic re-serialization used for the content digest.
+
+    The ideal and module generators print as ``make_ring`` and
+    ``build_module`` parsed them: ``ring.ideal_gens`` and the stored vectors
+    of ``module`` (``vec_to_strings``), a zero generator as "0".  As
+    ``make_ring`` drops zero generators, only an ideal that lists one is
+    parsed again here, to keep its place; the minimal primes are parsed
+    here, as nothing before the digest reads them."""
     lines = ["char: %d" % problem.p, "vars: %s" % ", ".join(problem.variables)]
-    lines.append("ideal: %s" % ", ".join(str(ring.poly(g)) for g in problem.ideal_gens))
-    if problem.module_kind == "quotient":
-        lines.append("module: quotient %s" % ", ".join(str(ring.poly(g)) for g in problem.module_data))
-    elif problem.module_kind == "coker":
-        rows = ["%s" % ", ".join(str(ring.poly(e)) for e in row) for row in problem.module_data]
-        lines.append("module: coker [%s]" % "; ".join(rows))
+    ideal = ring.ideal_gens
+    if len(ideal) != len(problem.ideal_gens):
+        ideal = [ring.poly(g) for g in problem.ideal_gens]
+    lines.append("ideal: %s" % ", ".join(map(str, ideal)))
+    if problem.module_kind is not None:
+        rank = module.ambient_rank
+        columns = [vec_to_strings(v, rank, ring) for v in module.vecs]
+        if problem.module_kind == "quotient":
+            lines.append("module: quotient %s" % ", ".join(col[0] for col in columns))
+        else:
+            rows = [", ".join(col[r] for col in columns) for r in range(rank)]
+            lines.append("module: coker [%s]" % "; ".join(rows))
     if problem.rowdegs is not None:
         lines.append("rowdegs: %s" % ", ".join(str(d) for d in problem.rowdegs))
     if problem.minprimes is not None:
@@ -213,8 +226,8 @@ def canonical_problem_text(problem, ring):
     return "\n".join(lines) + "\n"
 
 
-def problem_digest(problem, ring):
-    return hashlib.sha256(canonical_problem_text(problem, ring).encode()).hexdigest()
+def problem_digest(problem, ring, module):
+    return hashlib.sha256(canonical_problem_text(problem, ring, module).encode()).hexdigest()
 
 
 def build_ring(problem):
@@ -386,7 +399,7 @@ def run(command, problem, flags=None):
 
     ring = build_ring(problem)
     module = build_module(problem, ring)
-    digest = problem_digest(problem, ring)
+    digest = problem_digest(problem, ring, module)
 
     if command == "resolve":
         steps = _flag(flags, "steps", 3)

@@ -27,7 +27,9 @@ coprime pair; it tests exponent words and encodes only the lcms it keeps.
 An element appended after the last run is never paired.  A pair that is not
 queued counts as treated, so popping a pair only checks that it is still
 queued.  A queued pair carries the lcm of its two leads, which the S-vector
-reuses.  S-vectors are reduced untracked; a tracked run builds the
+reuses.  ``_spair`` alone forms S-vectors; each is built once and reduced
+in place, untracked (``_reduce_vec`` empties the vector it reduces, so a
+caller that keeps its vector passes a copy); a tracked run builds the
 representation only of a nonzero remainder.  A Hilbert numerator (length,
 dimension, Hilbert function) needs only the minimal leads of one engine run
 (``_Engine.minimal_leads``), so it takes no tail reduction and builds no
@@ -35,8 +37,9 @@ dimension, Hilbert function) needs only the minimal leads of one engine run
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
-built from the ring's monic basis vectors (``_ideal_vecs``); over a ring with
-no ideal that adds nothing, so the same run works over S.
+built from the ring's monic basis vectors once per ring and position and
+shared by every engine (``_ideal_vecs``); over a ring with no ideal that adds
+nothing, so the same run works over S.
 They are untracked, so syzygies and lifts come out in the original generator
 coordinates, and no pair of two of them is queued: by Buchberger's criterion
 the reduced basis of I already gives their S-vector a standard representation.
@@ -55,7 +58,6 @@ from .errors import (
 from .ring import (
     LeadList,
     Polynomial,
-    _axpy,
     _lead_lists,
     _numerator,
     _order_at_one,
@@ -114,15 +116,34 @@ def column_degree(col, row_degrees):
 
 def _spair(leads, vecs, i, j, lcm, ring):
     """x^si * vecs[i] - x^sj * vecs[j], with x^si * lead_i = x^sj * lead_j =
-    ``lcm``, the lcm of the two leads.
+    ``lcm``, the lcm of the two leads, as a new dict: the terms of the first
+    product in their order, then those of the second that cancel nothing.
 
     Applied to basis vectors this is the S-vector of the pair; applied to
-    their tracked representations it is the S-vector's representation.
+    their tracked representations it is the S-vector's representation.  A
+    shifted term whose exponent reaches 2^63 raises ``Overflow``.
     """
-    out = {}
-    _axpy(out, vecs[i], -1, lcm - leads[i], ring)
-    _axpy(out, vecs[j], 1, lcm - leads[j], ring)
+    layout = ring._layout
+    guard, p = layout.guard, ring.p
+    shift = lcm - leads[i]
+    out = {u: v for t, v in vecs[i].items() if not (u := t + shift) & guard or _overflow(u, layout)}
+    shift = lcm - leads[j]
+    for t, v in vecs[j].items():
+        t += shift
+        if t & guard:
+            raise layout.overflow(t)
+        old = out.get(t)
+        if old is None:
+            out[t] = p - v
+        elif old == v:
+            del out[t]
+        else:
+            out[t] = (old - v) % p
     return out
+
+
+def _overflow(t, layout):
+    raise layout.overflow(t)
 
 
 class _Engine:
@@ -144,7 +165,9 @@ class _Engine:
     update: in ``_minimal_generator_indices`` that is every candidate kept
     after its last run, which comes only when a candidate's remainder against
     the basis at hand is nonzero.  A run builds a representation only for a
-    nonzero remainder, by reducing its S-vector a second time, tracked.
+    nonzero remainder, by reducing its S-vector a second time, tracked: a
+    tracked engine reduces a copy first.  No basis vector is ever changed,
+    so the copies of I that ``seed_ideal`` appends are the ring's own.
     ``queued`` holds, per position, the live pairs as ``{(i, j): lcm}``; the
     heap ``pairs`` holds them as ``(degree, i, j, lcm)``, keyed by true
     degree, sum(lcm) plus the row degree of their position, so ``run(d)``
@@ -250,65 +273,62 @@ class _Engine:
 
         B criterion: delete from ``queued``, the live pairs of its position,
         each (i, j) whose lcm m is divisible by h, unless lcm(lead_i, h) or
-        lcm(lead_j, h) equals m.  Gebauer and Moeller need both lcms to differ
-        from m so that two deletions cannot rely on each other; a pair of two
-        elements from ``seed_ideal`` relies on no other pair, so (x, new) may
-        have lcm m when both come from there.  M and F criteria: take the
+        lcm(lead_j, h) equals m (``_keeps``).  M and F criteria: take the
         pairs with ``partners`` so that a proper divisor of an lcm comes
         first, and a coprime pair first among equal lcms, and keep a pair iff
-        no kept lcm divides its lcm; any such order keeps the same pairs.
-        Returns the kept pairs that are not coprime (product criterion) as
-        ``(degree of lcm, i, lcm)``.  Coprime means the lcm is the product of
-        the leads and both elements live only at their lead position; the
-        product criterion does not hold for module elements otherwise.  All
-        pairs are at one position, so these tests read only the exponent
-        words of the lcms (``lcm_exps``, the packed exponents without tie and
-        degree fields); the encoded lcm, with its degree, is built only for
-        the pairs returned.
+        no kept lcm divides its lcm; any such order keeps the same pairs, and
+        a single partner needs none.  Returns the kept pairs that are not
+        coprime (product criterion) as ``(degree of lcm, i, lcm)``.  Coprime
+        means the lcm is the product of the leads and both elements live only
+        at their lead position; the product criterion does not hold for
+        module elements otherwise.
+
+        All pairs are at one position, so these tests read exponent words
+        only: the lcm of a and h is a + d, for d the delta max(h - a, 0)
+        fieldwise, and the pair is coprime iff d is h.  Integer order on
+        words is lexicographic (last variable first), so a proper divisor
+        sorts first.  Only a kept lcm is encoded, as a plus the shift of its
+        delta (``TermLayout.shift``).
         """
         layout = self.layout
         guard, mask = layout.guard, layout.mask
-        leads = self.leads
-        h = leads[new]
-        h_exps = h & mask
-        h_guarded = h_exps | guard
-
-        def lcm_exps(a):
-            # Field i of d is 2^63 + h_i - a_i, its guard bit set iff h_i >= a_i;
-            # keep - (keep >> 63) masks the low 63 bits of those fields, which
-            # hold max(h_i - a_i, 0).
-            a &= mask
-            d = h_guarded - a
-            keep = d & guard
-            return a + (d & (keep - (keep >> 63)))
-
+        h = self.leads[new]
         if queued:
-            ideal = self.ideal
-            ideal_new = new in ideal
             dead = [
-                (i, j)
-                for (i, j), m in queued.items()
-                if ((m | guard) - h) & guard == guard
-                and (lcm_exps(leads[i]) != m & mask or ideal_new and i in ideal)
-                and (lcm_exps(leads[j]) != m & mask or ideal_new and j in ideal)
+                key
+                for key, m in queued.items()
+                if ((m | guard) - h) & guard == guard and not self._keeps(key, m, new)
             ]
             for key in dead:
                 del queued[key]
         single = self.single_pos
         single_new = single[new]
-        # Integer order on exponent words is lexicographic (last variable
-        # first), so a proper divisor sorts first; the lcm is the product iff
-        # its exponents are the sums.  lcm_exps is inlined in this, the hot loop.
+        h_exps = h & mask
+        h_guarded = h_exps | guard
+        deg, deg_mask, shift = layout.deg, layout.deg_mask, layout.shift
+        if len(partners) == 1:
+            ((a, i),) = partners
+            # Field k of d is 2^63 + h_k - a_k, its guard bit set iff h_k >= a_k;
+            # keep - (keep >> 63) masks the low 63 bits of those fields, which
+            # hold max(h_k - a_k, 0).
+            d = h_guarded - (a & mask)
+            keep = d & guard
+            d &= keep - (keep >> 63)
+            if single_new and single[i] and d == h_exps:
+                return []
+            m = a + shift(d)
+            return [((m >> deg) & deg_mask, i, m)]
         records = []
         for a, i in partners:
-            a_exps = a & mask
-            d = h_guarded - a_exps
+            a &= mask
+            d = h_guarded - a
             keep = d & guard
-            w = a_exps + (d & (keep - (keep >> 63)))
-            records.append((w, not (single_new and single[i] and w == a_exps + h_exps), i, a))
+            d &= keep - (keep >> 63)
+            records.append((a + d, not (single_new and single[i] and d == h_exps), i))
         records.sort()
+        leads = self.leads
         kept, fresh = [], []
-        for w, not_coprime, i, a in records:
+        for w, not_coprime, i in records:
             b = w | guard
             for k in kept:
                 if (b - k) & guard == guard:
@@ -316,16 +336,40 @@ class _Engine:
             else:
                 kept.append(w)
                 if not_coprime:
-                    m = layout.lcm(a, h)
-                    fresh.append((layout.degree(m), i, m))
+                    a = leads[i]
+                    m = a + shift(w - (a & mask))
+                    fresh.append(((m >> deg) & deg_mask, i, m))
         return fresh
+
+    def _keeps(self, key, m, new):
+        """Whether the B criterion keeps the queued pair ``key`` = (i, j),
+        whose lcm m the lead h of ``new`` divides: it does iff lcm(lead_i, h)
+        or lcm(lead_j, h) equals m.  Gebauer and Moeller need both lcms to
+        differ from m so that two deletions cannot rely on each other; a pair
+        of two elements from ``seed_ideal`` relies on no other pair, so (x,
+        new) may have lcm m when both come from there.  As lead_x and h both
+        divide m, lcm(lead_x, h) is m iff no field of m exceeds both."""
+        layout = self.layout
+        guard, mask, leads, ideal = layout.guard, layout.mask, self.leads, self.ideal
+        ones = guard >> 63
+        m &= mask
+        # Fields of m - x are nonnegative; the guard bit of field k of
+        # ((m - x) | guard) - ones is set iff m_k > x_k.
+        above_h = (((m - (leads[new] & mask)) | guard) - ones) & guard
+        ideal_new = new in ideal
+        for x in key:
+            above_x = (((m - (leads[x] & mask)) | guard) - ones) & guard
+            if not above_x & above_h and not (ideal_new and x in ideal):
+                return True
+        return False
 
     def run(self, degree=INFINITE):
         """Pair the elements appended since the last run, in the order they
         were appended, then process the pairs of true degree at most
-        ``degree``.  Each S-vector is reduced untracked; only a nonzero
-        remainder of a tracked engine has its representation built, by the
-        same reduction again with the S-vector's representation."""
+        ``degree``.  Each S-vector is built once (``_spair``) and reduced in
+        place, untracked; only a nonzero remainder of a tracked engine has
+        its representation built, by the same reduction again, with the
+        S-vector's representation, of a copy kept for it."""
         track = self.n_tracked > 0
         ring = self.ring
         pairs, queued, top = self.pairs, self.queued, self.layout.top
@@ -340,7 +384,7 @@ class _Engine:
             vec = _spair(leads, basis, i, j, lcm, ring)
             if not vec:
                 continue
-            rem = _reduce_vec(vec, by_pos, basis, ring)
+            rem = _reduce_vec(dict(vec) if track else vec, by_pos, basis, ring)
             if not rem:
                 continue
             rep = {}
@@ -419,9 +463,10 @@ class GroebnerBasis:
         return [vec_to_column(v, self.ambient_rank, self.ring) for v in self.vecs]
 
     def normal_form_vec(self, vec, rep=None):
-        """Normal form of ``vec``; a given ``rep`` receives every division
-        step applied to the tracked representations (see ``_reduce_vec``)."""
-        return _reduce_vec(vec, self.by_pos, self.vecs, self.ring, rep, self.reps)
+        """Normal form of ``vec``, which is left as it is; a given ``rep``
+        receives every division step applied to the tracked representations
+        (see ``_reduce_vec``)."""
+        return _reduce_vec(dict(vec), self.by_pos, self.vecs, self.ring, rep, self.reps)
 
     def normal_form(self, column):
         if len(column) != self.ambient_rank:
@@ -472,9 +517,16 @@ def _normalize_columns(columns, ring, ambient_rank, row_degrees):
 
 
 def _ideal_vecs(ring, pos):
-    """g * e_pos for each g in the reduced basis of I, in order."""
-    shift = pos << ring._layout.top
-    return [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
+    """g * e_pos for each g in the reduced basis of I, in order; built once
+    per ring and position and kept in ``ring._memo``.  Every engine and
+    ``_syzygy_vecs`` read the same dicts, so none may change them: an engine
+    stores its elements as given, and reductions work on copies."""
+    key = ("ideal_vecs", pos)
+    vecs = ring._memo.get(key)
+    if vecs is None:
+        shift = pos << ring._layout.top
+        vecs = ring._memo[key] = [{t - shift: c for t, c in g.items()} for g in ring._gb_vecs]
+    return vecs
 
 
 def _run_engine(vecs, ring, ambient_rank, row_degrees, n_tracked=0):
@@ -662,7 +714,7 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
     kept = []
     complete = None
     for deg, _, index in ranked:
-        rem = _reduce_vec(vecs[index], by_pos, basis, ring)
+        rem = _reduce_vec(dict(vecs[index]), by_pos, basis, ring)
         if rem and deg != complete:
             complete, size = deg, len(basis)
             engine.run(deg)

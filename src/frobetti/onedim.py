@@ -67,7 +67,7 @@ def decide_beta_vanishing(module, i):
     res = resolve(module, i + 1)
     gb = h0_ring(ring).gb()
     leads = gb.by_pos.get(0, [])
-    return not any(_reduce_vec(v, leads, gb.vecs, ring) for v in res.vectors(i + 1))
+    return not any(_reduce_vec(dict(v), leads, gb.vecs, ring) for v in res.vectors(i + 1))
 
 
 @dataclass

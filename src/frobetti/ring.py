@@ -14,8 +14,9 @@ bits are the packed exponents of ``_pack``, so one subtraction tests
 divisibility.  ``_axpy`` and ``_reduce_vec`` are the one multiply-subtract
 and the one division loop for vectors; the Buchberger engine in
 :mod:`frobetti.groebner` and :meth:`QuotientRing.nf` (a polynomial is a
-vector at position 0) both run on them.  ``_reduce_vec`` takes terms from a
-heap and tests them against the leads of their position only
+vector at position 0) both run on them.  ``_reduce_vec`` reduces its vector
+in place, takes terms from a heap and tests them against the leads of their
+position only
 (``_lead_lists``), or against one lead list at every position, as
 :meth:`QuotientRing.nf_vec` reduces modulo I * G.  A lead list
 (``LeadList``) is scanned while it is short; once it is long, its divisor
@@ -253,7 +254,19 @@ class TermLayout:
     into the next field, so testing ``t & guard`` catches it.
     """
 
-    __slots__ = ("guard", "mask", "tie", "deg", "deg_mask", "top", "base", "nbytes", "_fields")
+    __slots__ = (
+        "guard",
+        "mask",
+        "tie",
+        "deg",
+        "deg_mask",
+        "top",
+        "base",
+        "nbytes",
+        "_fields",
+        "_ones",
+        "_wide",
+    )
 
     def __init__(self, n):
         ones = _pack((1,) * n)
@@ -266,6 +279,10 @@ class TermLayout:
         self.base = (ones >> 64) << (self.tie + 63)
         self.nbytes = 8 * n
         self._fields = Struct("<%dQ" % n).unpack
+        self._ones = ones
+        # The top n.bit_length() bits of every field: while none is set, the
+        # n fields sum to less than 2^64 (see ``shift``).
+        self._wide = ones * (_FIELD ^ (_FIELD >> n.bit_length()))
 
     def encode(self, pos, exps):
         x = _pack(exps)
@@ -284,16 +301,34 @@ class TermLayout:
     def degree(self, t):
         return (t >> self.deg) & self.deg_mask
 
+    def shift(self, d):
+        """x^d as a difference of terms, for the exponent word ``d`` (packed
+        exponents, each below 2^63): adding it to a term multiplies by x^d.
+
+        The degree field takes the sum of d's fields.  Multiplying d by
+        ``_pack((1,) * n)`` puts that sum in field n - 1 of the product,
+        exactly while every partial sum stays below 2^64, which holds when
+        no field of d reaches 2^(64 - n.bit_length()); wider words add their
+        fields one by one."""
+        if d & self._wide:
+            deg, rest = 0, d
+            while rest:
+                deg += rest & _FIELD
+                rest >>= 64
+        else:
+            deg = (d * self._ones >> (self.tie - 64)) & _FIELD
+        return d - ((d >> 64) << self.tie) + (deg << self.deg)
+
     def lcm(self, a, b):
-        """The term at a's position whose exponents are the maxima of a's and b's."""
+        """The term at a's position whose exponents are the maxima of a's and
+        b's: a times x^d for the delta d = max(b - a, 0), by ``shift``, which
+        also sums d's fields for the degree field."""
         guard = self.guard
         d = ((b | guard) - a) & self.mask
         # Field i of d is 2^63 + b_i - a_i: its guard bit is set iff b_i >= a_i.
         # Keeping those fields without their guard bits leaves max(b - a, 0).
         keep = d & guard
-        d = (d ^ keep) & ((keep >> 63) * 0xFFFFFFFFFFFFFFFF)
-        deg = sum(self._fields(d.to_bytes(self.nbytes, "little")))
-        return a + d - ((d >> 64) << self.tie) + (deg << self.deg)
+        return a + self.shift((d ^ keep) & ((keep >> 63) * 0xFFFFFFFFFFFFFFFF))
 
     def overflow(self, t):
         return Overflow(_WIDE % max(self.exps(t)))
@@ -391,7 +426,9 @@ def _lead_lists(leads, ring):
 
 
 def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
-    """Full normal form of ``vec`` against a list of monic basis vectors.
+    """Full normal form of ``vec`` against a list of monic basis vectors,
+    as a new dict.  ``vec`` is reduced in place and is empty on return, so
+    a caller that keeps its vector passes a copy.
 
     ``by_pos`` holds the leads of ``basis`` per position as ``LeadList``s,
     as ``_lead_lists`` builds them; each step clears the largest term by the
@@ -413,7 +450,7 @@ def _reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     layout = ring._layout
     guard, top = layout.guard, layout.top
     leads_at = by_pos.get if isinstance(by_pos, dict) else lambda _pos, _none: by_pos
-    work = dict(vec)
+    work = vec
     heap = [-t for t in work]
     heapify(heap)
     rem = {}
@@ -744,8 +781,9 @@ class QuotientRing:
         return Polynomial(self, {exps(t): c for t, c in rem.items()})
 
     def nf_vec(self, vec):
-        """Normal form of the engine vector ``vec`` modulo I * G, a new dict."""
-        return _reduce_vec(vec, self._gb_leads, self._gb_vecs, self)
+        """Normal form of the engine vector ``vec`` modulo I * G, a new dict;
+        ``vec`` is left as it is."""
+        return _reduce_vec(dict(vec), self._gb_leads, self._gb_vecs, self)
 
     def is_zero_mod(self, poly):
         return not self.nf(poly).terms

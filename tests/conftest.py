@@ -1,4 +1,5 @@
 import heapq
+import inspect
 from math import comb
 
 import pytest
@@ -203,37 +204,78 @@ def reference_update(self, new, partners, queued):
     return fresh
 
 
+# Every module whose code calls the division loop ``_reduce_vec``;
+# ``tests/test_imports.py`` checks that the list is complete.
+REFERENCE_MODULES = (groebner, ring_module, onedim)
+
+# What ``_Engine.run`` may call by name: the division loop, which
+# ``use_reference_kernels`` replaces; ``_spair``, which forms every S-vector
+# and which ``engine_trace`` records; and the engine's own bookkeeping.
+RUN_CALLEES = {"_reduce_vec", "_spair", "_pair", "_insert"}
+
+
+def run_callees():
+    """The functions of ``groebner`` and the methods of ``_Engine`` that
+    ``_Engine.run`` calls by name."""
+    return {
+        name
+        for name in groebner._Engine.run.__code__.co_names
+        if inspect.isfunction(getattr(groebner, name, None))
+        or inspect.isfunction(getattr(groebner._Engine, name, None))
+    }
+
+
 def use_reference_kernels(patch):
     """Install, with the ``MonkeyPatch`` ``patch``, the scanning division
     loop in every module that calls it, the scanning ``first_divisor`` and
-    the update on encoded lcms."""
-    for module in (groebner, ring_module, onedim):
+    the update on encoded lcms.  Raises if ``_Engine.run`` calls anything
+    outside ``RUN_CALLEES``: a new kernel there would run unreplaced, and a
+    comparison with the references would compare it with itself."""
+    unknown = run_callees() - RUN_CALLEES
+    assert not unknown, "_Engine.run calls %s, which no reference replaces" % sorted(unknown)
+    for module in REFERENCE_MODULES:
         patch.setattr(module, "_reduce_vec", reference_reduce_vec)
     patch.setattr(LeadList, "first_divisor", reference_first_divisor)
     patch.setattr(groebner._Engine, "_update", reference_update)
 
 
 def engine_trace(compute):
-    """``(answer, pairs, engines)`` of ``compute()``: every S-vector formed,
-    as ``(i, j, lcm)`` in order (pairs popped in runs, their tracked
-    representations and the Schreyer pass), and each engine built, in order,
-    as its basis, leads and representations, terms in stored order, and the
-    longest of its lead lists."""
-    pairs, engines = [], []
-    real_spair = groebner._spair
+    """``(answer, calls, engines)`` of ``compute()``.  ``calls`` lists, in
+    order, every call of a function of ``groebner`` that ``_Engine.run``
+    calls: an S-vector formed as ``("_spair", i, j, lcm)`` (pairs popped in
+    runs, their tracked representations and the Schreyer pass), any other
+    call as its name and the terms of its result in stored order (every
+    remainder of the division loop).  ``engines`` lists each engine built,
+    in order, as its basis, leads and representations, terms in stored
+    order, and the longest of its lead lists."""
+    calls, engines = [], []
 
     class RecordingEngine(groebner._Engine):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             engines.append(self)
 
-    def recording_spair(leads, vecs, i, j, lcm, ring):
-        pairs.append((i, j, lcm))
-        return real_spair(leads, vecs, i, j, lcm, ring)
+    def recording(name, kernel):
+        if name == "_spair":
+
+            def record(leads, vecs, i, j, lcm, ring):
+                calls.append((name, i, j, lcm))
+                return kernel(leads, vecs, i, j, lcm, ring)
+
+        else:
+
+            def record(*args, **kwargs):
+                out = kernel(*args, **kwargs)
+                calls.append((name, list(out.items())))
+                return out
+
+        return record
 
     with pytest.MonkeyPatch.context() as patch:
+        for name in run_callees():
+            if inspect.isfunction(getattr(groebner, name, None)):
+                patch.setattr(groebner, name, recording(name, getattr(groebner, name)))
         patch.setattr(groebner, "_Engine", RecordingEngine)
-        patch.setattr(groebner, "_spair", recording_spair)
         answer = compute()
     stored = [
         (
@@ -244,7 +286,7 @@ def engine_trace(compute):
         )
         for e in engines
     ]
-    return answer, pairs, stored
+    return answer, calls, stored
 
 
 def diagonal_hk(p, degrees, q):

@@ -111,6 +111,41 @@ def test_determinism_bytes():
     assert first == second
 
 
+ZERO_GENERATORS_PROBLEM = """char: 5
+vars: x, y, z
+ideal: y*x - x*y, x^2, 5*z, z*y + y^2
+module: quotient 0, y + x, 10*x, z^2
+"""
+
+PRIMES_PROBLEM = """char: 7
+vars: x, y, z
+ideal: x*y, x*z
+module: quotient z + y, x
+minprimes: (x); (z, y)
+localmult: 1, 1
+"""
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (R1_PROBLEM, "41fc309eae37e4c865f12db81a12e38fbeff4abc1f4a98327ecc66b6b2987e9d"),
+        (COKER_PROBLEM, "75ed55434192caeef3012df2ffcbaf7b63328a8bdf6faa58fb779f56c86fee0a"),
+        (ZERO_GENERATORS_PROBLEM, "357417ae99a6ba425423a6074d962fede8b89ced03116073efaf3c88035c1dce"),
+        (PRIMES_PROBLEM, "268e817a4572ad008507b88c277d6e5e73b551a31a2466bd5f448d78acc89a47"),
+    ],
+)
+def test_input_digest_is_pinned(text, digest):
+    """The digest that addresses cache entries, for a quotient module with
+    minimal primes, a coker module, ideal and module generators that are
+    zero (printed "0" in place) and non-canonical spellings: entries that
+    earlier versions wrote keep their addresses."""
+    prob = _problem(text)
+    ring = cli.build_ring(prob)
+    assert cli.problem_digest(prob, ring, cli.build_module(prob, ring)) == digest
+    assert cli.run("resolve", prob, {"steps": 1})["input_digest"] == digest
+
+
 def test_cache_hit_and_corruption(tmp_path):
     prob = _problem()
     cache = str(tmp_path / "cache")

@@ -48,6 +48,7 @@ from conftest import (
     engine_trace,
     random_form,
     reference_colon_heads,
+    reference_update,
     reference_numerator,
     residue_field,
     use_reference_kernels,
@@ -733,9 +734,11 @@ def test_last_degree_candidates_are_never_paired(monkeypatch, R5):
         return real_spair(*args)
 
     def recording_reduce(vec, *args):
+        # The division loop empties the vector it reduces.
+        degree = degree_of(vec)
         rem = real_reduce(vec, *args)
         if not running:
-            events.append(["reduce", degree_of(vec), bool(rem)])
+            events.append(["reduce", degree, bool(rem)])
         return rem
 
     cases = _mingens_cases(R5)
@@ -1353,13 +1356,93 @@ def test_pair_criteria_decide_as_the_reference(case, e):
     )
 
 
+_UPDATE_RINGS = {n: make_ring(2, ["x%d" % k for k in range(n)], []) for n in range(1, 6)}
+
+
+@st.composite
+def _update_cases(draw):
+    """An engine state over 1-5 variables for one update: leads at up to
+    three positions, exponents up to 2^63 - 1 (small ones too, so that
+    leads divide and pairs are coprime), mixed ``single_pos`` flags, a
+    range ``ideal`` of ``seed_ideal`` elements, the new element last, its
+    partners the earlier elements at its position, and some of their pairs
+    queued with the lcm of their leads."""
+    n = draw(st.integers(1, 5))
+    engine = groebner._Engine(_UPDATE_RINGS[n], (0, 0, 0))
+    layout = engine.layout
+    exps = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1), st.sampled_from([2**62, 2**63 - 1]))
+    size = draw(st.integers(1, 12))
+    positions = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    engine.leads = [layout.encode(pos, draw(st.tuples(*[exps] * n))) for pos in positions]
+    engine.single_pos = draw(st.lists(st.booleans(), min_size=size + 1, max_size=size + 1))
+    start = draw(st.integers(0, size + 1))
+    engine.ideal = range(start, draw(st.integers(start, size + 1)))
+    pos = draw(st.integers(0, 2))
+    engine.leads.append(layout.encode(pos, draw(st.tuples(*[exps] * n))))
+    same = [i for i in range(size) if positions[i] == pos]
+    partners = [(engine.leads[i], i) for i in same]
+    pairs = [(i, j) for k, i in enumerate(same) for j in same[k + 1 :]]
+    queued = {
+        (i, j): layout.lcm(engine.leads[i], engine.leads[j])
+        for i, j in pairs
+        if draw(st.booleans())
+    }
+    return engine, size, partners, queued
+
+
+@settings(max_examples=300, deadline=None)
+@given(_update_cases())
+def test_update_matches_the_reference_update(case):
+    """``_Engine._update`` on exponent words and deltas against
+    ``reference_update`` on encoded lcms: the same fresh pairs and the same
+    queued pairs left; each fresh lcm is the encoding of the exponentwise
+    maximum, degree field included.  The two sort the partners in different
+    orders that both put a proper divisor first (words lexicographically,
+    encoded lcms by degree first), so the fresh pairs may come in another
+    order; the heap pops them by degree and index alike."""
+    engine, new, partners, queued = case
+    layout = engine.layout
+    left = dict(queued)
+    fresh = engine._update(new, partners, left)
+    ref_left = dict(queued)
+    assert sorted(fresh) == sorted(reference_update(engine, new, partners, ref_left))
+    assert left == ref_left
+    pos, h = layout.decode(engine.leads[new])
+    for degree, i, m in fresh:
+        e = tuple(map(max, layout.exps(engine.leads[i]), h))
+        assert m == layout.encode(pos, e) and degree == sum(e)
+
+
+def test_s_vector_past_the_packed_width_raises_overflow():
+    """(x*y + y^2, y^M) with M = 2^63 - 1: their S-vector y^(M-1) * (x*y +
+    y^2) - x * y^M holds y^(M+1), past the 63-bit field of a packed
+    exponent.  Forming it raises ``Overflow``, whichever element comes
+    first, so the term is caught both among the terms the S-vector copies
+    and among those it subtracts."""
+    ring = make_ring(5, ["x", "y"], [])
+    layout = ring._layout
+    wide = 2**63 - 1
+    f, g = ring.poly("x*y + y^2"), ring.monomial((0, wide))
+    for columns in ([[f], [g]], [[g], [f]]):
+        with pytest.raises(Overflow) as err:
+            groebner_basis(columns, ring)
+        assert "exponent %d does not fit" % 2**63 in str(err.value)
+    vecs = [column_to_vec([f], ring), column_to_vec([g], ring)]
+    leads = [max(v) for v in vecs]
+    lcm = layout.lcm(*leads)
+    for i, j in ((0, 1), (1, 0)):
+        with pytest.raises(Overflow):
+            groebner._spair(leads, vecs, i, j, lcm, ring)
+
+
 def test_pair_update_queues_few_pairs_at_a_high_frobenius_level(monkeypatch):
     """hk of the F_7 cubic at e = 3 builds a basis of hundreds of elements,
     almost all minimal.  Queuing every same-position pair takes 9,876 pairs
-    and reduces 277 S-vectors; the update queues a tenth of that at most and
-    reduces no more.  The S-vectors reduced are the ``_reduce_vec`` calls
-    made inside ``_Engine.run``; calls outside it, such as the tests of
-    minimal-generator candidates, reduce no S-vector."""
+    and reduces 277 S-vectors; the update queues 411 pairs and reduces 275.
+    The S-vectors reduced are the ``_reduce_vec`` calls made inside
+    ``_Engine.run``; calls outside it, such as the tests of minimal-generator
+    candidates, reduce no S-vector.  Both counts are exact, so a ``run``
+    that reduced through anything but ``groebner._reduce_vec`` fails here."""
     counts, reduced, running = [], [], []
     real_reduce = groebner._reduce_vec
 
@@ -1385,8 +1468,8 @@ def test_pair_update_queues_few_pairs_at_a_high_frobenius_level(monkeypatch):
     monkeypatch.setattr(groebner, "_reduce_vec", counting_reduce)
     cubic = make_ring(7, list("xyz"), ["x^3 + y^3 + z^3"])
     assert hk_sequence(cubic, ["x", "y", "z"], [3]).raw_values() == [264709]
-    assert sum(counts) <= 9876 // 10
-    assert len(reduced) <= 277
+    assert sum(counts) == 411
+    assert len(reduced) == 275
 
 
 @pytest.mark.parametrize("p, form, e", [(3, "x^2 + y^2 + z^2", 4), (5, "x^3 + y^3 + z^3", 3)])
@@ -1400,11 +1483,11 @@ def test_hk_engines_match_the_reference_kernels(p, form, e):
         ring = make_ring(p, list("xyz"), [form])
         return hk_sequence(ring, list("xyz"), [e]).raw_values()
 
-    answer, pairs, engines = engine_trace(compute)
+    answer, calls, engines = engine_trace(compute)
     assert max(longest for *_, longest in engines) >= LEAD_INDEX_LENGTH
     with pytest.MonkeyPatch.context() as patch:
         use_reference_kernels(patch)
-        assert engine_trace(compute) == (answer, pairs, engines)
+        assert engine_trace(compute) == (answer, calls, engines)
 
 
 def test_every_lead_list_carries_the_divisor_index(monkeypatch, R1):

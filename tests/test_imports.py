@@ -19,6 +19,8 @@ import pytest
 
 import frobetti
 
+from conftest import REFERENCE_MODULES
+
 SRC = pathlib.Path(frobetti.__file__).resolve().parent
 MODULES = sorted(SRC.glob("*.py"))
 
@@ -233,3 +235,20 @@ def test_ideal_copies_are_laid_out_only_inside_the_engine():
             ):
                 found.add((path.name, label))
     assert found == {("groebner.py", "_Engine.seed_ideal"), ("groebner.py", "_syzygy_vecs")}
+
+
+def test_every_caller_of_the_division_loop_takes_the_reference():
+    """Every module whose code calls ``_reduce_vec(`` is one where
+    ``conftest.use_reference_kernels`` installs the scanning reference loop,
+    so no call path runs the production loop in a reference comparison."""
+    calling = {
+        path.stem
+        for path in MODULES
+        if any(
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_reduce_vec"
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+    }
+    patched = {module.__name__.rpartition(".")[2] for module in REFERENCE_MODULES}
+    assert {"groebner", "ring"} <= calling <= patched

@@ -260,6 +260,21 @@ def test_term_layout_encodes_order_shifts_and_divisibility(case):
     assert layout.lcm(ta, tb) == layout.encode(pa, tuple(map(max, a, b)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_term_layout_shift_sums_fields_past_the_carry_threshold(n):
+    """``TermLayout.shift`` puts the sum of a word's fields in the degree
+    field: by one product while no field reaches 2^(64 - n.bit_length()),
+    field by field past it, where the product's partial sums would carry
+    from field to field."""
+    layout = TermLayout(n)
+    edge = 2 ** (64 - n.bit_length())
+    for top in {edge - 1, min(edge, WIDEST), WIDEST}:
+        for exps in ((top,) * n, (top,) + (0,) * (n - 1), (0,) * (n - 1) + (top,)):
+            d = layout.encode(0, exps) & layout.mask
+            assert layout.unit(0) + layout.shift(d) == layout.encode(0, exps)
+            assert layout.degree(layout.unit(0) + layout.shift(d)) == sum(exps)
+
+
 def test_tracked_representation_past_the_packed_width_raises_overflow():
     # x^(2^62) reduced by x shifts the representation's term x^(2^62 + 1)
     # by x^(2^62 - 1): the sum needs bit 63, which must not pass unnoticed.
