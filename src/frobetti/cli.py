@@ -37,7 +37,6 @@ from .errors import (
     UnknownVariable,
     WrongDimension,
     ZeroDivisorQuery,
-    ZeroModule,
 )
 from .groebner import INFINITE, cokernel_presentation, quotient_module, vec_to_strings
 from .onedim import (
@@ -63,7 +62,6 @@ _INAPPLICABLE_ERRORS = (
     NotPrimary,
     MissingMultiplicities,
     NoParameterFound,
-    ZeroModule,
     ZeroDivisorQuery,
     NotMonomial,
 )
@@ -327,29 +325,15 @@ def _resolution_shape_ok(entry):
 # -- payload helpers -----------------------------------------------------------
 
 
-def _num(value):
-    if value is INFINITE:
-        return "Infinity"
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
-
-
-def _frac_str(value):
-    if value is None:
-        return None
-    return str(value)
-
-
 def _sequence_payload(seq):
     return {
         "kind": seq.kind,
         "index": seq.index,
         "d": seq.d,
         "levels": [[lv.e, lv.q, lv.raw, float(lv.normalized)] for lv in seq.levels],
-        "normalized_exact": [_frac_str(lv.normalized) for lv in seq.levels],
+        "normalized_exact": [_jsonable(lv.normalized) for lv in seq.levels],
         "estimate": None if seq.estimate is None else float(seq.estimate),
-        "estimate_exact": _frac_str(seq.estimate),
+        "estimate_exact": _jsonable(seq.estimate),
         "stabilized": seq.stabilized,
     }
 
@@ -468,9 +452,9 @@ def run(command, problem, flags=None):
         survey = syzygy_length_survey(module, i_max)
         payload = {
             "ring_dim": survey.ring_dim,
-            "module_length": _num(survey.module_length),
+            "module_length": _jsonable(survey.module_length),
             "rows": [
-                {"i": r.index, "betti": r.betti, "dim": r.dim, "length": _num(r.length)}
+                {"i": r.index, "betti": r.betti, "dim": r.dim, "length": _jsonable(r.length)}
                 for r in survey.rows
             ],
             "checks": [

@@ -82,10 +82,6 @@ class Overflow(FrobettiError):
     """A bracket power would push an exponent past the configured width."""
 
 
-class ZeroModule(FrobettiError):
-    """The zero module was passed where a nonzero module is required."""
-
-
 class InconsistentBlocks(ParseError):
     """Problem-file blocks disagree (for example localmult vs minprimes)."""
 

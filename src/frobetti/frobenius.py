@@ -45,19 +45,13 @@ def _level(ring, level):
 
 
 def frobenius_power(f, level):
-    """f^[q] = f^q, computed termwise by exponent scaling."""
-    lv = _level(f.ring, level)
-    q = lv.q
+    """f^[q] = f^q, the ``_bracket_vec`` of f encoded at position 0."""
+    q = _level(f.ring, level).q
     if q == 1:
         return f
-    terms = {}
-    for m, c in f.terms.items():
-        scaled = tuple(e * q for e in m)
-        if any(e >= MAX_EXPONENT for e in scaled):
-            raise Overflow("bracket power pushes an exponent past the configured width")
-        # c^q = c over F_p.
-        terms[scaled] = c
-    return Polynomial(f.ring, terms)
+    layout = f.ring._layout
+    vec = _bracket_vec({layout.encode(0, m): c for m, c in f.terms.items()}, q, layout)
+    return Polynomial(f.ring, {layout.exps(t): c for t, c in vec.items()})
 
 
 def bracket_ideal(gens, level, ring=None):
@@ -66,7 +60,8 @@ def bracket_ideal(gens, level, ring=None):
 
 
 def _bracket_vec(vec, q, layout):
-    """vec^[q] for an engine vector: each term x^e * e_pos becomes x^(q*e) * e_pos."""
+    """vec^[q] for an engine vector: each term x^e * e_pos becomes x^(q*e) *
+    e_pos, with its coefficient, as c^q = c over F_p."""
     if any(max(layout.exps(t)) * q >= MAX_EXPONENT for t in vec):
         raise Overflow("bracket power pushes an exponent past the configured width")
     top, unit = layout.top, layout.unit

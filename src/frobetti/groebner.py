@@ -18,29 +18,31 @@ round to round.  The engine and ``GroebnerBasis`` keep their leads in one
 ``LeadList`` per position, ``{pos: [(lead, index), ...]}``; division and
 minimalisation read only the list of the term's position, by a scan while it
 is short and from its divisor index once it is long, and both find the same
-first divisor.  Pairs are chosen when a run starts, for each element appended
-since the last run in turn, by the Gebauer-Moeller update
-(``_Engine._update``): the new lead deletes the queued pairs of its position
-that it makes redundant, and of its own pairs it queues only those whose lcm
-is minimal among theirs, one per lcm, and none whose lcm is that of a
-coprime pair; it tests exponent words and encodes only the lcms it keeps.
-An element appended after the last run is never paired.  A pair that is not
-queued counts as treated, so popping a pair only checks that it is still
-queued.  A queued pair carries the lcm of its two leads, which the S-vector
-reuses.  ``_spair`` alone forms S-vectors; each is built once and reduced
-in place, untracked (``_reduce_vec`` empties the vector it reduces, so a
-caller that keeps its vector passes a copy); a tracked run builds the
-representation only of a nonzero remainder.  A Hilbert numerator (length,
-dimension, Hilbert function) needs only the minimal leads of one engine run
+first divisor.  Pairs are chosen in one place: when a run starts, and again
+before each pop, it pairs every element appended since, in turn, by the
+Gebauer-Moeller update (``_Engine._update``): the new lead deletes the
+queued pairs of its position that it makes redundant, and of its own pairs
+it queues only those whose lcm is minimal among theirs, one per lcm, and
+none whose lcm is that of a coprime pair; it tests exponent words and
+encodes only the lcms it keeps.  An element appended after the last run is
+never paired.  A pair that is not queued counts as treated, so popping a
+pair only checks that it is still queued.  A queued pair carries the lcm of
+its two leads, which the S-vector reuses.  ``_spair`` alone forms
+S-vectors; each is built once and reduced in place, untracked
+(``_reduce_vec`` empties the vector it reduces, so a caller that keeps its
+vector passes a copy); a tracked run builds the representation only of a
+nonzero remainder.  A Hilbert numerator (length, dimension, Hilbert
+function) needs only the minimal leads of one engine run
 (``_Engine.minimal_leads``), so it takes no tail reduction and builds no
 ``GroebnerBasis``.
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
 built from the ring's monic basis vectors once per ring and position and
-shared by every engine (``_ideal_vecs``); over a ring with no ideal that adds
-nothing, so the same run works over S.
-They are untracked, so syzygies and lifts come out in the original generator
+shared by every engine (``_ideal_vecs``); the constructor appends them after
+the seeds, and ``_syzygy_vecs`` reads them back from its engine.  Over a
+ring with no ideal that adds nothing, so the same run works over S.  They
+are untracked, so syzygies and lifts come out in the original generator
 coordinates, and no pair of two of them is queued: by Buchberger's criterion
 the reduced basis of I already gives their S-vector a standard representation.
 A normal form modulo I * ambient alone is the ring's ``nf_vec``, with no copy.
@@ -149,25 +151,30 @@ def _overflow(t, layout):
 class _Engine:
     """Buchberger with normal pair selection and tracked representations.
 
-    ``n_tracked`` marks how many of the input generators keep their syzygy
-    coordinates; the elements of I * ambient that ``seed_ideal`` adjoins
-    (indices ``ideal``) are untracked, projected away from every
-    representation, and never paired with each other.  ``by_pos`` lists the
-    leads per position in insertion order as ``LeadList``s, for
-    ``_reduce_vec``.
+    ``_Engine(ring, ambient_rank, row_degrees, vecs, track)`` seeds the
+    nonzero ``vecs`` in order, each with its unit representation if
+    ``track`` (the indices of the zero ones are ``zero_indices``), and then
+    appends I * ambient, untracked (indices ``ideal``), pairing each g * e_k
+    only with the seeds at position k.  The S-vector of g * e_k and g' * e_k
+    is S(g, g') * e_k, which has a standard representation in the g * e_k
+    (Buchberger's criterion for the reduced basis of I), so that pair is
+    treated without being queued; the B criterion relies on this when a
+    later g' * e_k deletes a queued pair (i, g * e_k).  The copies of I are
+    the ring's own dicts (``_ideal_vecs``), projected away from every
+    representation.  ``by_pos`` lists the leads per position in insertion
+    order as ``LeadList``s, for ``_reduce_vec``.
 
-    Pairs are chosen by the Gebauer-Moeller update (``_update``) when a run
-    starts, never when they are popped: ``unpaired`` lists the elements
-    appended since the last run with the number of their partners, and
-    ``run`` updates for them in the order they were appended, with the same
-    partners as an update at append time; a remainder inserted during a run
-    is paired at once.  So an element appended after the last run costs no
-    update: in ``_minimal_generator_indices`` that is every candidate kept
-    after its last run, which comes only when a candidate's remainder against
-    the basis at hand is nonzero.  A run builds a representation only for a
-    nonzero remainder, by reducing its S-vector a second time, tracked: a
-    tracked engine reduces a copy first.  No basis vector is ever changed,
-    so the copies of I that ``seed_ideal`` appends are the ring's own.
+    Pairs are chosen by the Gebauer-Moeller update (``_update``), never when
+    they are popped: ``unpaired`` lists the elements appended since ``run``
+    last paired, with the number of their partners, and ``run`` pairs them
+    in the order they were appended when it starts and before each pop, so
+    a remainder is paired before the next pop.  An element appended after
+    the last run costs no update: in ``_minimal_generator_indices`` that is
+    every candidate kept after its last run, which comes only when a
+    candidate's remainder against the basis at hand is nonzero.  A run
+    builds a representation only for a nonzero remainder, by reducing its
+    S-vector a second time, tracked: a tracked engine reduces a copy first.
+    No basis vector is ever changed, so the copies of I stay the ring's own.
     ``queued`` holds, per position, the live pairs as ``{(i, j): lcm}``; the
     heap ``pairs`` holds them as ``(degree, i, j, lcm)``, keyed by true
     degree, sum(lcm) plus the row degree of their position, so ``run(d)``
@@ -175,14 +182,14 @@ class _Engine:
     deletes stays on the heap and is skipped when popped, since it is no
     longer in ``queued``.  Every pair of two elements at one position that
     is not queued counts as treated: it was processed, the update dropped
-    it, or both elements come from ``seed_ideal``.
+    it, or both elements are copies of I.
     """
 
-    def __init__(self, ring, row_degrees, n_tracked=0):
+    def __init__(self, ring, ambient_rank, row_degrees, vecs=(), track=False):
         self.ring = ring
-        self.layout = ring._layout
+        self.layout = layout = ring._layout
         self.row_degrees = row_degrees
-        self.n_tracked = n_tracked
+        self.track = track
         self.basis = []
         self.leads = []
         self.by_pos = {}
@@ -191,33 +198,24 @@ class _Engine:
         self.pairs = []
         self.queued = {}
         self.unpaired = []
-        self.ideal = range(0)
-
-    def seed(self, vec, index):
-        rep = {self.layout.unit(index): 1} if index < self.n_tracked else {}
-        self._insert(vec, rep)
-
-    def seed_ideal(self, ambient_rank):
-        """Append I * ambient, untracked, pairing each g * e_k only with the
-        elements at position k from before the call; called at most once per
-        engine.  The S-vector of g * e_k and g' * e_k is S(g, g') * e_k, which
-        has a standard representation in the g * e_k (Buchberger's criterion
-        for the reduced basis of I), so that pair is treated without being
-        queued.  The B criterion relies on this when a later g' * e_k deletes
-        a queued pair (i, g * e_k)."""
-        top = self.layout.top
-        leads = self.ring._gb_lead_terms
-        first = len(self.basis)
+        self.zero_indices = []
+        leads = ring._gb_lead_terms
+        first = sum(map(bool, vecs))
         self.ideal = range(first, first + ambient_rank * len(leads))
+        for index, vec in enumerate(vecs):
+            if vec:
+                self._insert(vec, {layout.unit(index): 1} if track else {})
+            else:
+                self.zero_indices.append(index)
+        top = layout.top
         for pos in range(ambient_rank):
             earlier = len(self.by_pos.get(pos, ()))
-            for vec, lead in zip(_ideal_vecs(self.ring, pos), leads):
+            for vec, lead in zip(_ideal_vecs(ring, pos), leads):
                 self._append(vec, lead - (pos << top), {}, True, earlier)
 
-    def _insert(self, vec, rep, at_once=False):
-        """Append ``vec`` made monic, ``rep`` scaled with it; its pairs with
-        the earlier elements at its position are chosen at once if
-        ``at_once``, else when the next run starts."""
+    def _insert(self, vec, rep):
+        """Append ``vec`` made monic, ``rep`` scaled with it, with the
+        elements listed at its position as partners."""
         lead = max(vec)
         layout = self.layout
         if lead & layout.guard:
@@ -230,14 +228,12 @@ class _Engine:
             rep = {t: (v * inv) % p for t, v in rep.items()}
         top = layout.top
         single = min(vec) >> top == lead >> top
-        n_partners = None if at_once else len(self.by_pos.get(-(lead >> top), ()))
-        self._append(vec, lead, rep, single, n_partners)
+        self._append(vec, lead, rep, single, len(self.by_pos.get(-(lead >> top), ())))
 
     def _append(self, vec, lead, rep, single_pos, n_partners):
         """Add the monic ``vec``.  Its partners are the first ``n_partners``
         elements listed at its position, and ``run`` pairs it with them
-        before it pops a pair; ``None`` pairs it at once with every element
-        listed there, which needs no copy of the list."""
+        before it pops a pair."""
         if len(self.basis) >= MAX_BASIS_SIZE:
             raise ResourceBound("Groebner basis exceeded %d elements" % MAX_BASIS_SIZE)
         new = len(self.basis)
@@ -249,9 +245,7 @@ class _Engine:
         self.leads.append(lead)
         self.reps.append(rep)
         self.single_pos.append(single_pos)
-        if n_partners is None:
-            self._pair(new, same_pos)
-        elif n_partners:
+        if n_partners:
             self.unpaired.append((new, n_partners))
         same_pos.append((lead, new))
 
@@ -346,9 +340,9 @@ class _Engine:
         whose lcm m the lead h of ``new`` divides: it does iff lcm(lead_i, h)
         or lcm(lead_j, h) equals m.  Gebauer and Moeller need both lcms to
         differ from m so that two deletions cannot rely on each other; a pair
-        of two elements from ``seed_ideal`` relies on no other pair, so (x,
-        new) may have lcm m when both come from there.  As lead_x and h both
-        divide m, lcm(lead_x, h) is m iff no field of m exceeds both."""
+        of two copies of I relies on no other pair, so (x, new) may have lcm
+        m when both are copies.  As lead_x and h both divide m, lcm(lead_x,
+        h) is m iff no field of m exceeds both."""
         layout = self.layout
         guard, mask, leads, ideal = layout.guard, layout.mask, self.leads, self.ideal
         ones = guard >> 63
@@ -364,20 +358,23 @@ class _Engine:
         return False
 
     def run(self, degree=INFINITE):
-        """Pair the elements appended since the last run, in the order they
-        were appended, then process the pairs of true degree at most
-        ``degree``.  Each S-vector is built once (``_spair``) and reduced in
-        place, untracked; only a nonzero remainder of a tracked engine has
-        its representation built, by the same reduction again, with the
-        S-vector's representation, of a copy kept for it."""
-        track = self.n_tracked > 0
+        """Process the pairs of true degree at most ``degree``.  The elements
+        appended since the last pairing are paired, in the order they were
+        appended, when the run starts and before each pop, so a remainder is
+        paired before the next pop.  Each S-vector is built once (``_spair``)
+        and reduced in place, untracked; only a nonzero remainder of a
+        tracked engine has its representation built, by the same reduction
+        again, with the S-vector's representation, of a copy kept for it."""
+        track = self.track
         ring = self.ring
         pairs, queued, top = self.pairs, self.queued, self.layout.top
-        by_pos, basis, leads = self.by_pos, self.basis, self.leads
-        for new, n_partners in self.unpaired:
-            self._pair(new, by_pos[-(leads[new] >> top)][:n_partners])
-        self.unpaired = []
-        while pairs and pairs[0][0] <= degree:
+        by_pos, basis, leads, unpaired = self.by_pos, self.basis, self.leads, self.unpaired
+        while True:
+            for new, n_partners in unpaired:
+                self._pair(new, by_pos[-(leads[new] >> top)][:n_partners])
+            unpaired.clear()
+            if not pairs or pairs[0][0] > degree:
+                return
             _, i, j, lcm = heapq.heappop(pairs)
             if queued[-(lcm >> top)].pop((i, j), None) is None:
                 continue
@@ -391,7 +388,7 @@ class _Engine:
             if track:
                 rep = _spair(leads, self.reps, i, j, lcm, ring)
                 rem = _reduce_vec(vec, by_pos, basis, ring, rep, self.reps)
-            self._insert(rem, rep, at_once=True)
+            self._insert(rem, rep)
 
     def minimal_leads(self, first_pos=0):
         """(kept, by_pos): the indices of the elements whose lead no other
@@ -427,13 +424,12 @@ class _Engine:
         vecs = [self.basis[i] for i in kept]
         leads = [self.leads[i] for i in kept]
         reps = [dict(self.reps[i]) for i in kept]
-        track = self.n_tracked > 0
         # No other lead divides a lead, and every tail term is below its own
         # lead, so the tail alone is reduced against the whole basis.
         for a, lead in enumerate(leads):
             tail = dict(vecs[a])
             c = tail.pop(lead)
-            rest = _reduce_vec(tail, by_pos, vecs, self.ring, reps[a] if track else None, reps)
+            rest = _reduce_vec(tail, by_pos, vecs, self.ring, reps[a] if self.track else None, reps)
             vecs[a] = {lead: c, **rest}
         return vecs, leads, reps
 
@@ -518,8 +514,8 @@ def _normalize_columns(columns, ring, ambient_rank, row_degrees):
 
 def _ideal_vecs(ring, pos):
     """g * e_pos for each g in the reduced basis of I, in order; built once
-    per ring and position and kept in ``ring._memo``.  Every engine and
-    ``_syzygy_vecs`` read the same dicts, so none may change them: an engine
+    per ring and position and kept in ``ring._memo``.  Every engine stores
+    the same dicts as its copies of I, so none may change them: an engine
     stores its elements as given, and reductions work on copies."""
     key = ("ideal_vecs", pos)
     vecs = ring._memo.get(key)
@@ -529,18 +525,11 @@ def _ideal_vecs(ring, pos):
     return vecs
 
 
-def _run_engine(vecs, ring, ambient_rank, row_degrees, n_tracked=0):
+def _run_engine(vecs, ring, ambient_rank, row_degrees, track=False):
     """One Buchberger run over the vectors ``vecs`` plus I * ambient."""
-    engine = _Engine(ring, row_degrees, n_tracked=n_tracked)
-    zero_indices = []
-    for index, vec in enumerate(vecs):
-        if vec:
-            engine.seed(vec, index)
-        elif index < n_tracked:
-            zero_indices.append(index)
-    engine.seed_ideal(ambient_rank)
+    engine = _Engine(ring, ambient_rank, row_degrees, vecs, track)
     engine.run()
-    return engine, zero_indices
+    return engine, engine.zero_indices
 
 
 def _basis_of_vecs(vecs, ring, ambient_rank, row_degrees):
@@ -585,10 +574,10 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     n = len(gens)
     if n == 0:
         return []
-    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, n)
+    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, True)
     gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
     leads, vecs, reps = gb.leads, gb.vecs, gb.reps
-    unit, top, lcm = ring._layout.unit, ring._layout.top, ring._layout.lcm
+    unit, lcm = ring._layout.unit, ring._layout.lcm
     # Zero input columns are syzygies outright.
     syz_vecs = [{unit(idx): 1} for idx in zero_indices]
 
@@ -597,7 +586,7 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     # division steps leave in ``rep`` a combination of generators equal to
     # -g * e_k: a relation modulo I * G (without them the residue field of
     # F_5[x,y]/(x^2, xy) resolves to step 2 as (1, 2, 1), not (1, 2, 3)).
-    ideal = [v for pos in range(ambient_rank) for v in _ideal_vecs(ring, pos)]
+    ideal = [engine.basis[i] for i in engine.ideal]
     for idx, vec in enumerate(gens + ideal):
         if not vec:
             continue
@@ -608,17 +597,20 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
             syz_vecs.append(rep)
 
     # Schreyer pass: every same-position S-pair of the reduced basis yields a
-    # syzygy; no pair criteria here, completeness needs them all.
-    for i in range(len(vecs)):
-        for j in range(i + 1, len(vecs)):
-            if leads[i] >> top != leads[j] >> top:
-                continue
-            m = lcm(leads[i], leads[j])
-            rep = _spair(leads, reps, i, j, m, ring)
-            if gb.normal_form_vec(_spair(leads, vecs, i, j, m, ring), rep):
-                raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
-            if rep:
-                syz_vecs.append(rep)
+    # syzygy; no pair criteria here, completeness needs them all.  The basis
+    # is sorted by lead, position first, so each position's lead list is a
+    # block of consecutive indices, and its pairs i < j come in the order of
+    # all index pairs.  Each S-vector is fresh, so it is reduced in place.
+    for block in gb.by_pos.values():
+        for k, (a, i) in enumerate(block):
+            for b, j in block[k + 1 :]:
+                m = lcm(a, b)
+                rep = _spair(leads, reps, i, j, m, ring)
+                vec = _spair(leads, vecs, i, j, m, ring)
+                if _reduce_vec(vec, gb.by_pos, vecs, ring, rep, reps):
+                    raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
+                if rep:
+                    syz_vecs.append(rep)
     return _dedupe_vecs(syz_vecs)
 
 
@@ -708,8 +700,7 @@ def _minimal_generator_indices(vecs, ring, ambient_rank, row_degrees):
     # the irrelevant ideal of F_p[x,y] presents as [x y].
     ranked.sort(key=lambda t: t[1], reverse=True)
     ranked.sort(key=lambda t: t[0])
-    engine = _Engine(ring, row_degrees)
-    engine.seed_ideal(ambient_rank)
+    engine = _Engine(ring, ambient_rank, row_degrees)
     by_pos, basis = engine.by_pos, engine.basis
     kept = []
     complete = None
@@ -777,7 +768,7 @@ class SubmodulePresentation:
     def _tracked_gb(self):
         if self._tracked is None:
             args = (self.ring, self.ambient_rank, self.row_degrees)
-            engine, _ = _run_engine(self.vecs, *args, n_tracked=len(self.vecs))
+            engine, _ = _run_engine(self.vecs, *args, track=True)
             self._tracked = GroebnerBasis(*args, *engine.reduced())
         return self._tracked
 

@@ -40,11 +40,11 @@ from .ring import make_ring
 
 def coefficient_ring(ring, extra_gens):
     """R/(extra) as a fresh quotient ring S/(I + extra); memoized on R."""
-    extra = [str(ring.poly(g)) for g in extra_gens]
-    key = ("coefficient_ring", tuple(sorted(extra)))
+    extra = [ring.poly(g) for g in extra_gens]
+    key = ("coefficient_ring", tuple(sorted(map(str, extra))))
     got = ring._memo.get(key)
     if got is None:
-        got = make_ring(ring.p, ring.variables, [str(g) for g in ring.ideal_gens] + extra)
+        got = make_ring(ring.p, ring.variables, list(ring.ideal_gens) + extra)
         ring._memo[key] = got
     return got
 

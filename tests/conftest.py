@@ -93,8 +93,7 @@ class EagerEngine(groebner._Engine):
     pop the same pairs and keep the same basis and representations."""
 
     def _append(self, vec, lead, rep, single_pos, n_partners):
-        same_pos = self.by_pos.get(-(lead >> self.layout.top), [])
-        partners = same_pos[: len(same_pos) if n_partners is None else n_partners]
+        partners = self.by_pos.get(-(lead >> self.layout.top), [])[:n_partners]
         super()._append(vec, lead, rep, single_pos, 0)
         self._pair(len(self.basis) - 1, partners)
 
@@ -110,7 +109,7 @@ class EagerEngine(groebner._Engine):
             rep = groebner._spair(self.leads, self.reps, i, j, lcm, ring)
             rem = _reduce_vec(vec, self.by_pos, self.basis, ring, rep, self.reps)
             if rem:
-                self._insert(rem, rep, at_once=True)
+                self._insert(rem, rep)
 
 
 def reference_reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):

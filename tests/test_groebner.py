@@ -791,11 +791,7 @@ def test_truncated_run_is_a_basis_up_to_its_degree(case, data):
     at most d reduces to zero iff it lies in the span: R-combinations of the
     columns and random columns, against the full basis of the span."""
     ring, columns, rank, degrees = case
-    engine = groebner._Engine(ring, degrees)
-    for col in columns:
-        if column_to_vec(col, ring):
-            engine.seed(column_to_vec(col, ring), 0)
-    engine.seed_ideal(rank)
+    engine = groebner._Engine(ring, rank, degrees, [column_to_vec(col, ring) for col in columns])
     col_degs = [column_degree(col, degrees) for col in columns]
     top = max((c for c in col_degs if c is not None), default=max(degrees))
     d = data.draw(st.integers(min(degrees), top + 2))
@@ -826,17 +822,15 @@ def _ideal_columns(ring, rank):
 @settings(max_examples=50, deadline=None)
 @given(_column_sets(twists=(-1, 2)))
 def test_seeded_ideal_queues_no_pair_of_two_ideal_elements(case):
-    """``seed_ideal`` queues no pair of two elements of I * ambient, and the
-    engine still ends with the reduced basis of a run over the columns plus
-    I * ambient as plain columns, over the same variables with no ideal,
-    where every pair of them goes through the pair update."""
+    """The engine queues no pair of two elements of I * ambient, which its
+    constructor appends after the columns, and it still ends with the
+    reduced basis of a run over the columns plus I * ambient as plain
+    columns, over the same variables with no ideal, where every pair of
+    them goes through the pair update."""
     ring, columns, rank, degrees = case
-    engine = groebner._Engine(ring, degrees)
-    for index, col in enumerate(columns):
-        if column_to_vec(col, ring):
-            engine.seed(column_to_vec(col, ring), index)
-    first = len(engine.basis)
-    engine.seed_ideal(rank)
+    vecs = [column_to_vec(col, ring) for col in columns]
+    engine = groebner._Engine(ring, rank, degrees, vecs)
+    first = sum(map(bool, vecs))
     ideal_elements = range(first, len(engine.basis))
     assert len(ideal_elements) == rank * len(ring.ideal_groebner)
     # A run below every degree pairs the appended elements and pops nothing,
@@ -1205,9 +1199,9 @@ def _reference_reduce_vec(vec, leads, basis, p, rep=None, reps=None):
 def _reference_update(self, new, partners, queued):
     """The Gebauer-Moeller update of ``_Engine._update`` on exponent tuples
     decoded from the engine's lead terms.  The partners must be the earlier
-    elements at the new element's position, less its siblings from
-    ``seed_ideal``, and the lcm each queued pair carries must be the lcm of
-    its leads' tuples."""
+    elements at the new element's position, less its sibling copies of I,
+    and the lcm each queued pair carries must be the lcm of its leads'
+    tuples."""
     layout = self.layout
     leads = [layout.decode(t) for t in self.leads]
     pos, h = leads[new]
@@ -1364,11 +1358,11 @@ def _update_cases(draw):
     """An engine state over 1-5 variables for one update: leads at up to
     three positions, exponents up to 2^63 - 1 (small ones too, so that
     leads divide and pairs are coprime), mixed ``single_pos`` flags, a
-    range ``ideal`` of ``seed_ideal`` elements, the new element last, its
+    range ``ideal`` of copies of I, the new element last, its
     partners the earlier elements at its position, and some of their pairs
     queued with the lcm of their leads."""
     n = draw(st.integers(1, 5))
-    engine = groebner._Engine(_UPDATE_RINGS[n], (0, 0, 0))
+    engine = groebner._Engine(_UPDATE_RINGS[n], 3, (0, 0, 0))
     layout = engine.layout
     exps = st.one_of(st.integers(0, 3), st.integers(0, 2**63 - 1), st.sampled_from([2**62, 2**63 - 1]))
     size = draw(st.integers(1, 12))
@@ -1538,6 +1532,44 @@ def test_syzygy_generators_leave_out_columns_that_are_zero_over_the_ring():
         assert not all(ring.is_zero_mod(entry) for entry in col)
         image = sum((c * g[0] for c, g in zip(col, cols)), ring.zero)
         assert ring.is_zero_mod(image)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_sets(ranks=(1, 2, 3)))
+def test_schreyer_pass_walks_the_same_position_pairs(case):
+    """The Schreyer pass of ``_syzygy_vecs`` forms S-vectors for exactly the
+    pairs i < j of the reduced basis whose leads share a position, in the
+    order of all index pairs, each with the lcm of its leads: first its
+    representation, then its basis vectors.  Every ``_spair`` call outside
+    ``_Engine.run`` belongs to the pass."""
+    ring, columns, rank, degrees = case
+    vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
+    calls, running = [], []
+    real_spair = groebner._spair
+
+    class RunningEngine(groebner._Engine):
+        def run(self, degree=INFINITE):
+            running.append(self)
+            super().run(degree)
+            running.pop()
+
+    def recording_spair(leads, vecs, i, j, lcm, ring):
+        if not running:
+            calls.append((i, j, lcm))
+        return real_spair(leads, vecs, i, j, lcm, ring)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(groebner, "_Engine", RunningEngine)
+        patch.setattr(groebner, "_spair", recording_spair)
+        groebner._syzygy_vecs(vecs, ring, rank, degrees)
+    leads = groebner._run_engine(vecs, ring, rank, degrees, True)[0].reduced()[1]
+    top, lcm = ring._layout.top, ring._layout.lcm
+    expected = [
+        (i, j, lcm(leads[i], leads[j]))
+        for i, j in combinations(range(len(leads)), 2)
+        if leads[i] >> top == leads[j] >> top
+    ]
+    assert calls[::2] == calls[1::2] == expected
 
 
 def _items(vecs):

@@ -224,17 +224,26 @@ def test_lengths_read_stepwise_twists():
 def test_ideal_copies_are_laid_out_only_inside_the_engine():
     """A normal form modulo I * G reads the ring's one basis of I at every
     position (``QuotientRing.nf_vec``); the copies g * e_k of ``_ideal_vecs(``
-    are built only where they are engine elements (``_Engine.seed_ideal``)
-    or reduced for the relations they carry (``_syzygy_vecs``)."""
+    are laid out only where they become engine elements, in the engine's
+    constructor, and ``_syzygy_vecs`` reads them back from its engine.
+    ``_definitions`` skips dunder methods, so every method is read here."""
     found = set()
     for path in MODULES:
-        for label, fn in _definitions(ast.parse(path.read_text(), filename=str(path))):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = list(_definitions(tree)) + [
+            ("%s.%s" % (cls.name, item.name), item)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.FunctionDef) and item.name.startswith("__")
+        ]
+        for label, fn in functions:
             if isinstance(fn, ast.FunctionDef) and any(
                 isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_ideal_vecs"
                 for node in ast.walk(fn)
             ):
                 found.add((path.name, label))
-    assert found == {("groebner.py", "_Engine.seed_ideal"), ("groebner.py", "_syzygy_vecs")}
+    assert found == {("groebner.py", "_Engine.__init__")}
 
 
 def test_every_caller_of_the_division_loop_takes_the_reference():

@@ -45,6 +45,24 @@ def test_ring_memo_holds_h0_and_coefficient_rings(R1):
     assert h0_ring(twin).same_span(ideal(twin, ["x"]))
 
 
+def test_coefficient_ring_matches_the_string_route(R1):
+    """``coefficient_ring`` hands ``make_ring`` its generators as
+    polynomials: R1 over (x), and each one-dimensional family of the
+    benchmark over its H^0_m(R) generators, get the ideal generators and the
+    reduced basis of I, term order included, that printing the generators
+    and parsing them again gives."""
+    cases = [(R1, ["x"])]
+    for gens in (["x^2", "x*y", "x*z", "y*z"], ["x^2 - x*y", "x*z", "y*z"], ["x^2", "x*y - x*z", "y*z"]):
+        ring = make_ring(5, list("xyz"), gens)
+        cases.append((ring, [col[0] for col in h0_ring(ring).columns]))
+    for ring, extra in cases:
+        got = coefficient_ring(ring, extra)
+        printed = [str(g) for g in ring.ideal_gens] + [str(ring.poly(g)) for g in extra]
+        parsed = make_ring(ring.p, ring.variables, printed)
+        assert [g.terms for g in got.ideal_gens] == [g.terms for g in parsed.ideal_gens]
+        assert [list(v.items()) for v in got._gb_vecs] == [list(v.items()) for v in parsed._gb_vecs]
+
+
 def test_decide_beta_vanishing_examples(R1, R2, R3, K1, K2):
     assert decide_beta_vanishing(quotient_module(R3, ["x+y"]), 1) is True
     assert decide_beta_vanishing(K1, 1) is False
