@@ -188,6 +188,12 @@ def parse_problem(text):
         )
     if localmult is not None and minprimes is None:
         raise InconsistentBlocks("localmult given without minprimes")
+    if rowdegs is not None and module_kind != "coker":
+        raise InconsistentBlocks("rowdegs given without a coker module")
+    if rowdegs is not None and len(rowdegs) != len(module_data):
+        raise InconsistentBlocks(
+            "rowdegs has %d entries but the coker matrix has %d rows" % (len(rowdegs), len(module_data))
+        )
 
     return ProblemFile(p, variables, ideal_gens, module_kind, module_data, rowdegs, minprimes, localmult)
 

@@ -488,16 +488,19 @@ class GroebnerBasis:
 
 def _normalize_columns(columns, ring, ambient_rank, row_degrees):
     """(engine vectors, ambient rank, row degrees) of ``columns``, with the
-    rank inferred and the row degrees zero when not given.  A column given as
-    polynomials (one polynomial is a column of rank one) is converted, and
-    raises unless it has the ambient rank and is homogeneous; a column given
-    as a vector passes unchanged."""
+    rank inferred and the row degrees zero when not given; row degrees of
+    another count than the rank raise ``AmbientMismatch``.  A column given
+    as polynomials (one polynomial is a column of rank one) is converted,
+    and raises unless it has the ambient rank and is homogeneous; a column
+    given as a vector passes unchanged."""
     if ambient_rank is None:
         first = columns[0] if columns else None
         if isinstance(first, dict):
             raise AmbientMismatch("columns given as vectors need the ambient rank")
         ambient_rank = 1 if first is None or isinstance(first, Polynomial) else len(first)
     row_degrees = tuple(row_degrees) if row_degrees else (0,) * ambient_rank
+    if len(row_degrees) != ambient_rank:
+        raise AmbientMismatch("%d row degrees for ambient rank %d" % (len(row_degrees), ambient_rank))
     vecs = []
     for col in columns:
         if not isinstance(col, dict):

@@ -6,8 +6,9 @@ G_{j-1} only as lists of engine column vectors; ``matrix(j)`` builds
 vectors as they are, with lengths and dimensions from Hilbert series alone.
 ``resolve`` builds a minimal resolution one kernel at a time on vectors:
 syzygy generators of phi_j are pruned to a minimal generating set, which
-keeps every matrix entry inside the irrelevant ideal.  Syzygies use the
-image convention Omega_i = im(phi_i), with Omega_0 = M.
+keeps every matrix entry inside the irrelevant ideal; unit entries of
+phi_1, and of complexes given to ``minimize``, split off on vectors too.
+Syzygies use the image convention Omega_i = im(phi_i), with Omega_0 = M.
 """
 
 from .errors import NotHomogeneous
@@ -18,6 +19,7 @@ from .groebner import (
     _syzygy_vecs,
     numerator_length,
     vec_to_column,
+    vec_to_strings,
 )
 from .ring import _axpy, numerator_dimension
 
@@ -113,72 +115,64 @@ class FreeComplex:
         return "<complex of free modules, ranks %s>" % (tuple(self.ranks),)
 
 
-def _find_unit(maps):
-    for j in range(1, len(maps)):
-        for c, col in enumerate(maps[j]):
-            for r, entry in enumerate(col):
-                if entry.constant_term():
-                    return (j, r, c)
-    return None
-
-
 def minimize(complex_):
-    """Split off unit entries by row/column operations; homology is unchanged."""
-    C = complex_.copy()
-    maps = [None] + [C.matrix(j) for j in range(1, len(C.maps))]
-    _split_units(C.ring, C.ranks, C.row_degrees, maps)
-    return FreeComplex(C.ring, C.ranks, C.row_degrees, maps[1:])
+    """The complex with its unit entries split off (``_split_units``) on
+    copies of the stored vectors, which stay as they were; the homology of a
+    complex is unchanged.  A column of two degrees raises
+    ``NotHomogeneous``."""
+    ranks, degs = list(complex_.ranks), [list(d) for d in complex_.row_degrees]
+    maps = [None] + [[dict(v) for v in mat] for mat in complex_.maps[1:]]
+    _split_units(complex_.ring, ranks, degs, maps)
+    return FreeComplex(complex_.ring, ranks, degs, maps[1:])
 
 
 def _split_units(ring, ranks, row_degrees, maps):
-    """``minimize`` in place, on ``Polynomial`` columns: ``maps[j]`` is phi_j (j >= 1)."""
-    while True:
-        found = _find_unit(maps)
-        if found is None:
-            return
-        j, r, c = found
-        mat = maps[j]
-        u = mat[c][r].constant_term()
-        w = ring.inverse(u)
-        nxt = maps[j + 1] if j + 1 < len(maps) else None
-        prv = maps[j - 1] if j - 1 >= 1 else None
-        # Clear row r with column operations; mirror as row operations on phi_{j+1}.
-        for c2 in range(len(mat)):
-            if c2 == c:
+    """``minimize`` in place on engine vectors: ``maps[j]`` (j >= 1) lists the
+    columns of phi_j as dicts this call may change.  Map by map, a column of
+    two degrees raises ``NotHomogeneous`` (as in ``column_degree``), so a
+    term of degree 0 is a whole entry a * e_r.  The first column c with one,
+    at its least row r, splits off: column operations clear row r, one
+    ``_axpy`` per term s there (adding s - e_r multiplies by s's monomial);
+    then phi_j loses column c and row r, phi_{j+1} row c and phi_{j-1}
+    column r.  The row operations that would clear column c, and the
+    mirrors on phi_{j+1} and phi_{j-1}, change only what is dropped.  No
+    split makes a unit in an earlier map or column.
+    """
+    layout = ring._layout
+    top, degree = layout.top, layout.degree
+
+    def drop(vecs, r):
+        # Position r goes; the later positions move up one, adding 1 << top.
+        vecs[:] = [
+            {t + (1 << top) if -(t >> top) > r else t: v for t, v in vec.items() if -(t >> top) != r}
+            for vec in vecs
+        ]
+
+    for j in range(1, len(maps)):
+        mat, rows, c = maps[j], row_degrees[j - 1], 0
+        for vec in mat:
+            if len({degree(t) + rows[-(t >> top)] for t in vec}) > 1:
+                raise NotHomogeneous("column %s is not homogeneous" % (vec_to_strings(vec, len(rows), ring),))
+        while c < len(mat):
+            units = [t for t in mat[c] if degree(t) == 0]
+            if not units:
+                c += 1
                 continue
-            a = mat[c2][r]
-            if a.is_zero():
-                continue
-            t = a * w
-            mat[c2] = [x - t * y for x, y in zip(mat[c2], mat[c])]
-            if nxt is not None:
-                for col in nxt:
-                    col[c] = col[c] + t * col[c2]
-        # Clear column c with row operations; mirror as column operations on phi_{j-1}.
-        for r2 in range(ranks[j - 1]):
-            if r2 == r:
-                continue
-            b = mat[c][r2]
-            if b.is_zero():
-                continue
-            s = b * w
-            for col in mat:
-                col[r2] = col[r2] - s * col[r]
-            if prv is not None:
-                prv[r] = [x + s * y for x, y in zip(prv[r], prv[r2])]
-        # Drop the split summands.
-        del mat[c]
-        for col in mat:
-            del col[r]
-        if nxt is not None:
-            for col in nxt:
-                del col[c]
-        if prv is not None:
-            del prv[r]
-        ranks[j] -= 1
-        ranks[j - 1] -= 1
-        del row_degrees[j][c]
-        del row_degrees[j - 1][r]
+            pivot, u = mat.pop(c), max(units)
+            r = -(u >> top)
+            w = ring.inverse(pivot[u])
+            for vec in mat:
+                for s, a in [(s, a) for s, a in vec.items() if -(s >> top) == r]:
+                    _axpy(vec, pivot, a * w, s - u, ring)
+            drop(mat, r)
+            if j + 1 < len(maps):
+                drop(maps[j + 1], c)
+            if j > 1:
+                del maps[j - 1][r]
+            ranks[j] -= 1
+            ranks[j - 1] -= 1
+            del row_degrees[j][c]
+            del rows[r]
 
 
 class MinimalResolution(FreeComplex):
@@ -267,14 +261,14 @@ def resolve(module, steps):
     layout = ring._layout
     if module._resolution is None:
         # phi_1: the minimal generators, with their unit entries split off on
-        # polynomial columns when some entry has a term of degree 0.
+        # copies of the vectors (module.vecs is shared) when some entry has a
+        # term of degree 0.
         rank, rows = module.ambient_rank, list(module.row_degrees)
         vecs = [module.vecs[i] for i in _minimal_generator_indices(module.vecs, ring, rank, rows)]
         ranks, degs = [rank, len(vecs)], [rows, _twists(vecs, rows, layout)]
         if any(layout.degree(t) == 0 for vec in vecs for t in vec):
-            cols = [vec_to_column(v, rank, ring) for v in vecs]
-            _split_units(ring, ranks, degs, [None, cols])
-            vecs = _normalize_columns(cols, ring, ranks[0], degs[0])[0]
+            vecs = [dict(v) for v in vecs]
+            _split_units(ring, ranks, degs, [None, vecs])
         module._resolution = (ranks, degs, [vecs], set(), {})
     ranks, row_degrees, maps, checked, frobenius = module._resolution
     while len(maps) < steps and ranks[-1]:

@@ -649,8 +649,8 @@ class QuotientRing:
     ``_gb_lead_terms`` their leads and ``_gb_leads`` one lead list that
     serves every position, so ``nf_vec`` reduces modulo I * G with no copy
     of I; ``ideal_groebner`` builds the basis as polynomials on each read.
-    The constructor takes the basis as monic vectors, as ``make_ring`` hands
-    them over, or as polynomials, which it encodes and makes monic.  ``dim``
+    The constructor takes the basis only as the engine's monic vectors, as
+    ``make_ring`` hands them over (``_reduce_vec`` needs them monic).  ``dim``
     is the Krull dimension, read off the Hilbert numerator of the
     leading-term ideal on first use, so it always matches the basis given.
     An empty ideal gives the polynomial ring itself.
@@ -678,18 +678,11 @@ class QuotientRing:
         self.variables = tuple(variables)
         self.n = len(self.variables)
         self._zero_exps = (0,) * self.n
-        self._layout = layout = TermLayout(self.n)
+        self._layout = TermLayout(self.n)
         self.ideal_gens = tuple(ideal_gens)
         self._std_cache = {}
         self._inv_cache = {}
-        # _reduce_vec needs monic vectors; a basis given as polynomials may not be.
-        self._gb_vecs = []
-        for g in ideal_groebner:
-            if isinstance(g, Polynomial):
-                vec = {layout.encode(0, m): c for m, c in self.convert(g).terms.items()}
-                inv = self.inverse(vec[max(vec)])
-                g = {t: (c * inv) % p for t, c in vec.items()}
-            self._gb_vecs.append(g)
+        self._gb_vecs = list(ideal_groebner)
         self._gb_lead_terms = tuple(max(v) for v in self._gb_vecs)
         self._gb_leads = LeadList((t, i) for i, t in enumerate(self._gb_lead_terms))
         self._memo = {}

@@ -349,6 +349,78 @@ def reference_colon_heads(vecs, elements, ring, r, row_degrees):
     return heads
 
 
+def reference_minimize(C):
+    """``minimize`` on ``Polynomial`` columns: the complex's maps as
+    ``matrix(j)``, split by ``reference_split_units``, rebuilt by the
+    constructor (which raises ``NotHomogeneous`` on a column of two
+    degrees)."""
+    ranks, degs = list(C.ranks), [list(d) for d in C.row_degrees]
+    maps = [None] + [C.matrix(j) for j in range(1, len(C.maps))]
+    reference_split_units(C.ring, ranks, degs, maps)
+    return FreeComplex(C.ring, ranks, degs, maps[1:])
+
+
+def reference_find_unit(maps):
+    for j in range(1, len(maps)):
+        for c, col in enumerate(maps[j]):
+            for r, entry in enumerate(col):
+                if entry.constant_term():
+                    return (j, r, c)
+    return None
+
+
+def reference_split_units(ring, ranks, row_degrees, maps):
+    """Unit splitting in place on ``Polynomial`` columns, ``maps[j]`` being
+    phi_j (j >= 1): the reference for ``resolution._split_units``."""
+    while True:
+        found = reference_find_unit(maps)
+        if found is None:
+            return
+        j, r, c = found
+        mat = maps[j]
+        u = mat[c][r].constant_term()
+        w = ring.inverse(u)
+        nxt = maps[j + 1] if j + 1 < len(maps) else None
+        prv = maps[j - 1] if j - 1 >= 1 else None
+        # Clear row r with column operations; mirror as row operations on phi_{j+1}.
+        for c2 in range(len(mat)):
+            if c2 == c:
+                continue
+            a = mat[c2][r]
+            if a.is_zero():
+                continue
+            t = a * w
+            mat[c2] = [x - t * y for x, y in zip(mat[c2], mat[c])]
+            if nxt is not None:
+                for col in nxt:
+                    col[c] = col[c] + t * col[c2]
+        # Clear column c with row operations; mirror as column operations on phi_{j-1}.
+        for r2 in range(ranks[j - 1]):
+            if r2 == r:
+                continue
+            b = mat[c][r2]
+            if b.is_zero():
+                continue
+            s = b * w
+            for col in mat:
+                col[r2] = col[r2] - s * col[r]
+            if prv is not None:
+                prv[r] = [x + s * y for x, y in zip(prv[r], prv[r2])]
+        # Drop the split summands.
+        del mat[c]
+        for col in mat:
+            del col[r]
+        if nxt is not None:
+            for col in nxt:
+                del col[c]
+        if prv is not None:
+            del prv[r]
+        ranks[j] -= 1
+        ranks[j - 1] -= 1
+        del row_degrees[j][c]
+        del row_degrees[j - 1][r]
+
+
 def reference_syzygy_numerator(res, i):
     """The cokernel route to the Hilbert numerator of Omega_i, the reference
     for ``MinimalResolution.syzygy_numerator``: Omega_i = coker(phi_{i+1})

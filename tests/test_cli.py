@@ -281,6 +281,29 @@ def test_run_five_variable_problem():
     assert env["result"]["betti"] == [3, 1, 1, 2]
 
 
+def test_rowdegs_must_match_the_coker_rows(tmp_path, capsys):
+    """One row degree per coker row: another count, or row degrees with no
+    coker block, is a parse error (exit 2) that states its cause."""
+    head = "char: 5\nvars: x, y\nideal: x*y\n"
+    coker = "module: coker [x, y; 0, x]\n"
+    cases = {
+        head + coker + "rowdegs: 0\n": "rowdegs has 1 entries but the coker matrix has 2 rows",
+        head + "module: coker [x]\nrowdegs: 0, 1, 2\n": (
+            "rowdegs has 3 entries but the coker matrix has 1 rows"
+        ),
+        head + "module: quotient x\nrowdegs: 0\n": "rowdegs given without a coker module",
+        head + "rowdegs: 0\n": "rowdegs given without a coker module",
+    }
+    for text, cause in cases.items():
+        with pytest.raises(InconsistentBlocks, match=cause):
+            cli.parse_problem(text)
+        path = tmp_path / "rowdegs.fbr"
+        path.write_text(text)
+        assert cli.main(["resolve", "-i", str(path)]) == 2
+        assert cause in capsys.readouterr().err
+    assert cli.parse_problem(head + coker + "rowdegs: 0, 1\n").rowdegs == [0, 1]
+
+
 def test_exit_codes(tmp_path):
     bad = tmp_path / "bad.fbr"
     bad.write_text("chars: 5\n")

@@ -230,6 +230,20 @@ def test_normal_form_ambient_mismatch(R1):
         gb.normal_form([S.poly("x"), S.poly("y")])
 
 
+def test_row_degrees_of_another_count_raise_ambient_mismatch(R1):
+    # One twist per row: a count other than the ambient rank is rejected
+    # before any column is read, for columns and vectors alike.
+    column = [R1.poly("x"), R1.poly("y")]
+    vec = groebner._normalize_columns([column], R1, 2, None)[0][0]
+    assert groebner._normalize_columns([column], R1, 2, (1, 1))[2] == (1, 1)
+    for degrees in ((0,), (0, 1, 2)):
+        for columns in ([column], [vec], []):
+            with pytest.raises(AmbientMismatch):
+                groebner._normalize_columns(columns, R1, 2, degrees)
+        with pytest.raises(AmbientMismatch):
+            cokernel_presentation(R1, [column], 2, degrees)
+
+
 def test_syzygy_examples(R1):
     S = make_ring(5, ["x", "y"], [])
     syz = syzygy_generators([[S.poly("x")], [S.poly("y")]], S, ambient_rank=1)

@@ -165,11 +165,9 @@ def test_no_shared_mutable_module_state(path):
 
 # ``FreeComplex.matrix`` builds Polynomial columns on each call; the library
 # reads the stored vectors instead, except where Polynomial columns are the
-# point: ``minimize`` (unit splitting on polynomials) and the two reference
-# routes of ``homology``.  The CLI payload prints the stored vectors
-# (``vec_to_strings``).
+# point: the two reference routes of ``homology``.  ``minimize`` splits units
+# on the stored vectors, and the CLI payload prints them (``vec_to_strings``).
 MATRIX_CALLERS = {
-    ("resolution.py", "minimize"),
     ("homology.py", "homology_presentation"),
     ("homology.py", "degreewise_homology_oracle"),
 }
@@ -187,6 +185,23 @@ def test_polynomial_matrices_are_built_only_where_needed():
                 ):
                     found.add((path.name, getattr(top, "name", "<module>")))
     assert found <= MATRIX_CALLERS, "matrix() called from %s" % sorted(found - MATRIX_CALLERS)
+
+
+def test_resolution_builds_polynomial_columns_only_on_request():
+    """``resolution.py`` works on the stored engine vectors, unit splitting
+    included: ``vec_to_column(`` is called only where ``Polynomial`` columns
+    are asked for, ``FreeComplex.matrix`` and ``SyzygyPresentation.generators``,
+    and nowhere else in the module."""
+    tree = ast.parse((SRC / "resolution.py").read_text())
+
+    def calls(node):
+        funcs = (n.func for n in ast.walk(node) if isinstance(n, ast.Call))
+        return sum(getattr(f, "id", getattr(f, "attr", None)) == "vec_to_column" for f in funcs)
+
+    found = {label: calls(fn) for label, fn in _definitions(tree) if isinstance(fn, ast.FunctionDef)}
+    found = {label: n for label, n in found.items() if n}
+    assert set(found) == {"FreeComplex.matrix", "SyzygyPresentation.generators"}, found
+    assert sum(found.values()) == calls(tree)
 
 
 def test_syzygy_numbers_run_no_engine():

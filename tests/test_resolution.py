@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -23,7 +24,7 @@ from frobetti.errors import LiftFailure, NotHomogeneous
 from frobetti.groebner import numerator_length
 from frobetti.onedim import random_instances
 from frobetti.resolution import MinimalResolution
-from frobetti.ring import numerator_dimension
+from frobetti.ring import Polynomial, monomials_of_degree, numerator_dimension
 
 from conftest import (
     EagerEngine,
@@ -31,6 +32,8 @@ from conftest import (
     composes_to_zero,
     decoded,
     engine_trace,
+    fixture_rings,
+    reference_minimize,
     reference_syzygy_numerator,
     residue_field,
     use_reference_kernels,
@@ -242,6 +245,91 @@ def test_minimize_keeps_minimal_complex(R1, K1):
     assert [
         [[str(e) for e in col] for col in reduced.matrix(j)] for j in (1, 2)
     ] == [[[str(e) for e in col] for col in res.matrix(j)] for j in (1, 2)]
+
+
+def _complex_data(C):
+    """Ranks, twists and the entries of every map as strings."""
+    maps = [[[str(e) for e in col] for col in C.matrix(j)] for j in range(1, C.length + 1)]
+    return C.ranks, C.row_degrees, maps
+
+
+def _random_complex(rng, rings):
+    """A homogeneous complex of free modules (its maps need not compose to
+    zero) with 1-4 maps of ranks 1-3 and twists 0-2: an entry whose row and
+    column twists are equal is a constant, nonzero two times in three, so
+    units sit beside nonzero entries of the maps before and after theirs."""
+    ring = rng.choice(rings)
+    length = rng.randint(1, 4)
+    twists = [[rng.randint(0, 2) for _ in range(rng.randint(1, 3))] for _ in range(length + 1)]
+
+    def entry(degree):
+        if degree < 0 or rng.random() < (1 / 3 if degree == 0 else 1 / 2):
+            return ring.zero
+        monos = monomials_of_degree(ring.n, degree)
+        monos = rng.sample(monos, min(len(monos), rng.randint(1, 2)))
+        return Polynomial(ring, {m: rng.randint(1, ring.p - 1) for m in monos})
+
+    maps = [
+        [[entry(d - e) for e in twists[j - 1]] for d in twists[j]] for j in range(1, length + 1)
+    ]
+    return FreeComplex(ring, [len(t) for t in twists], twists, maps)
+
+
+def test_minimize_matches_the_polynomial_reference():
+    """``minimize`` splits units on the stored vectors as the ``Polynomial``
+    reference does on ``matrix(j)``: the same ranks, twists and entries, on
+    400 random homogeneous complexes over F_2, F_3, F_5 and F_7, most of
+    them with unit entries, and the input complex is left as it was."""
+    rng = random.Random(29)
+    rings = [ring for p in (2, 3, 5, 7) for ring in fixture_rings(p).values()]
+    with_units = 0
+    for _ in range(400):
+        C = _random_complex(rng, rings)
+        before = _complex_data(C)
+        with_units += C.has_unit_entry()
+        reduced = minimize(C)
+        assert _complex_data(reduced) == _complex_data(reference_minimize(C))
+        assert not reduced.has_unit_entry()
+        assert _complex_data(C) == before
+    assert with_units > 300
+
+
+def test_phi1_splits_two_unit_columns_as_the_reference(R1):
+    """A phi_1 with two unit columns splits as the reference splits the
+    module's generators, leaves the module's shared vectors as they were,
+    and the resolution is that of R/(y^2)."""
+    P = R1.poly
+    columns = [[P("1"), P("0"), P("x")], [P("0"), P("1"), P("y")], [P("0"), P("0"), P("y^2")]]
+    module = cokernel_presentation(R1, columns, 3, (1, 1, 0))
+    vecs = [dict(v) for v in module.vecs]
+    res = resolve(module, 3)
+    assert module.vecs == vecs
+    expected = reference_minimize(FreeComplex(R1, [3, 3], [[1, 1, 0], [1, 1, 2]], [columns]))
+    assert _complex_data(expected) == ([1, 1], [[0], [2]], [[["y^2"]]])
+    phi1 = [[str(e) for e in col] for col in res.matrix(1)]
+    assert (res.ranks[:2], res.row_degrees[:2], [phi1]) == _complex_data(expected)
+    assert _resolution_data(res) == _resolution_data(resolve(quotient_module(R1, ["y^2"]), 3))
+
+
+def test_minimize_rejects_an_inhomogeneous_column(R1):
+    """A column of two degrees raises ``NotHomogeneous``, as the reference's
+    rebuild from ``Polynomial`` columns does when the column is left: alone,
+    and beside a unit that splits off.  ``minimize`` checks the columns
+    before it splits, so a unit entry 1 + x, which the reference splits off
+    as if it were 1, raises too."""
+    encode = R1._layout.encode
+    lone = FreeComplex(R1, [1, 1], [[0], [1]], [[{encode(0, (1, 0)): 1, encode(0, (0, 2)): 1}]])
+    split = FreeComplex(
+        R1, [2, 2], [[0, 1], [0, 1]], [[{encode(0, (0, 0)): 2}, {encode(1, (1, 0)): 1, encode(1, (0, 2)): 1}]]
+    )
+    for C in (lone, split):
+        for route in (minimize, reference_minimize):
+            with pytest.raises(NotHomogeneous):
+                route(C)
+    pivot = FreeComplex(R1, [1, 1], [[0], [0]], [[{encode(0, (0, 0)): 1, encode(0, (1, 0)): 1}]])
+    assert reference_minimize(pivot).ranks == [0, 0]
+    with pytest.raises(NotHomogeneous):
+        minimize(pivot)
 
 
 def test_syzygy_presentations(R1, R3):
