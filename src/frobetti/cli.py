@@ -384,8 +384,7 @@ def run(command, problem, flags=None):
     flags = dict(flags or {})
     warnings = []
     started = time.perf_counter()
-    cache_dir = flags.get("cache_dir") or os.environ.get("FB_CACHE_DIR")
-    cache_state = "off" if not cache_dir else "miss"
+    cache_state = "off"
 
     ring = build_ring(problem)
     module = build_module(problem, ring)
@@ -394,7 +393,9 @@ def run(command, problem, flags=None):
     if command == "resolve":
         steps = _flag(flags, "steps", 3)
         data = None
+        cache_dir = flags.get("cache_dir") or os.environ.get("FB_CACHE_DIR")
         if cache_dir:
+            cache_state = "miss"
             try:
                 entry = cache_get(cache_dir, digest, "resolution")
             except CacheCorrupt as exc:
@@ -550,30 +551,41 @@ def main(argv=None):
         description="Exact Frobenius Betti, Hilbert-Kunz, and syzygy computations over F_p quotient rings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("resolve", "hk", "beta", "mu", "diagnose1", "syz", "verify"):
+    # Each command takes the flags its branch of ``run`` reads, and the
+    # output paths it can fill: --csv only where the result is a sequence.
+    commands = {
+        "resolve": ("steps", "cache-dir", "json"),
+        "hk": ("emax", "json", "csv"),
+        "beta": ("idx", "exact", "emax", "json", "csv"),
+        "mu": ("idx", "emax", "json", "csv"),
+        "diagnose1": ("idx", "emax", "json"),
+        "syz": ("idx", "steps", "json"),
+        "verify": ("emax", "json"),
+    }
+    for name, names in commands.items():
         cmd = sub.add_parser(name)
         cmd.add_argument("-i", "--input", required=True, help="problem file (.fbr)")
-        cmd.add_argument("--idx", type=int, default=None)
-        cmd.add_argument("--emax", type=int, default=None)
-        cmd.add_argument("--steps", type=int, default=None)
-        cmd.add_argument("--exact", action="store_true")
-        cmd.add_argument("--cache-dir", default=None, dest="cache_dir")
-        cmd.add_argument("--json", default=None, dest="json_path")
-        cmd.add_argument("--csv", default=None, dest="csv_path")
+        for flag in names:
+            if flag == "exact":
+                cmd.add_argument("--exact", action="store_true")
+            else:
+                cmd.add_argument("--" + flag, type=int if flag in ("idx", "emax", "steps") else str)
     args = parser.parse_args(argv)
+    flags = vars(args)
+    if flags.get("exact") and (flags["emax"] is not None or flags["csv"] is not None):
+        sub.choices["beta"].error("--exact reads neither --emax nor --csv")
 
     try:
         with open(args.input, "r") as handle:
             text = handle.read()
         problem = parse_problem(text)
-        flags = {
-            "idx": args.idx,
-            "emax": args.emax,
-            "steps": args.steps,
-            "exact": args.exact,
-            "cache_dir": args.cache_dir,
-        }
         envelope = run(args.command, problem, flags)
+        text = json.dumps(envelope, sort_keys=True, indent=2)
+        if flags["json"]:
+            with open(flags["json"], "w") as handle:
+                handle.write(text + "\n")
+        if flags.get("csv"):
+            write_csv(envelope, flags["csv"])
     except _PARSE_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return PARSE_EXIT
@@ -586,13 +598,6 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return PARSE_EXIT
-
-    text = json.dumps(envelope, sort_keys=True, indent=2)
-    if args.json_path:
-        with open(args.json_path, "w") as handle:
-            handle.write(text + "\n")
-    if args.csv_path:
-        write_csv(envelope, args.csv_path)
     print(text)
     return 0
 

@@ -270,12 +270,11 @@ class _Engine:
         lcm(lead_j, h) equals m (``_keeps``).  M and F criteria: take the
         pairs with ``partners`` so that a proper divisor of an lcm comes
         first, and a coprime pair first among equal lcms, and keep a pair iff
-        no kept lcm divides its lcm; any such order keeps the same pairs, and
-        a single partner needs none.  Returns the kept pairs that are not
-        coprime (product criterion) as ``(degree of lcm, i, lcm)``.  Coprime
-        means the lcm is the product of the leads and both elements live only
-        at their lead position; the product criterion does not hold for
-        module elements otherwise.
+        no kept lcm divides its lcm; any such order keeps the same pairs.
+        Returns the kept pairs that are not coprime (product criterion) as
+        ``(degree of lcm, i, lcm)``.  Coprime means the lcm is the product of
+        the leads and both elements live only at their lead position; the
+        product criterion does not hold for module elements otherwise.
 
         All pairs are at one position, so these tests read exponent words
         only: the lcm of a and h is a + d, for d the delta max(h - a, 0)
@@ -300,21 +299,12 @@ class _Engine:
         h_exps = h & mask
         h_guarded = h_exps | guard
         deg, deg_mask, shift = layout.deg, layout.deg_mask, layout.shift
-        if len(partners) == 1:
-            ((a, i),) = partners
-            # Field k of d is 2^63 + h_k - a_k, its guard bit set iff h_k >= a_k;
-            # keep - (keep >> 63) masks the low 63 bits of those fields, which
-            # hold max(h_k - a_k, 0).
-            d = h_guarded - (a & mask)
-            keep = d & guard
-            d &= keep - (keep >> 63)
-            if single_new and single[i] and d == h_exps:
-                return []
-            m = a + shift(d)
-            return [((m >> deg) & deg_mask, i, m)]
         records = []
         for a, i in partners:
             a &= mask
+            # Field k of d is 2^63 + h_k - a_k, its guard bit set iff h_k >= a_k;
+            # keep - (keep >> 63) masks the low 63 bits of those fields, which
+            # hold max(h_k - a_k, 0).
             d = h_guarded - a
             keep = d & guard
             d &= keep - (keep >> 63)
@@ -819,9 +809,6 @@ class SubmodulePresentation:
 
     def colon(self, element):
         """(N : f) as a submodule of the same ambient free module."""
-        element = self.ring.poly(element)
-        if element.is_zero():
-            raise ZeroDivisorQuery("colon by zero is rejected")
         return self.colon_by_elements([element])
 
     def colon_by_elements(self, elements):

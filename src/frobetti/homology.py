@@ -9,7 +9,9 @@ generators or lifts.  The runs take column vectors as they are, over R or
 R/P alike: ``coefficient_ring`` keeps the variables, so both share a
 ``TermLayout``.
 
-Tor and Ext lengths read the maps of the module's stored resolution twisted
+Tor and Ext lengths share one body, ``_frobenius_length``, which differs
+between them only in the maps it reads at the spot and the sign of the
+twists.  It reads the maps of the module's stored resolution twisted
 one Frobenius step at a time and reduced modulo I
 (``frobenius.frobenius_vectors``), which span the same modules as the
 literal bracket powers of ``twist_complex``.  Each twisted cokernel
@@ -183,16 +185,30 @@ def _twisted_numerator(res, j, e, ring, side):
     return num
 
 
-def _resolution_for(module, i, e, coefficients):
-    """The resolution through step i + 1 that Tor_i and Ext^i at level e
-    read, and the coefficient ring; for e > 0 the stored compositions are
-    checked, once over all the module's resolutions."""
-    lv = _level(module.ring, e)
+def _frobenius_length(module, i, e, coefficients, side):
+    """The Tor_i (``side`` "tor") or Ext^i ("ext") length at level e.
+
+    The spot is G_i of the stored resolution through step i + 1, its stored
+    compositions checked once over all the module's resolutions.  For Tor,
+    phi_{i+1}^[q] comes in and phi_i^[q] goes out to twists q * deg G_{i-1};
+    for Ext, (phi_i^[q])^T comes in and (phi_{i+1}^[q])^T goes out to twists
+    -q * deg G_{i+1}.
+    """
+    if module.dimension() > 0:
+        raise InfiniteLength("%s_length requires a finite-length module" % side)
+    q = _level(module.ring, e).q
     res = resolve(module, i + 1)
-    if lv.q > 1 and not res.check_complex():
+    if not res.check_complex():
         raise LiftFailure("consecutive maps do not compose to zero; not a complex")
     ring = module.ring if coefficients == "R" else coefficient_ring(module.ring, coefficients)
-    return res, ring
+    if not res.degrees(i):
+        return 0
+    if side == "tor":
+        j_in, j_out, out_degs = i + 1, i, [q * d for d in res.degrees(i - 1)]
+    else:
+        j_in, j_out, out_degs = i, i + 1, [-q * d for d in res.degrees(i + 1)]
+    out_num = _twisted_numerator(res, j_out, e, ring, side) if out_degs else None
+    return _spot_length(ring, _twisted_numerator(res, j_in, e, ring, side), out_num, out_degs)
 
 
 def tor_length(module, i, e, coefficients="R"):
@@ -207,15 +223,7 @@ def tor_length(module, i, e, coefficients="R"):
     memoised beside the stored resolution, so no twist module and no
     subquotient is ever materialized.
     """
-    if module.dimension() > 0:
-        raise InfiniteLength("tor_length requires a finite-length module")
-    res, ring = _resolution_for(module, i, e, coefficients)
-    if not res.degrees(i):
-        return 0
-    q = ring.p**e
-    out_degs = [q * d for d in res.degrees(i - 1)]
-    out_num = _twisted_numerator(res, i, e, ring, "tor") if out_degs else None
-    return _spot_length(ring, _twisted_numerator(res, i + 1, e, ring, "tor"), out_num, out_degs)
+    return _frobenius_length(module, i, e, coefficients, "tor")
 
 
 def ext_length(module, i, e, coefficients="R"):
@@ -225,15 +233,7 @@ def ext_length(module, i, e, coefficients="R"):
     Hilbert series of coker (phi_i^[q])^T and coker (phi_{i+1}^[q])^T, on the
     same stepwise twisted columns and memo as ``tor_length``.
     """
-    if module.dimension() > 0:
-        raise InfiniteLength("ext_length requires a finite-length module")
-    res, ring = _resolution_for(module, i, e, coefficients)
-    if not res.degrees(i):
-        return 0
-    q = ring.p**e
-    out_degs = [-q * d for d in res.degrees(i + 1)]
-    out_num = _twisted_numerator(res, i + 1, e, ring, "ext") if out_degs else None
-    return _spot_length(ring, _twisted_numerator(res, i, e, ring, "ext"), out_num, out_degs)
+    return _frobenius_length(module, i, e, coefficients, "ext")
 
 
 # -- degreewise linear-algebra oracle ------------------------------------------

@@ -20,7 +20,7 @@ from .groebner import (
     _minimal_generator_indices,
     quotient_module,
 )
-from .homology import coefficient_ring, homology_length, tor_length
+from .homology import tor_length
 from .resolution import resolve
 from .ring import _reduce_vec, make_ring
 
@@ -192,9 +192,7 @@ def choose_parameter(ring, annihilate=None, attempts=50):
         flags = {
             "parameter": quotient_module(ring, [y]).dimension() == 0,
             "kills_h0": all(ring.is_zero_mod(x * g) for g in h0_gens),
-            "h0_equals_colon": SubmodulePresentation(ring, [], 1).colon(x).same_span(h0)
-            if not h0.is_zero_submodule()
-            else SubmodulePresentation(ring, [], 1).colon(x).is_zero_submodule(),
+            "h0_equals_colon": SubmodulePresentation(ring, [], 1).colon(x).same_span(h0),
         }
         if annihilate is not None:
             flags["kills_module"] = _kills_module(ring, x, annihilate)
@@ -291,11 +289,8 @@ def lemma_h0_check(module, i):
     if omega.length is INFINITE:
         return GateReport(False, "syzygy length infinite")
     h0 = h0_ring(ring)
-    if h0.is_zero_submodule():
-        target = ring
-    else:
-        target = coefficient_ring(ring, [col[0] for col in h0.columns])
-    value = homology_length(res, i, target)
+    coefficients = "R" if h0.is_zero_submodule() else [col[0] for col in h0.columns]
+    value = tor_length(module, i, 0, coefficients)
     return GateReport(True, "", {"tor_length": value}, passed=(value == 0))
 
 

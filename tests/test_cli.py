@@ -342,6 +342,37 @@ def test_removed_flags_are_rejected(tmp_path, flag):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("resolve", ["--emax", "2"]),
+        ("hk", ["--idx", "1"]),
+        ("verify", ["--exact"]),
+        ("resolve", ["--csv", "out.csv"]),
+        ("beta", ["--exact", "--csv", "out.csv"]),
+    ],
+    ids=["resolve-emax", "hk-idx", "verify-exact", "resolve-csv", "beta-exact-csv"],
+)
+def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, capsys, command, flags):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "r1.fbr"
+    path.write_text(R1_PROBLEM)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "-i", str(path)] + flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_only_resolve_reads_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("FB_CACHE_DIR", str(tmp_path / "envcache"))
+    env = cli.run("hk", _problem(), {"emax": 2})
+    assert env["timing"]["cache"] == "off"
+    env = cli.run("hk", _problem(), {"emax": 2, "cache_dir": str(tmp_path / "cache")})
+    assert env["timing"]["cache"] == "off"
+    assert not (tmp_path / "envcache").exists() and not (tmp_path / "cache").exists()
+
+
 def test_zero_flags_mean_zero():
     env = cli.run("resolve", _problem(), {"steps": 0})
     assert env["result"]["betti"] == [1] and env["result"]["matrices"] == []

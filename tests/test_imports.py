@@ -236,6 +236,19 @@ def test_lengths_read_stepwise_twists():
         assert not called & ({"twist_complex", "frobenius_power"} | own.get(name, set())), name
 
 
+def test_onedim_reads_tor_through_tor_length():
+    """Tor_i(M, R/H^0_m(R)) of ``lemma_h0_check`` is a ``tor_length`` at
+    level 0, on its memo and composition check: ``onedim.py`` calls neither
+    ``homology_length(`` nor ``coefficient_ring(``."""
+    tree = ast.parse((SRC / "onedim.py").read_text())
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert not called & {"homology_length", "coefficient_ring"}
+
+
 def test_ideal_copies_are_laid_out_only_inside_the_engine():
     """A normal form modulo I * G reads the ring's one basis of I at every
     position (``QuotientRing.nf_vec``); the copies g * e_k of ``_ideal_vecs(``

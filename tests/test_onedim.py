@@ -9,6 +9,7 @@ from frobetti import (
     decide_finite_pd_1dim,
     diagnose_onedim,
     h0_ring,
+    homology_length,
     ideal,
     lemma_h0_check,
     make_ring,
@@ -16,6 +17,7 @@ from frobetti import (
     quotient_module,
     resolve,
     syzygy_length_survey,
+    tor_length,
     tor_vanishing_vs_minimal_primes,
     xi_alternating_sum_check,
 )
@@ -61,6 +63,26 @@ def test_coefficient_ring_matches_the_string_route(R1):
         parsed = make_ring(ring.p, ring.variables, printed)
         assert [g.terms for g in got.ideal_gens] == [g.terms for g in parsed.ideal_gens]
         assert [list(v.items()) for v in got._gb_vecs] == [list(v.items()) for v in parsed._gb_vecs]
+
+
+def test_tor_over_r_mod_h0_matches_the_homology_route(R1):
+    """``lemma_h0_check`` reads Tor_i(k, R/H^0_m(R)) through ``tor_length``;
+    ``homology_length`` over ``coefficient_ring`` is the reference route.
+    Both agree on the residue field of R1 and of each one-dimensional family
+    of the benchmark (H^0 = 0 for the second), for i = 1..4."""
+    cases = [(R1, [1, 2, 3, 5])]
+    for gens, expected in (
+        (["x^2", "x*y", "x*z", "y*z"], [1, 3, 7, 17]),
+        (["x^2 - x*y", "x*z", "y*z"], [0, 0, 0, 0]),
+        (["x^2", "x*y - x*z", "y*z"], [1, 2, 3, 5]),
+    ):
+        cases.append((make_ring(5, list("xyz"), gens), expected))
+    for ring, expected in cases:
+        module = residue_field(ring)
+        h0_gens = [col[0] for col in h0_ring(ring).columns]
+        target = coefficient_ring(ring, h0_gens)
+        assert [tor_length(module, i, 0, h0_gens) for i in range(1, 5)] == expected
+        assert [homology_length(resolve(module, i + 1), i, target) for i in range(1, 5)] == expected
 
 
 def test_decide_beta_vanishing_examples(R1, R2, R3, K1, K2):
