@@ -12,7 +12,8 @@ maps reduced modulo I one Frobenius step at a time instead: h = r modulo I
 gives h^[p] = r^[p] modulo I^[p], which lies in I, so NF(h^[p^e]) =
 NF(NF(h^[p^(e-1)])^[p]): e normal forms of small exponents replace one of
 exponents near q (``frobenius_step``, ``frobenius_vectors``), each one the
-ring's ``nf_vec``.  Tor, Ext and Hilbert-Kunz lengths all read them.
+ring's ``nf_vec`` (``nf_vec_in_place`` on a fresh bracket power).  Tor, Ext
+and Hilbert-Kunz lengths all read them.
 """
 
 from .errors import LiftFailure, Overflow
@@ -87,7 +88,7 @@ def twist_complex(complex_, level):
 def frobenius_step(vecs, ring):
     """NF(v^[p]) of each vector v modulo I times its free module."""
     p, layout = ring.p, ring._layout
-    return [ring.nf_vec(_bracket_vec(v, p, layout)) for v in vecs]
+    return [ring.nf_vec_in_place(_bracket_vec(v, p, layout)) for v in vecs]
 
 
 def frobenius_vectors(res, j, e):

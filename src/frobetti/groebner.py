@@ -34,7 +34,9 @@ vector passes a copy); a tracked run builds the representation only of a
 nonzero remainder.  A Hilbert numerator (length, dimension, Hilbert
 function) needs only the minimal leads of one engine run
 (``_Engine.minimal_leads``), so it takes no tail reduction and builds no
-``GroebnerBasis``.
+``GroebnerBasis``.  Every full run starts in ``_run_engine``; a syzygy step
+runs its engine only when its seeds fail to certify themselves as a Groebner
+basis (``_syzygy_vecs``).
 
 Every engine run works over R = S/I by adjoining I * ambient: ``g * e_k``
 for every g in the reduced Groebner basis of I and every ambient position k,
@@ -204,7 +206,8 @@ class _Engine:
         self.ideal = range(first, first + ambient_rank * len(leads))
         for index, vec in enumerate(vecs):
             if vec:
-                self._insert(vec, {layout.unit(index): 1} if track else {})
+                rep = {layout.unit(index): 1} if track else {}
+                self._insert(vec, rep, max(vec), min(vec))
             else:
                 self.zero_indices.append(index)
         top = layout.top
@@ -213,10 +216,13 @@ class _Engine:
             for vec, lead in zip(_ideal_vecs(ring, pos), leads):
                 self._append(vec, lead - (pos << top), {}, True, earlier)
 
-    def _insert(self, vec, rep):
+    def _insert(self, vec, rep, lead=None, low=None):
         """Append ``vec`` made monic, ``rep`` scaled with it, with the
-        elements listed at its position as partners."""
-        lead = max(vec)
+        elements listed at its position as partners.  Its lead and lowest
+        term are its first and last keys unless given: a remainder of
+        ``_reduce_vec`` lists its terms in descending order."""
+        if lead is None:
+            lead, low = next(iter(vec)), next(reversed(vec))
         layout = self.layout
         if lead & layout.guard:
             raise layout.overflow(lead)
@@ -227,7 +233,7 @@ class _Engine:
             vec = {t: (v * inv) % p for t, v in vec.items()}
             rep = {t: (v * inv) % p for t, v in rep.items()}
         top = layout.top
-        single = min(vec) >> top == lead >> top
+        single = low >> top == lead >> top
         self._append(vec, lead, rep, single, len(self.by_pos.get(-(lead >> top), ())))
 
     def _append(self, vec, lead, rep, single_pos, n_partners):
@@ -518,16 +524,16 @@ def _ideal_vecs(ring, pos):
     return vecs
 
 
-def _run_engine(vecs, ring, ambient_rank, row_degrees, track=False):
-    """One Buchberger run over the vectors ``vecs`` plus I * ambient."""
-    engine = _Engine(ring, ambient_rank, row_degrees, vecs, track)
+def _run_engine(engine):
+    """One full Buchberger run of ``engine``, which it returns: every full
+    run goes through here."""
     engine.run()
-    return engine, engine.zero_indices
+    return engine
 
 
 def _basis_of_vecs(vecs, ring, ambient_rank, row_degrees):
     """Reduced Groebner basis of the span of ``vecs`` plus I * ambient."""
-    engine, _ = _run_engine(vecs, ring, ambient_rank, row_degrees)
+    engine = _run_engine(_Engine(ring, ambient_rank, row_degrees, vecs))
     vecs, leads, _ = engine.reduced()
     return GroebnerBasis(ring, ambient_rank, row_degrees, vecs, leads)
 
@@ -544,8 +550,7 @@ def reduced_ideal_groebner(gens, ring):
     """Reduced Groebner basis of an ideal of the underlying polynomial ring,
     as monic vectors at position 0, lowest lead first."""
     vecs = [column_to_vec([g], ring) for g in gens]
-    engine, _ = _run_engine(vecs, ring, 1, (0,))
-    return engine.reduced()[0]
+    return _run_engine(_Engine(ring, 1, (0,), vecs)).reduced()[0]
 
 
 def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):
@@ -563,16 +568,40 @@ def syzygy_generators(columns, ring, ambient_rank=None, row_degrees=None):
 
 
 def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
-    """Syzygies of the vectors ``gens``, as vectors whose positions are generator indices."""
-    n = len(gens)
-    if n == 0:
+    """Syzygies of the vectors ``gens``, as vectors whose positions are
+    generator indices, read off a tracked engine by ``_schreyer_syzygies``.
+
+    The engine is first read as seeded, with no pair run: B, its reduced
+    basis, is built from the set E of seeds and copies of I * ambient.  If
+    every element of E reduces to zero against B, span B = span E; if every
+    same-position S-pair of B does too, B is a Groebner basis (Buchberger's
+    criterion).  The leads of B are leads of E, so E is then a Groebner
+    basis already: a run would insert nothing, and would leave the basis,
+    the representations and B as they are, so the syzygies read are those
+    of the completed engine.  Otherwise they are thrown away at the first
+    nonzero remainder, and one tracked run completes the engine first.
+    """
+    if not gens:
         return []
-    engine, zero_indices = _run_engine(gens, ring, ambient_rank, row_degrees, True)
-    gb = GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
-    leads, vecs, reps = gb.leads, gb.vecs, gb.reps
+    engine = _Engine(ring, ambient_rank, row_degrees, gens, True)
+    syz = _schreyer_syzygies(engine, gens, True)
+    if syz is None:
+        syz = _schreyer_syzygies(_run_engine(engine), gens)
+    return syz
+
+
+def _schreyer_syzygies(engine, gens, certify=False):
+    """The syzygies of ``gens`` read off the reduced basis of the tracked
+    ``engine`` (Schreyer; Eisenbud, Commutative Algebra, Thm 15.10): zero
+    generators, then the columns of (Id - T U), then the Schreyer pass, with
+    repeats dropped.  Every reduction must leave no remainder; a nonzero
+    one returns None if ``certify``, and raises ``AssertionError`` if not."""
+    ring, n = engine.ring, len(gens)
+    vecs, leads, reps = engine.reduced()
+    by_pos = _lead_lists(leads, ring)
     unit, lcm = ring._layout.unit, ring._layout.lcm
     # Zero input columns are syzygies outright.
-    syz_vecs = [{unit(idx): 1} for idx in zero_indices]
+    syz_vecs = [{unit(idx): 1} for idx in engine.zero_indices]
 
     # Columns of (Id - T U): each original generator minus its expression in
     # the reduced basis.  A copy g * e_k of I * G has no coordinates, so its
@@ -584,7 +613,9 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
         if not vec:
             continue
         rep = {unit(idx): 1} if idx < n else {}
-        if gb.normal_form_vec(vec, rep):
+        if _reduce_vec(dict(vec), by_pos, vecs, ring, rep, reps):
+            if certify:
+                return None
             raise AssertionError("span generator failed to reduce to zero against its own basis")
         if rep:
             syz_vecs.append(rep)
@@ -594,13 +625,15 @@ def _syzygy_vecs(gens, ring, ambient_rank, row_degrees):
     # is sorted by lead, position first, so each position's lead list is a
     # block of consecutive indices, and its pairs i < j come in the order of
     # all index pairs.  Each S-vector is fresh, so it is reduced in place.
-    for block in gb.by_pos.values():
+    for block in by_pos.values():
         for k, (a, i) in enumerate(block):
             for b, j in block[k + 1 :]:
                 m = lcm(a, b)
                 rep = _spair(leads, reps, i, j, m, ring)
                 vec = _spair(leads, vecs, i, j, m, ring)
-                if _reduce_vec(vec, gb.by_pos, vecs, ring, rep, reps):
+                if _reduce_vec(vec, by_pos, vecs, ring, rep, reps):
+                    if certify:
+                        return None
                     raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
                 if rep:
                     syz_vecs.append(rep)
@@ -649,7 +682,7 @@ def _colon_basis(vecs, elements, ring, r, row_degrees):
     for i in range(k):
         shift = (i * r) << top
         matrix += [{t - shift: c for t, c in v.items()} for v in vecs]
-    engine, _ = _run_engine(matrix, ring, tags + r, big_degrees)
+    engine = _run_engine(_Engine(ring, tags + r, big_degrees, matrix))
     shift = tags << top
     tagged, tag_leads, _ = engine.reduced(tags)
     kept_vecs = [{t + shift: c for t, c in vec.items()} for vec in tagged]
@@ -761,7 +794,7 @@ class SubmodulePresentation:
     def _tracked_gb(self):
         if self._tracked is None:
             args = (self.ring, self.ambient_rank, self.row_degrees)
-            engine, _ = _run_engine(self.vecs, *args, track=True)
+            engine = _run_engine(_Engine(*args, self.vecs, True))
             self._tracked = GroebnerBasis(*args, *engine.reduced())
         return self._tracked
 
@@ -901,7 +934,7 @@ def cokernel_numerator(vecs, ring, row_degrees):
     twists ``row_degrees``: the numerators of the positions' lead-term ideals
     (minimal leads of one engine run, so ``_numerator`` takes them without
     minimalising), each shifted by its row degree."""
-    engine, _ = _run_engine(vecs, ring, len(row_degrees), row_degrees)
+    engine = _run_engine(_Engine(ring, len(row_degrees), row_degrees, vecs))
     by_pos = engine.minimal_leads()[1]
     layout = ring._layout
     mask, degree = layout.mask, layout.degree

@@ -85,7 +85,7 @@ class FreeComplex:
                 # t is c * x^m * e_r: add c * x^m times column r of phi_j.
                 r = -(t >> top)
                 _axpy(image, self.maps[j][r], -c, t - unit(r), ring)
-            if ring.nf_vec(image):
+            if ring.nf_vec_in_place(image):
                 return False
         return True
 

@@ -18,7 +18,8 @@ vector at position 0) both run on them.  ``_reduce_vec`` reduces its vector
 in place, takes terms from a heap and tests them against the leads of their
 position only
 (``_lead_lists``), or against one lead list at every position, as
-:meth:`QuotientRing.nf_vec` reduces modulo I * G.  A lead list
+:meth:`QuotientRing.nf_vec` reduces a copy modulo I * G
+(``nf_vec_in_place`` reduces a vector built for the call).  A lead list
 (``LeadList``) is scanned while it is short; once it is long, its divisor
 index of per-variable bitsets finds the same first divisor.  Hilbert
 numerators (``_numerator``) read the same lead terms, as ``(degree, packed
@@ -770,13 +771,18 @@ class QuotientRing:
         if not poly.terms or not self._gb_vecs:
             return self.convert(poly)
         encode, exps = self._layout.encode, self._layout.exps
-        rem = self.nf_vec({encode(0, m): c for m, c in poly.terms.items()})
+        rem = self.nf_vec_in_place({encode(0, m): c for m, c in poly.terms.items()})
         return Polynomial(self, {exps(t): c for t, c in rem.items()})
 
     def nf_vec(self, vec):
         """Normal form of the engine vector ``vec`` modulo I * G, a new dict;
         ``vec`` is left as it is."""
         return _reduce_vec(dict(vec), self._gb_leads, self._gb_vecs, self)
+
+    def nf_vec_in_place(self, vec):
+        """``nf_vec`` of a vector built for this call, with no copy: ``vec``
+        is reduced in place and is empty on return."""
+        return _reduce_vec(vec, self._gb_leads, self._gb_vecs, self)
 
     def is_zero_mod(self, poly):
         return not self.nf(poly).terms

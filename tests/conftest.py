@@ -112,6 +112,48 @@ class EagerEngine(groebner._Engine):
                 self._insert(rem, rep)
 
 
+def reference_syzygy_vecs(gens, ring, ambient_rank, row_degrees):
+    """The always-run route to the syzygies of the vectors ``gens``, the
+    reference for ``groebner._syzygy_vecs``: one tracked run completes the
+    engine before the (Id - T U) columns and the Schreyer pass are read off
+    its reduced basis, with no certificate of the seeds."""
+    n = len(gens)
+    if n == 0:
+        return []
+    engine = groebner._Engine(ring, ambient_rank, row_degrees, gens, True)
+    engine.run()
+    gb = groebner.GroebnerBasis(ring, ambient_rank, row_degrees, *engine.reduced())
+    leads, vecs, reps = gb.leads, gb.vecs, gb.reps
+    unit, lcm = ring._layout.unit, ring._layout.lcm
+    # Zero input columns are syzygies outright.
+    syz_vecs = [{unit(idx): 1} for idx in engine.zero_indices]
+
+    # Columns of (Id - T U): each original generator minus its expression in
+    # the reduced basis; a copy of I * G leaves a relation modulo I * G.
+    ideal = [engine.basis[i] for i in engine.ideal]
+    for idx, vec in enumerate(gens + ideal):
+        if not vec:
+            continue
+        rep = {unit(idx): 1} if idx < n else {}
+        if gb.normal_form_vec(vec, rep):
+            raise AssertionError("span generator failed to reduce to zero against its own basis")
+        if rep:
+            syz_vecs.append(rep)
+
+    # Schreyer pass: every same-position S-pair of the reduced basis.
+    for block in gb.by_pos.values():
+        for k, (a, i) in enumerate(block):
+            for b, j in block[k + 1 :]:
+                m = lcm(a, b)
+                rep = groebner._spair(leads, reps, i, j, m, ring)
+                vec = groebner._spair(leads, vecs, i, j, m, ring)
+                if _reduce_vec(vec, gb.by_pos, vecs, ring, rep, reps):
+                    raise AssertionError("S-polynomial of a Groebner basis did not reduce to zero")
+                if rep:
+                    syz_vecs.append(rep)
+    return groebner._dedupe_vecs(syz_vecs)
+
+
 def reference_reduce_vec(vec, by_pos, basis, ring, rep=None, reps=None):
     """The division loop that scans every lead list, the reference for
     ``ring._reduce_vec``: each term is tested against the leads of its

@@ -50,6 +50,7 @@ from conftest import (
     reference_colon_heads,
     reference_update,
     reference_numerator,
+    reference_syzygy_vecs,
     residue_field,
     use_reference_kernels,
     vec_key,
@@ -1548,14 +1549,53 @@ def test_syzygy_generators_leave_out_columns_that_are_zero_over_the_ring():
         assert ring.is_zero_mod(image)
 
 
+def _f2_fallback_case():
+    """F_2[x,y]/(xy), the column (x^3, 0, x^3 + y^3) and a zero column, as
+    ``_column_sets`` draws a case.  The seeds and the copies of I are no
+    Groebner basis: the S-vector of the column and x y e_0 leaves y^4 e_2."""
+    ring = make_ring(2, ["x", "y"], ["x*y"])
+    x3, y3, zero = ring.poly("x^3"), ring.poly("y^3"), ring.zero
+    return ring, [[x3, zero, x3 + y3], [zero, zero, zero]], 3, (0, 0, 0)
+
+
+F2_FALLBACK = _f2_fallback_case()
+
+
+def _schreyer_pairs(engine):
+    """The pairs ``(i, j, lcm)`` of the Schreyer pass over the reduced basis
+    of the tracked ``engine``, and the index of the first one whose S-vector
+    leaves a remainder against that basis (None if none does)."""
+    ring = engine.ring
+    vecs, leads, _ = engine.reduced()
+    by_pos = _lead_lists(leads, ring)
+    top, lcm = ring._layout.top, ring._layout.lcm
+    pairs = [
+        (i, j, lcm(leads[i], leads[j]))
+        for i, j in combinations(range(len(leads)), 2)
+        if leads[i] >> top == leads[j] >> top
+    ]
+    first = next(
+        (
+            k
+            for k, (i, j, m) in enumerate(pairs)
+            if _reduce_vec(groebner._spair(leads, vecs, i, j, m, ring), by_pos, vecs, ring)
+        ),
+        None,
+    )
+    return pairs, first
+
+
 @settings(max_examples=40, deadline=None)
 @given(_column_sets(ranks=(1, 2, 3)))
+@example(F2_FALLBACK)
 def test_schreyer_pass_walks_the_same_position_pairs(case):
-    """The Schreyer pass of ``_syzygy_vecs`` forms S-vectors for exactly the
-    pairs i < j of the reduced basis whose leads share a position, in the
-    order of all index pairs, each with the lcm of its leads: first its
-    representation, then its basis vectors.  Every ``_spair`` call outside
-    ``_Engine.run`` belongs to the pass."""
+    """The Schreyer pass of ``_syzygy_vecs`` over the final reduced basis
+    forms S-vectors for exactly the pairs i < j whose leads share a
+    position, in the order of all index pairs, each with the lcm of its
+    leads: first its representation, then its basis vectors.  Every
+    ``_spair`` call outside ``_Engine.run`` belongs to a pass.  Only when the
+    run adds an element may that pass follow a prefix of the pass over the
+    seeds' reduced basis, which then ends at its first nonzero remainder."""
     ring, columns, rank, degrees = case
     vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
     calls, running = [], []
@@ -1576,14 +1616,58 @@ def test_schreyer_pass_walks_the_same_position_pairs(case):
         patch.setattr(groebner, "_Engine", RunningEngine)
         patch.setattr(groebner, "_spair", recording_spair)
         groebner._syzygy_vecs(vecs, ring, rank, degrees)
-    leads = groebner._run_engine(vecs, ring, rank, degrees, True)[0].reduced()[1]
-    top, lcm = ring._layout.top, ring._layout.lcm
-    expected = [
-        (i, j, lcm(leads[i], leads[j]))
-        for i, j in combinations(range(len(leads)), 2)
-        if leads[i] >> top == leads[j] >> top
-    ]
-    assert calls[::2] == calls[1::2] == expected
+    seeded = groebner._Engine(ring, rank, degrees, vecs, True)
+    size = len(seeded.basis)
+    expected = _schreyer_pairs(groebner._run_engine(seeded))[0]
+    assert calls[::2] == calls[1::2]
+    pairs = calls[::2]
+    prefix = pairs[: len(pairs) - len(expected)]
+    assert pairs[len(prefix) :] == expected
+    if prefix:
+        assert len(seeded.basis) > size
+        seed_pairs, first = _schreyer_pairs(groebner._Engine(ring, rank, degrees, vecs, True))
+        assert prefix == seed_pairs[: first + 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(_column_sets(ranks=(1, 2, 3), twists=(-1, 2)))
+@example(F2_FALLBACK)
+def test_syzygy_vecs_match_the_always_run_reference(case):
+    """Certifying the seeds as a Groebner basis, and running the engine only
+    when that fails, changes no syzygy, term order included, against the
+    route that always runs (``reference_syzygy_vecs``)."""
+    ring, columns, rank, degrees = case
+    vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
+    syz = groebner._syzygy_vecs(vecs, ring, rank, degrees)
+    assert _items(syz) == _items(reference_syzygy_vecs(vecs, ring, rank, degrees))
+
+
+def test_syzygy_step_runs_the_engine_only_when_the_certificate_fails(monkeypatch):
+    """The seeds of ``F2_FALLBACK`` fail the certificate, so the syzygy step
+    takes one run, which adds an element; its syzygies are those of the
+    always-run reference.  The seeds (x^3, 0, x^3 + x y^2) pass it, with the
+    same syzygies, and take no run."""
+    ring, columns, rank, degrees = F2_FALLBACK
+    runs = []
+    real_run = groebner._run_engine
+
+    def recording_run(engine):
+        size = len(engine.basis)
+        real_run(engine)
+        runs.append(len(engine.basis) - size)
+        return engine
+
+    monkeypatch.setattr(groebner, "_run_engine", recording_run)
+    vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
+    syz = groebner._syzygy_vecs(vecs, ring, rank, degrees)
+    assert len(runs) == 1 and runs[0] > 0
+    assert _items(syz) == _items(reference_syzygy_vecs(vecs, ring, rank, degrees))
+    runs.clear()
+    columns = [[ring.poly("x^3"), ring.zero, ring.poly("x^3 + x*y^2")]]
+    vecs = groebner._normalize_columns(columns, ring, rank, degrees)[0]
+    syz = groebner._syzygy_vecs(vecs, ring, rank, degrees)
+    assert runs == []
+    assert _items(syz) == _items(reference_syzygy_vecs(vecs, ring, rank, degrees))
 
 
 def _items(vecs):
@@ -1620,16 +1704,17 @@ def test_engine_matches_the_eager_reference(case):
 
 @pytest.mark.parametrize(
     "name, steps, formed, updates, eager_updates",
-    [("R5", 3, 101, 93, 216), ("R1", 8, 135, 139, 280)],
+    [("R5", 3, 0, 0, 216), ("R1", 8, 0, 0, 280)],
 )
 def test_resolve_work_counts(monkeypatch, request, name, steps, formed, updates, eager_updates):
     """S-vectors formed in runs and ``_update`` calls of one resolution of
-    the residue field.  ``EagerEngine`` forms the same S-vectors, but it
-    also pairs every kept candidate when it is appended, which no run reads
-    once a degree's candidates all reduce to zero against the basis at hand.
-    R5 formed 511 S-vectors in 189 updates while the minimal generators ran
-    the engine before every candidate degree; R1's forced runs are all
-    needed, so its counts did not move."""
+    the residue field.  Every syzygy step's seeds pass the certificate of
+    ``_syzygy_vecs``, so no tracked run is made, and the minimal generators
+    form no S-vector either.  ``EagerEngine`` forms the same S-vectors, but
+    it pairs every element when it is appended, the seeds and the copies of
+    I included, whether or not a run reads the pairs.  With a tracked run in
+    every syzygy step, R5 formed 101 S-vectors in 93 updates and R1 135 in
+    139; the eager counts did not move."""
     ring = request.getfixturevalue(name)
     counts, running = {}, []
     real_spair = groebner._spair

@@ -274,6 +274,32 @@ def test_ideal_copies_are_laid_out_only_inside_the_engine():
     assert found == {("groebner.py", "_Engine.__init__")}
 
 
+def test_full_engine_runs_start_only_in_run_engine():
+    """In the package, ``.run(`` is called only in ``groebner._run_engine``,
+    where every full Buchberger run starts (so a wrapper there counts them
+    all), and in ``_minimal_generator_indices``, which runs its engine one
+    degree at a time."""
+    found = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = {
+            node: "<module>"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "run"
+        }
+        # ast.walk visits an enclosing function before the ones nested in
+        # it, so each call ends up labelled by its innermost function.
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    if node in calls:
+                        calls[node] = fn.name
+        found |= {(path.name, name) for name in calls.values()}
+    assert found == {("groebner.py", "_run_engine"), ("groebner.py", "_minimal_generator_indices")}
+
+
 def test_every_caller_of_the_division_loop_takes_the_reference():
     """Every module whose code calls ``_reduce_vec(`` is one where
     ``conftest.use_reference_kernels`` installs the scanning reference loop,

@@ -34,6 +34,7 @@ from conftest import (
     engine_trace,
     fixture_rings,
     reference_minimize,
+    reference_syzygy_vecs,
     reference_syzygy_numerator,
     residue_field,
     use_reference_kernels,
@@ -449,6 +450,33 @@ def test_pinned_resolutions_match_the_eager_engine(monkeypatch):
 
     vectors = stored()
     monkeypatch.setattr(groebner, "_Engine", EagerEngine)
+    assert stored() == vectors
+
+
+def test_pinned_resolutions_match_the_always_run_reference(monkeypatch):
+    """Every syzygy step of the pinned resolutions stores the same vectors,
+    term order included, as the route that runs the engine in every step
+    (``reference_syzygy_vecs``).  The steps take both paths: one step each
+    of ``four``, ``bin5``, ``mix`` and ``three`` fails the certificate and
+    runs the engine; every other step runs none."""
+    runs = []
+    real_run = groebner._run_engine
+
+    def recording_run(engine):
+        runs.append(engine)
+        return real_run(engine)
+
+    def stored():
+        return [
+            (res.row_degrees, [[list(v.items()) for v in res.vectors(j)] for j in range(1, res.length + 1)])
+            for res in _pinned_resolutions()
+        ]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(groebner, "_run_engine", recording_run)
+        vectors = stored()
+    assert len([engine for engine in runs if engine.track]) == 4
+    monkeypatch.setattr(resolution, "_syzygy_vecs", reference_syzygy_vecs)
     assert stored() == vectors
 
 

@@ -401,7 +401,7 @@ def test_numerator_of_the_cone_leads_takes_three_nodes(monkeypatch):
     took 163 nodes."""
     cone = make_ring(3, list("xyz"), ["x^2 + y^2 + z^2"])
     vecs = [groebner.column_to_vec([cone.poly(v + "^81")], cone) for v in "xyz"]
-    engine, _ = groebner._run_engine(vecs, cone, 1, (0,))
+    engine = groebner._run_engine(groebner._Engine(cone, 1, (0,), vecs))
     leads = [t for t, _ in engine.minimal_leads()[1][0]]
     assert sorted(map(cone._layout.exps, leads)) == sorted(CONE_LEADS_E4)
     nodes = []
