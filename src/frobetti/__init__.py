@@ -17,7 +17,7 @@ from .asymptotics import (
     verify_laws,
 )
 from .errors import FrobettiError
-from .frobenius import BracketLevel, bracket_ideal, frobenius_power, twist_complex
+from .frobenius import BracketLevel, frobenius_power
 from .groebner import (
     INFINITE,
     GroebnerBasis,
@@ -28,14 +28,7 @@ from .groebner import (
     quotient_module,
     syzygy_generators,
 )
-from .homology import (
-    degreewise_homology_oracle,
-    ext_length,
-    finite_pd_certificate,
-    homology_length,
-    homology_presentation,
-    tor_length,
-)
+from .homology import ext_length, tor_length
 from .onedim import (
     DiagnosisReport,
     buchsbaum_flag,
@@ -48,7 +41,6 @@ from .onedim import (
     minimal_primes_monomial,
     syzygy_length_survey,
     tor_vanishing_vs_minimal_primes,
-    xi_alternating_sum_check,
 )
 from .resolution import FreeComplex, MinimalResolution, SyzygyPresentation, minimize, resolve, syzygy
 from .ring import Polynomial, QuotientRing, make_ring, poly_parse
@@ -68,22 +60,17 @@ __all__ = [
     "SubmodulePresentation",
     "SyzygyPresentation",
     "beta_sequence",
-    "bracket_ideal",
     "buchsbaum_flag",
     "choose_parameter",
     "cokernel_presentation",
     "decide_beta_vanishing",
     "decide_finite_pd_1dim",
-    "degreewise_homology_oracle",
     "diagnose_onedim",
     "ext_length",
-    "finite_pd_certificate",
     "frobenius_power",
     "groebner_basis",
     "h0_ring",
     "hk_sequence",
-    "homology_length",
-    "homology_presentation",
     "ideal",
     "lemma_h0_check",
     "make_ring",
@@ -98,7 +85,5 @@ __all__ = [
     "syzygy_length_survey",
     "tor_length",
     "tor_vanishing_vs_minimal_primes",
-    "twist_complex",
     "verify_laws",
-    "xi_alternating_sum_check",
 ]

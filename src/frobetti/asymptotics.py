@@ -223,7 +223,7 @@ def verify_laws(
 
     # (d) nonzerodivisor inequality against a supplied quotient fixture.
     if nzd is not None:
-        (quotient_module_,) = nzd if isinstance(nzd, tuple) else (nzd,)
+        (quotient_module_,) = nzd
         for i in indices:
             over = beta_sequence(quotient_module_, i, e_range)
             b = betas[i]

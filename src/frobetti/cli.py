@@ -455,7 +455,7 @@ def run(command, problem, flags=None):
             },
         }
     elif command == "syz":
-        i_max = _flag(flags, "idx", _flag(flags, "steps", 3))
+        i_max = _flag(flags, "idx", 3)
         survey = syzygy_length_survey(module, i_max)
         payload = {
             "ring_dim": survey.ring_dim,
@@ -559,7 +559,7 @@ def main(argv=None):
         "beta": ("idx", "exact", "emax", "json", "csv"),
         "mu": ("idx", "emax", "json", "csv"),
         "diagnose1": ("idx", "emax", "json"),
-        "syz": ("idx", "steps", "json"),
+        "syz": ("idx", "json"),
         "verify": ("emax", "json"),
     }
     for name, names in commands.items():

@@ -1,23 +1,22 @@
-"""Frobenius bracket powers of polynomials, ideals, and complexes.
+"""Frobenius bracket powers of polynomials and of the maps of a resolution.
 
 Over F_p the q-th power of a sparse polynomial is computed by scaling every
-exponent vector by q; coefficients are fixed by Fermat.  Bracket powers of a
-complex scale the twists by q and map each column term t of x^e * e_pos to
-q*t - (q-1)*unit(pos), that of x^(q*e) * e_pos, as the encoding is affine.
-As bracket power is a ring endomorphism of S over F_p and I^[q] lies in I,
-phi^[q] psi^[q] = (phi psi)^[q] lies in I when phi psi does: a twist checks its input.
+exponent vector by q; coefficients are fixed by Fermat.  The bracket power
+of a column maps each term t of x^e * e_pos to q*t - (q-1)*unit(pos), that
+of x^(q*e) * e_pos, as the encoding is affine.  As bracket power is a ring
+endomorphism of S over F_p and I^[q] lies in I, phi^[q] psi^[q] = (phi
+psi)^[q] lies in I when phi psi does: the twisted maps of a complex, with
+its twists scaled by q, form a complex.
 
-``twist_complex`` is the literal bracket power.  Lengths read the twisted
-maps reduced modulo I one Frobenius step at a time instead: h = r modulo I
-gives h^[p] = r^[p] modulo I^[p], which lies in I, so NF(h^[p^e]) =
-NF(NF(h^[p^(e-1)])^[p]): e normal forms of small exponents replace one of
-exponents near q (``frobenius_step``, ``frobenius_vectors``), each one the
-ring's ``nf_vec`` (``nf_vec_in_place`` on a fresh bracket power).  Tor, Ext
-and Hilbert-Kunz lengths all read them.
+Lengths read the twisted maps reduced modulo I one Frobenius step at a
+time: h = r modulo I gives h^[p] = r^[p] modulo I^[p], which lies in I, so
+NF(h^[p^e]) = NF(NF(h^[p^(e-1)])^[p]): e normal forms of small exponents
+replace one of exponents near q (``frobenius_step``, ``frobenius_vectors``),
+each one the ring's ``nf_vec`` (``nf_vec_in_place`` on a fresh bracket
+power).  Tor, Ext and Hilbert-Kunz lengths all read them.
 """
 
-from .errors import LiftFailure, Overflow
-from .resolution import FreeComplex
+from .errors import Overflow
 from .ring import MAX_EXPONENT, Polynomial
 
 
@@ -55,11 +54,6 @@ def frobenius_power(f, level):
     return Polynomial(f.ring, {layout.exps(t): c for t, c in vec.items()})
 
 
-def bracket_ideal(gens, level, ring=None):
-    """Generator-wise bracket power of an ideal (a list of ring elements)."""
-    return [frobenius_power(g if isinstance(g, Polynomial) else ring.poly(g), level) for g in gens]
-
-
 def _bracket_vec(vec, q, layout):
     """vec^[q] for an engine vector: each term x^e * e_pos becomes x^(q*e) *
     e_pos, with its coefficient, as c^q = c over F_p."""
@@ -67,22 +61,6 @@ def _bracket_vec(vec, q, layout):
         raise Overflow("bracket power pushes an exponent past the configured width")
     top, unit = layout.top, layout.unit
     return {q * t - (q - 1) * unit(-(t >> top)): c for t, c in vec.items()}
-
-
-def twist_complex(complex_, level):
-    """The complex (G_j, phi_j^[q]); for q > 1 the input's complex property
-    is checked, once per stored composition for a resolution from ``resolve``."""
-    ring = complex_.ring
-    lv = _level(ring, level)
-    q = lv.q
-    if q == 1:
-        return complex_.copy()
-    if not complex_.check_complex():
-        raise LiftFailure("consecutive maps do not compose to zero; not a complex")
-    layout = ring._layout
-    maps = [[_bracket_vec(v, q, layout) for v in mat] for mat in complex_.maps[1:]]
-    degrees = [[q * d for d in degs] for degs in complex_.row_degrees]
-    return FreeComplex(ring, complex_.ranks, degrees, maps)
 
 
 def frobenius_step(vecs, ring):

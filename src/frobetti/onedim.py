@@ -3,8 +3,8 @@
 Over a one-dimensional ring with a finite-length module M, vanishing of the
 i-th Frobenius Betti number is equivalent to the entries of the (i+1)-st
 resolution matrix landing in H^0_m(R); the decision is exact, no limits.
-The surveys cross those exact decisions against sampled twisted Tor values,
-syzygy dimension laws, and the alternating-sum length identity.
+The surveys cross those exact decisions against sampled twisted Tor values
+and syzygy dimension laws.
 """
 
 import itertools
@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .asymptotics import beta_sequence
-from .errors import InfiniteLength, NoParameterFound, NotMonomial, UnitIdeal, WrongDimension
+from .errors import InfiniteLength, NoParameterFound, NotMonomial, WrongDimension
 from .groebner import (
     INFINITE,
     SubmodulePresentation,
@@ -22,7 +22,7 @@ from .groebner import (
 )
 from .homology import tor_length
 from .resolution import resolve
-from .ring import _reduce_vec, make_ring
+from .ring import _reduce_vec
 
 
 def h0_ring(ring):
@@ -225,50 +225,6 @@ class GateReport:
     reason: str = ""
     detail: dict = field(default_factory=dict)
     passed: bool = None
-
-
-def xi_alternating_sum_check(module, i):
-    """The alternating-sum length identity for a finite-length higher syzygy.
-
-    Applicability gates: finite length, infinite projective dimension probe,
-    i >= 2, and a finite-length (i+1)-st syzygy; any failed gate is reported
-    rather than treated as an error.
-    """
-    _require_dim_one(module.ring)
-    ring = module.ring
-    if module.length() == 0:
-        return GateReport(False, "zero module")
-    if module.dimension() > 0:
-        return GateReport(False, "module length infinite")
-    if i < 2:
-        return GateReport(False, "index below 2")
-    res = resolve(module, i + 2)
-    if any(res.rank(j) == 0 for j in range(i + 3)):
-        return GateReport(False, "finite projective dimension")
-    omega = res.syzygy(i + 1)
-    if omega.length is INFINITE:
-        return GateReport(False, "syzygy length infinite")
-    choice = choose_parameter(ring, annihilate=module)
-    x = choice.x
-    lhs = omega.length
-    rhs = 0
-    tor_values = {}
-    for j in range(i + 1):
-        v = tor_length(module, j, 0, [x])
-        tor_values[j] = v
-        sign = -1 if (i - j + 1) % 2 else 1
-        rhs += sign * v
-    return GateReport(
-        True,
-        "",
-        {
-            "parameter": str(x),
-            "syzygy_length": lhs,
-            "alternating_sum": rhs,
-            "tor_lengths": tor_values,
-        },
-        passed=(lhs == rhs),
-    )
 
 
 def lemma_h0_check(module, i):
@@ -498,45 +454,3 @@ def diagnose_onedim(module, i, primes=None, e_range=range(0, 3), estimate_range=
     consistent = exact == sampled_zero
     decision = decide_finite_pd_1dim(module, max(i, 1))
     return DiagnosisReport(i, exact, prime_reports, est, consistent, decision)
-
-
-def random_instances(seed, count, p=3, max_vars=3):
-    """Seeded random (ring, finite-length module) pairs for survey harnesses.
-
-    Distribution: 2..max_vars variables; ring ideals are monomial with at
-    most 5 generators of degree at most 3; modules are quotients by
-    irrelevant-primary monomial ideals with pure powers of exponent at most
-    3, so every instance has finite length.
-    """
-    rng = random.Random(seed)
-    names = ["x", "y", "z", "w"]
-    out = []
-    guard = 0
-    while len(out) < count and guard < count * 50:
-        guard += 1
-        n = rng.randint(2, max_vars)
-        variables = names[:n]
-
-        def random_monomial(max_deg):
-            deg = rng.randint(1, max_deg)
-            exps = [0] * n
-            for _ in range(deg):
-                exps[rng.randrange(n)] += 1
-            return "*".join(
-                "%s^%d" % (v, e) if e > 1 else v
-                for v, e in zip(variables, exps)
-                if e
-            )
-
-        ideal_gens = sorted({random_monomial(3) for _ in range(rng.randint(0, 5))})
-        try:
-            ring = make_ring(p, variables, ideal_gens)
-        except UnitIdeal:
-            continue
-        pures = ["%s^%d" % (v, rng.randint(1, 3)) for v in variables]
-        extra = sorted({random_monomial(3) for _ in range(rng.randint(0, 2))})
-        module = quotient_module(ring, pures + extra)
-        if module.length() == 0:
-            continue
-        out.append((ring, module))
-    return out

@@ -100,28 +100,18 @@ def _minimal_pairs(pairs, guard):
     return out
 
 
-def hilbert_numerator(terms, layout):
-    """N(t) with HS(S/L) = N(t) / (1 - t)^n for L the monomial ideal of the
-    lead ``terms`` of one position, encoded by ``layout``.
-
-    N is returned as ``{degree: coeff}`` without zero coefficients.  This is
-    the Bayer-Stillman pivot recursion N(L) = N(L + (x_i^k)) + t^k N(L : x_i^k),
-    with the base cases and pivot of Bigatti ("Computation of Hilbert-Poincare
-    series", J. Pure Appl. Algebra 119, 1997), see ``_numerator``.
-    Generators are ``(degree, packed exponents)`` pairs (the low bits of a
-    term, see ``TermLayout``), so a colon by x_i^k is a subtraction of fields.
-    """
-    guard, mask, degree = layout.guard, layout.mask, layout.degree
-    gens = _minimal_pairs([(degree(t), t & mask) for t in terms], guard)
-    return _numerator(gens, layout)
-
-
 _FIELD = (1 << 64) - 1
 
 
 def _numerator(gens, layout):
-    """``hilbert_numerator`` of minimal ``(degree, packed exponents)`` pairs.
+    """N(t) with HS(S/L) = N(t) / (1 - t)^n, as ``{degree: coeff}`` without
+    zero coefficients, for L the monomial ideal of the minimal ``(degree,
+    packed exponents)`` pairs ``gens`` (the low bits of a term, see
+    ``TermLayout``), so a colon by x_i^k is a subtraction of fields.
 
+    This is the Bayer-Stillman pivot recursion N(L) = N(L + (x_i^k)) + t^k
+    N(L : x_i^k), with the base cases and pivot of Bigatti ("Computation of
+    Hilbert-Poincare series", J. Pure Appl. Algebra 119, 1997).
     A generator whose variables occur in no other generator splits off as
     the factor 1 - t^deg.  When the others use at most two variables, they
     form a staircase g_1, ..., g_m, ordered by the exponent of one variable,

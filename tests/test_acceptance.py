@@ -23,11 +23,8 @@ from frobetti import (
     cokernel_presentation,
     decide_beta_vanishing,
     decide_finite_pd_1dim,
-    degreewise_homology_oracle,
-    finite_pd_certificate,
     h0_ring,
     hk_sequence,
-    homology_length,
     ideal,
     lemma_h0_check,
     make_ring,
@@ -38,13 +35,18 @@ from frobetti import (
     syzygy_length_survey,
     tor_length,
     tor_vanishing_vs_minimal_primes,
+)
+from frobetti.homology import coefficient_ring
+
+from conftest import R5_QUADRICS, brute_force_monomial_count, fixture_rings, residue_field
+from reference import (
+    degreewise_homology_oracle,
+    finite_pd_certificate,
+    homology_length,
+    random_instances,
     twist_complex,
     xi_alternating_sum_check,
 )
-from frobetti.homology import coefficient_ring
-from frobetti.onedim import random_instances
-
-from conftest import R5_QUADRICS, brute_force_monomial_count, fixture_rings, residue_field
 
 TOL_SMALL = Fraction(1, 20)
 TOL_BIG = Fraction(1, 10)

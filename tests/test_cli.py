@@ -350,8 +350,9 @@ def test_removed_flags_are_rejected(tmp_path, flag):
         ("verify", ["--exact"]),
         ("resolve", ["--csv", "out.csv"]),
         ("beta", ["--exact", "--csv", "out.csv"]),
+        ("syz", ["--steps", "3"]),
     ],
-    ids=["resolve-emax", "hk-idx", "verify-exact", "resolve-csv", "beta-exact-csv"],
+    ids=["resolve-emax", "hk-idx", "verify-exact", "resolve-csv", "beta-exact-csv", "syz-steps"],
 )
 def test_flags_a_command_does_not_read_are_rejected(tmp_path, monkeypatch, capsys, command, flags):
     monkeypatch.chdir(tmp_path)
@@ -378,8 +379,6 @@ def test_zero_flags_mean_zero():
     assert env["result"]["betti"] == [1] and env["result"]["matrices"] == []
     env = cli.run("syz", _problem(), {"idx": 0})
     assert [row["i"] for row in env["result"]["rows"]] == [0]
-    env = cli.run("syz", _problem(), {"steps": 0})
-    assert [row["i"] for row in env["result"]["rows"]] == [0]
     env = cli.run("beta", _problem(), {"idx": 0, "exact": True})
     assert env["result"]["index"] == 0
     # Absent flags keep their defaults.
@@ -392,7 +391,7 @@ def test_zero_flags_mean_zero():
     [
         ("resolve", {"steps": -1}),
         ("syz", {"idx": -1}),
-        ("syz", {"steps": -1}),
+        ("mu", {"idx": 1, "emax": 0}),
         ("beta", {"idx": -1, "exact": True}),
         ("beta", {"idx": -1}),
         ("mu", {"idx": -1}),

@@ -5,18 +5,16 @@ import pytest
 from frobetti import (
     BracketLevel,
     FreeComplex,
-    bracket_ideal,
     frobenius_power,
     make_ring,
     quotient_module,
     resolve,
     tor_length,
-    twist_complex,
 )
 from frobetti.errors import Overflow
-from frobetti.homology import homology_length
 
 from conftest import composes_to_zero, residue_field
+from reference import bracket_ideal, homology_length, twist_complex
 
 
 def test_bracket_level():

@@ -19,7 +19,7 @@ from frobetti import (
 )
 from frobetti import groebner
 from frobetti.errors import AmbientMismatch, Overflow, ResourceBound, ZeroDivisorQuery
-from frobetti.frobenius import frobenius_power, twist_complex
+from frobetti.frobenius import frobenius_power
 from frobetti.groebner import (
     column_degree,
     column_to_vec,
@@ -28,7 +28,6 @@ from frobetti.groebner import (
     vec_to_column,
     vec_to_strings,
 )
-from frobetti.homology import _degree_basis, _degree_matrix, _rank_mod_p
 from frobetti.onedim import decide_beta_vanishing, h0_ring
 from frobetti.ring import (
     LEAD_INDEX_LENGTH,
@@ -55,6 +54,7 @@ from conftest import (
     use_reference_kernels,
     vec_key,
 )
+from reference import _degree_basis, _degree_matrix, _rank_mod_p, twist_complex
 
 
 # -- an independent naive Buchberger oracle (no criteria, no reuse) -----------

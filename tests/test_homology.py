@@ -7,22 +7,25 @@ from hypothesis import strategies as st
 from frobetti import (
     FreeComplex,
     beta_sequence,
-    degreewise_homology_oracle,
     ext_length,
-    finite_pd_certificate,
-    homology_length,
     make_ring,
     mu_sequence,
     quotient_module,
     resolve,
     tor_length,
-    twist_complex,
 )
 from frobetti.errors import InfiniteLength, LiftFailure
-from frobetti.homology import homology_presentation, subquotient_presentation
-from frobetti.onedim import random_instances
 
 from conftest import random_form, residue_field
+from reference import (
+    degreewise_homology_oracle,
+    finite_pd_certificate,
+    homology_length,
+    homology_presentation,
+    random_instances,
+    subquotient_presentation,
+    twist_complex,
+)
 
 
 def test_homology_examples(R1, R2, K1, K2):

@@ -63,6 +63,23 @@ def test_package_exports_resolve():
     assert not missing
 
 
+# Exports no package code uses: library API that demos and tests call.
+EXPORT_ALLOWLIST = {"choose_parameter", "frobenius_power", "groebner_basis", "minimize", "syzygy_generators"}
+
+
+def test_every_export_is_used_in_the_package_or_listed():
+    """Each name of ``frobetti.__all__`` is read by another definition of
+    ``src/``, ``cli.py`` included, or is on ``EXPORT_ALLOWLIST``, which holds
+    only names that need it."""
+    used = set()
+    for path in MODULES:
+        if path.name != "__init__.py":
+            for top in ast.parse(path.read_text(), filename=str(path)).body:
+                names = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(top)}
+                used |= names - {getattr(top, "name", None)}
+    assert set(frobetti.__all__) - used == EXPORT_ALLOWLIST
+
+
 def _function_level_imports(tree):
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -164,13 +181,10 @@ def test_no_shared_mutable_module_state(path):
 
 
 # ``FreeComplex.matrix`` builds Polynomial columns on each call; the library
-# reads the stored vectors instead, except where Polynomial columns are the
-# point: the two reference routes of ``homology``.  ``minimize`` splits units
-# on the stored vectors, and the CLI payload prints them (``vec_to_strings``).
-MATRIX_CALLERS = {
-    ("homology.py", "homology_presentation"),
-    ("homology.py", "degreewise_homology_oracle"),
-}
+# reads the stored vectors instead, and only the reference routes of the tests
+# call it.  ``minimize`` splits units on the stored vectors, and the CLI
+# payload prints them (``vec_to_strings``).
+MATRIX_CALLERS = set()
 
 
 def test_polynomial_matrices_are_built_only_where_needed():
@@ -220,13 +234,15 @@ def test_syzygy_numbers_run_no_engine():
 def test_lengths_read_stepwise_twists():
     """Tor, Ext and hk lengths read the maps and generators twisted one
     Frobenius step at a time (``frobenius.frobenius_vectors`` and
-    ``frobenius_step``): ``homology.py`` and ``asymptotics.py`` call neither
-    ``twist_complex(`` nor ``frobenius_power(``, the literal bracket powers.
-    hk is the Tor_0 length of R/J, so ``asymptotics.py`` twists, measures
-    and reduces nothing itself: it calls none of ``frobenius_step(``,
-    ``cokernel_numerator(`` and ``_reduce_vec(``."""
+    ``frobenius_step``): no module calls ``twist_complex(`` or
+    ``frobenius_power(``, the literal bracket powers, and ``frobenius.py``
+    imports nothing from ``resolution``.  hk is the Tor_0 length of R/J, so
+    ``asymptotics.py`` twists, measures and reduces nothing itself: it calls
+    none of ``frobenius_step(``, ``cokernel_numerator(`` and ``_reduce_vec(``."""
     own = {"asymptotics.py": {"frobenius_step", "cokernel_numerator", "_reduce_vec"}}
-    for name in ("homology.py", "asymptotics.py"):
+    frobenius_tree = ast.parse((SRC / "frobenius.py").read_text())
+    assert "resolution" not in {n.module for n in ast.walk(frobenius_tree) if isinstance(n, ast.ImportFrom)}
+    for name in (path.name for path in MODULES):
         tree = ast.parse((SRC / name).read_text())
         called = {
             node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)

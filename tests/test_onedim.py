@@ -9,7 +9,6 @@ from frobetti import (
     decide_finite_pd_1dim,
     diagnose_onedim,
     h0_ring,
-    homology_length,
     ideal,
     lemma_h0_check,
     make_ring,
@@ -19,14 +18,13 @@ from frobetti import (
     syzygy_length_survey,
     tor_length,
     tor_vanishing_vs_minimal_primes,
-    xi_alternating_sum_check,
 )
 from frobetti import cli, groebner
 from frobetti.errors import InfiniteLength, NotMonomial, WrongDimension
 from frobetti.homology import coefficient_ring
-from frobetti.onedim import random_instances
 
 from conftest import fixture_rings, residue_field
+from reference import homology_length, random_instances, xi_alternating_sum_check
 
 
 def test_h0_ring(R1, R2, R3, R5):

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from frobetti import decide_beta_vanishing, hk_sequence, make_ring, quotient_module, resolve
 from frobetti.homology import tor_length
-from frobetti.onedim import random_instances
 
 from conftest import R5_QUADRICS, diagonal_hk, residue_field
+from reference import random_instances
 
 
 def _is_invertible(g, p):

@@ -9,7 +9,6 @@ from frobetti import (
     SubmodulePresentation,
     beta_sequence,
     cokernel_presentation,
-    homology_length,
     make_ring,
     minimize,
     mu_sequence,
@@ -17,12 +16,10 @@ from frobetti import (
     resolve,
     syzygy,
     syzygy_generators,
-    twist_complex,
 )
 from frobetti import groebner, resolution
 from frobetti.errors import LiftFailure, NotHomogeneous
 from frobetti.groebner import numerator_length
-from frobetti.onedim import random_instances
 from frobetti.resolution import MinimalResolution
 from frobetti.ring import Polynomial, monomials_of_degree, numerator_dimension
 
@@ -39,6 +36,7 @@ from conftest import (
     residue_field,
     use_reference_kernels,
 )
+from reference import homology_length, homology_presentation, random_instances, twist_complex
 
 # The base ideals of the benchmark's quadric families, over F_101 in x, y, z, w.
 QUADRIC_FAMILIES = {
@@ -110,7 +108,7 @@ def test_minimality_no_constant_entries(R1, K1, R5):
 
 
 def test_betti_equal_tor_dimensions(R1, R2, R5, K1, K2):
-    from frobetti.homology import coefficient_ring, homology_presentation
+    from frobetti.homology import coefficient_ring
 
     col = [[R5.poly("u"), R5.poly("v"), R5.poly("z^2")]]
     M5 = cokernel_presentation(R5, col, 3, [0, 0, -1])

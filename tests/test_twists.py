@@ -27,13 +27,8 @@ from frobetti.errors import Overflow
 from frobetti.groebner import column_to_vec
 from frobetti.homology import coefficient_ring
 
-from conftest import (
-    R5_QUADRICS,
-    random_form,
-    reference_ext_length,
-    reference_tor_length,
-    residue_field,
-)
+from conftest import R5_QUADRICS, random_form, residue_field
+from reference import reference_ext_length, reference_tor_length
 
 CUBIC = ["x^3 + y^3 + z^3"]
 CONE = ["x^2 + y^2 + z^2"]
